@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .errors import CapExceededError, InvalidActionError, WorkbenchError
 
@@ -47,9 +48,6 @@ class FiniteGroup:
         self.op = op
         self.identity = identity
         self._inv = inv
-        # a group always carries a generating set; the whole element list is
-        # the (correct, if lazy) fallback
-        self.generators = tuple(generators) if generators else elements
         self.name = name
         self.cap = cap
         self._index = {e: i for i, e in enumerate(elements)}
@@ -59,6 +57,18 @@ class FiniteGroup:
             raise WorkbenchError("identity missing from enumeration")
         self._inv_cache = {}
         self._abelian = None
+        # a group always carries a generating set, and a short one keeps the
+        # relator rows of abelianization short
+        self.generators = tuple(generators) or self._pick_generators()
+
+    def _pick_generators(self) -> tuple:
+        """Each element, in order, that the earlier picks do not generate."""
+        picks, span = (), {self.identity}
+        for x in self.elements:
+            if x not in span:
+                picks += (x,)
+                span = set(generated_subgroup(self, picks).elements)
+        return picks or (self.identity,)
 
     @property
     def order(self) -> int:
@@ -116,7 +126,7 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-def _bfs_closure(generators, op, identity, *, cap, key, on_new=None):
+def _bfs_closure(generators, op, identity, *, cap, key):
     """Deterministic closure of {identity} under right multiplication."""
     seen = {identity}
     ordered = [identity]
@@ -161,35 +171,30 @@ def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     gens = [g for g in gens if g != G.identity]
     ordered = _bfs_closure(gens, G.op, G.identity, cap=G.cap, key=G.index_of)
     return FiniteGroup(ordered, G.op, G.identity, inv=G.inv,
-                       generators=gens or [G.identity], name=name, cap=G.cap)
+                       generators=gens, name=name, cap=G.cap)
 
 
-# all-pairs commutator collection stays affordable up to this order;
-# beyond it the normal-closure route is both correct and far cheaper
-_PAIRWISE_LIMIT = 200
+def _check_generation(G: FiniteGroup, reached: int) -> None:
+    if reached < G.order:
+        raise WorkbenchError(f"the generators of {G.name or 'the group'} "
+                             f"reach {reached} of its {G.order} elements")
 
 
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     """The subgroup generated by all commutators [a, b] = a^-1 b^-1 a b.
 
-    Small groups collect every pair directly.  Larger ones use the standard
-    fact that the commutator subgroup is the normal closure of the
-    commutators of a generating set, which needs only |G'| * #gens work.
+    It is the normal closure of the commutators of G's generators, which must
+    generate G (WorkbenchError otherwise).
     """
+    _check_generation(G, generated_subgroup(G, G.generators).order)
     name = f"[{G.name or 'G'},{G.name or 'G'}]"
-    if G.order <= _PAIRWISE_LIMIT or not G.generators:
-        comms = {G.commutator(a, b) for a in G.elements for b in G.elements}
-        comms.discard(G.identity)
-        return generated_subgroup(G, sorted(comms, key=G.index_of), name=name)
-
-    gens = list(G.generators)
-    seeds = {G.commutator(a, b) for a in gens for b in gens}
+    seeds = {G.commutator(a, b) for a in G.generators for b in G.generators}
     seeds.discard(G.identity)
     while True:
         H = generated_subgroup(G, sorted(seeds, key=G.index_of), name=name)
         new = set()
         for x in H.elements:
-            for g in gens:
+            for g in G.generators:
                 y = G.conjugate(g, x)
                 if y not in H:
                     new.add(y)
@@ -200,13 +205,13 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
 
 def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
     """Whether the subgroup H (sharing G's operation) is normal in G."""
-    witnesses = G.generators or G.elements
-    return all(G.conjugate(g, h) in H for g in witnesses for h in H.elements)
+    _check_generation(G, generated_subgroup(G, G.generators).order)
+    return all(G.conjugate(g, h) in H for g in G.generators for h in H.elements)
 
 
-def quotient_group(G: FiniteGroup, N: FiniteGroup, *, check=True) -> FiniteGroup:
+def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     """G/N with cosets as frozensets, ordered by first representative in G."""
-    if check and not is_normal(G, N):
+    if not is_normal(G, N):
         raise WorkbenchError("subgroup is not normal; quotient undefined")
     coset_of = {}
     cosets = []
@@ -226,13 +231,7 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup, *, check=True) -> FiniteGroup
     def inv(c):
         return coset_of[G.inv(reps[c])]
 
-    identity = coset_of[G.identity]
-    gens = []
-    for g in G.generators:
-        c = coset_of[g]
-        if c != identity and c not in gens:
-            gens.append(c)
-    return FiniteGroup(cosets, op, identity, inv=inv, generators=gens,
+    return FiniteGroup(cosets, op, coset_of[G.identity], inv=inv,
                        name=f"{G.name or 'G'}/{N.name or 'N'}", cap=G.cap)
 
 
@@ -252,10 +251,7 @@ class AbInvariants:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return prod(self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -271,56 +267,83 @@ class AbInvariants:
 
 
 def invariants_from_factors(factors) -> AbInvariants:
-    """Renormalize an arbitrary list of cyclic orders to a divisibility chain."""
-    primary: dict[int, list[int]] = {}
-    for d in factors:
-        if d < 1:
-            raise ValueError("cyclic orders must be positive")
-        rest = d
-        p = 2
-        while rest > 1:
-            if rest % p == 0:
-                pk = 1
-                while rest % p == 0:
-                    rest //= p
-                    pk *= p
-                primary.setdefault(p, []).append(pk)
-            p += 1 if p == 2 else 2
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    chain = []
-    for i in range(depth):
-        d = 1
-        for p, powers in primary.items():
-            if i < len(powers):
-                d *= powers[i]
-        chain.append(d)
-    chain.reverse()
-    return AbInvariants(tuple(chain))
+    """Renormalize an arbitrary list of cyclic orders to a divisibility chain:
+    the Smith form of their diagonal matrix, via Z_a + Z_b = Z_gcd + Z_lcm."""
+    chain = list(factors)
+    if any(d < 1 for d in chain):
+        raise ValueError("cyclic orders must be positive")
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return AbInvariants(tuple(d for d in chain if d > 1))
 
 
-def _invariant_factors_of_abelian(A: FiniteGroup) -> tuple[int, ...]:
-    """Extract the chain by repeatedly splitting off a maximal-order element."""
-    factors = []
-    while A.order > 1:
-        best, best_ord = None, 0
-        for x in A.elements:
-            o = A.element_order(x)
-            if o > best_ord:
-                best, best_ord = x, o
-        factors.append(best_ord)
-        span = generated_subgroup(A, [best], name="span")
-        A = quotient_group(A, span, check=False)
-    factors.reverse()
-    return tuple(factors)
+def _add_relator(basis, row, n) -> None:
+    """Enlarge the lattice span(basis) + n * Z^k by one row: Euclid's algorithm
+    against each pivot of the upper-triangular basis.  Entries are kept mod n,
+    which changes nothing because n * Z^k lies in the lattice."""
+    row = [x % n for x in row]
+    for j in range(len(row)):
+        while row[j]:
+            pivot = basis[j]
+            q = row[j] // pivot[j]
+            row = [(x - q * y) % n for x, y in zip(row, pivot)]
+            if row[j]:
+                basis[j], row = row, pivot
+
+
+def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbInvariants:
+    """Invariant factors of G^ab, or of its coinvariants under `action` on G.
+
+    A breadth-first search from the identity over G's k generators reaches
+    each element x along a word whose exponent sums form v(x) in Z^k.  Each
+    Cayley edge x * g_i = y gives the relator v(x) + e_i - v(y), and G^ab is
+    Z^k modulo these relators (Reidemeister-Schreier).  They are kept as a
+    Hermite basis mod |G|, which is sound because the g_i-cycle through x
+    puts ord(g_i) * e_i, hence |G| * e_i, in their span.  An action adds the
+    rows v(act(g, h_i)) - e_i over acting generators g and G's generators
+    h_i.  The Smith form of the basis gives the invariant factors.
+    Raises WorkbenchError when the generators do not generate G.
+    """
+    gens = G.generators
+    k, n = len(gens), G.order
+    basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
+    vectors = {G.identity: (0,) * k}
+    queue = [G.identity]
+    for x in queue:
+        vx = vectors[x]
+        for i, g in enumerate(gens):
+            y = G.op(x, g)
+            vy = vectors.get(y)
+            if vy is None:
+                vectors[y] = vx[:i] + (vx[i] + 1,) + vx[i + 1:]
+                queue.append(y)
+            else:
+                row = [u - w for u, w in zip(vx, vy)]
+                row[i] += 1
+                _add_relator(basis, row, n)
+    _check_generation(G, len(vectors))
+    if action is not None:
+        for g in action.acting.generators:
+            for i, h in enumerate(gens):
+                row = list(vectors[action.act(g, h)])
+                row[i] -= 1
+                _add_relator(basis, row, n)
+    # Z^k / (span(B) + n * Z^k) depends only on B's Smith form, shared by its
+    # transpose: alternating row and column Hermite bases reach a diagonal
+    while any(basis[i][j] for i in range(k) for j in range(i + 1, k)):
+        columns = zip(*basis)
+        basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
+        for column in columns:
+            _add_relator(basis, list(column), n)
+    return invariants_from_factors(basis[j][j] for j in range(k))
 
 
 def abelianization(G: FiniteGroup) -> AbInvariants:
-    """Invariant factors of G / [G, G]."""
-    derived = commutator_subgroup(G)
-    Q = quotient_group(G, derived, check=False)
-    return AbInvariants(_invariant_factors_of_abelian(Q))
+    """Invariant factors of G / [G, G], as the Smith form of the Cayley-graph
+    relators over G's generators, which must generate G (WorkbenchError)."""
+    return _abelian_quotient(G)
 
 
 def abelian_iso(a: AbInvariants, b: AbInvariants) -> bool:
@@ -349,6 +372,8 @@ class GroupAction:
         if self._checked:
             return
         G, H, act = self.acting, self.target, self.mapping
+        for group in (G, H):
+            _check_generation(group, generated_subgroup(group, group.generators).order)
         for g in G.generators:
             image = set()
             for h in H.elements:
@@ -380,19 +405,14 @@ class GroupAction:
 def coinvariants(H: FiniteGroup, action: GroupAction) -> AbInvariants:
     """Invariant factors of H / <act(g, h) * h^-1>, for abelian H.
 
-    Generators of the acting group suffice for the relator set: the relator
-    for a product of acting elements is a product of conjugated relators.
+    The relators for generators g of the acting group and h_i of H join H's
+    own in the Smith-form route.  Generators suffice: the relator for a
+    product of acting elements is a product of conjugated relators, and
+    h -> act(g, h) * h^-1 is a homomorphism on abelian H.
     """
     if action.target is not H and action.target != H:
         raise WorkbenchError("action does not target the given group")
     if not H.is_abelian():
         raise WorkbenchError("coinvariants need an abelian target")
     action.check()
-    relators = set()
-    for g in action.acting.generators:
-        for h in H.elements:
-            relators.add(H.op(action.act(g, h), H.inv(h)))
-    relators.discard(H.identity)
-    N = generated_subgroup(H, sorted(relators, key=H.index_of), name="relators")
-    Q = quotient_group(H, N, check=False)
-    return AbInvariants(_invariant_factors_of_abelian(Q))
+    return _abelian_quotient(H, action)

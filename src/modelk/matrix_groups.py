@@ -8,10 +8,9 @@ from itertools import product
 from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     abelianization, commutator_subgroup, enumerate_group,
-                     invariants_from_factors)
+                     abelianization, enumerate_group, invariants_from_factors)
 from .matrices import Mat
-from .rings import MatRing, UnitSumWitness, primitive_unit, unit_sum_witness
+from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
 _CANDIDATE_LIMIT = 2 ** 21
 
@@ -25,17 +24,16 @@ def gl_order_field(n: int, q: int) -> int:
 
 
 def _designated_generators(n: int, ring: MatRing) -> list[Mat]:
-    """Transvections with c = 1 plus one primitive diagonal (fields only)."""
-    gens = [Mat.transvection(ring, n, i, j, ring.one)
-            for i in range(n) for j in range(n) if i != j]
-    if ring.kind == "gf" and ring.size > 2:
-        g = primitive_unit(ring)
-        rows = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
-        rows[0][0] = g
-        gens.append(Mat(ring, tuple(tuple(r) for r in rows)))
-    if not gens:  # n = 1 over F_2
-        gens = [Mat.identity(ring, 1)]
-    return gens
+    """Transvections with c = 1 and diag(u, 1, ..., 1) for each unit u != 1.
+
+    Over a field or Z_m they generate GL_n: conjugating the transvections by
+    the diagonals gives all of SL_n, and the diagonals reach every det.
+    """
+    one = Mat.identity(ring, n).rows
+    return ([Mat.transvection(ring, n, i, j, ring.one)
+             for i in range(n) for j in range(n) if i != j]
+            + [Mat(ring, ((u,) + one[0][1:],) + one[1:])
+               for u in ring.units() if u != ring.one])
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
@@ -64,9 +62,9 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
         raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
         assert len(elements) == expected
-    gens = [g for g in _designated_generators(n, ring) if g in set(elements)]
     return FiniteGroup(elements, lambda a, b: a * b, Mat.identity(ring, n),
-                       inv=lambda a: a.inverse(), generators=gens,
+                       inv=lambda a: a.inverse(),
+                       generators=_designated_generators(n, ring),
                        name=f"GL_{n}({ring})", cap=cap)
 
 
@@ -77,10 +75,7 @@ def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     gens = [Mat.transvection(ring, n, i, j, c)
             for i in range(n) for j in range(n) if i != j
             for c in range(1, ring.size)]
-    if n == 1:
-        gens = [Mat.identity(ring, 1)]
-    return FiniteGroup(kernel, G.op, G.identity, inv=G.inv,
-                       generators=[g for g in gens if g in set(kernel)],
+    return FiniteGroup(kernel, G.op, G.identity, inv=G.inv, generators=gens,
                        name=f"SL_{n}({ring})", cap=cap)
 
 
@@ -89,12 +84,28 @@ def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup
     if n == 1:
         return FiniteGroup([Mat.identity(ring, 1)], lambda a, b: a * b,
                            Mat.identity(ring, 1), inv=lambda a: a.inverse(),
-                           generators=[Mat.identity(ring, 1)],
                            name=f"E_1({ring})", cap=cap)
     gens = [Mat.transvection(ring, n, i, j, c)
             for i in range(n) for j in range(n) if i != j
             for c in range(1, ring.size)]
     return enumerate_group(gens, cap=cap, name=f"E_{n}({ring})")
+
+
+def _unit_group_invariants(ring: MatRing) -> AbInvariants:
+    """R^x from its closed form: Z_(q-1) over F_q.  Over Z_m it is, by the
+    Chinese remainder theorem, the product over p^k || m of (Z/p^k)^x, which
+    is Z_(p^(k-1) (p-1)) for odd p and for p^k in {2, 4}, and
+    Z_2 + Z_(2^(k-2)) for 2^k with k >= 3."""
+    if ring.kind == "gf":
+        return invariants_from_factors([ring.size - 1])
+    orders, rest = [], ring.size
+    for p in range(2, ring.size + 1):
+        k = 0
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        if k:
+            orders += [2, 2 ** (k - 2)] if p == 2 and k >= 3 else [p ** (k - 1) * (p - 1)]
+    return invariants_from_factors(orders)
 
 
 # measured abelianizations that deliberately disagree with the unit-group
@@ -137,13 +148,11 @@ def check_gl_ab(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> GLAbReport:
     exactly when 1 is a sum of two units.  Cases outside those hypotheses are
     only compared against the recorded exception table, never asserted.
     """
-    G = gl_group(n, ring, cap=cap)
-    ab = abelianization(G)
-    units_invariants = invariants_from_factors(
-        [len(ring.units())] if len(ring.units()) > 1 else [])
-    derived = commutator_subgroup(G)
-    sl_set = {m for m in G.elements if m.det() == ring.one}
-    commutator_is_sl = set(derived.elements) == sl_set
+    ab = abelianization(gl_group(n, ring, cap=cap))
+    units_invariants = _unit_group_invariants(ring)
+    # [G, G] lies in SL_n and det maps G onto R^x, so [G, G] = SL_n exactly
+    # when |G| / |G^ab| = |SL_n| = |G| / |R^x|
+    commutator_is_sl = ab.order == units_invariants.order
     witness = unit_sum_witness(ring)
     hypotheses_hold = n != 2 or witness.exists
     matches_units = ab.factors == units_invariants.factors
@@ -161,7 +170,11 @@ def check_gl_ab(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> GLAbReport:
 
 
 def module_group(ring: MatRing, length: int) -> FiniteGroup:
-    """The additive group of ring^length on coordinate tuples."""
+    """The additive group of ring^length on coordinate tuples.
+
+    FiniteGroup picks its generators: over F_(p^e) with e > 1 the unit
+    vectors alone do not generate it.
+    """
     zero = (ring.zero,) * length
 
     def op(a, b):
@@ -171,12 +184,7 @@ def module_group(ring: MatRing, length: int) -> FiniteGroup:
         return tuple(ring.neg(x) for x in a)
 
     elements = list(product(ring.elements, repeat=length))
-    gens = []
-    for i in range(length):
-        v = [ring.zero] * length
-        v[i] = ring.one
-        gens.append(tuple(v))
-    return FiniteGroup(elements, op, zero, inv=inv, generators=gens,
+    return FiniteGroup(elements, op, zero, inv=inv,
                        name=f"({ring})^{length}", cap=max(DEFAULT_CAP, len(elements)))
 
 

@@ -204,16 +204,3 @@ def unit_sum_witness(ring: MatRing) -> UnitSumWitness:
             return UnitSumWitness(True, u, v)
     return UnitSumWitness(False)
 
-
-def primitive_unit(ring: MatRing) -> int:
-    """Smallest-encoded generator of the unit group (fields only)."""
-    units = ring.units()
-    target = len(units)
-    for g in units:
-        x, order = g, 1
-        while x != ring.one:
-            x = ring.mul(x, g)
-            order += 1
-        if order == target:
-            return g
-    raise WorkbenchError(f"unit group of {ring} is not cyclic")

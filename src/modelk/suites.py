@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .automorphisms import AffineMap, PAMap
 from .catalogue import by_name, cyclic, dihedral, quaternion8
@@ -50,7 +51,7 @@ def _inversion_action(rng: random.Random) -> GroupAction:
 def _unit_mult_action(rng: random.Random) -> GroupAction:
     while True:
         n = rng.choice([5, 7, 8, 9, 11, 13, 15, 16])
-        units = [u for u in range(2, n) if _gcd(u, n) == 1]
+        units = [u for u in range(2, n) if gcd(u, n) == 1]
         if units:
             break
     u = rng.choice(units)
@@ -58,12 +59,6 @@ def _unit_mult_action(rng: random.Random) -> GroupAction:
     H, K = cyclic(n), cyclic(o)
     act = lambda k, h: h * pow(u, k, n) % n
     return GroupAction(K, H, act, name=f"multiplication by {u} on Z_{n}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _coordinate_perm_action(rng: random.Random) -> GroupAction:

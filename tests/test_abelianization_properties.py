@@ -1,0 +1,74 @@
+"""Seeded property tests: the Smith-form abelianization against quotients.
+
+The oracle is the quotient of G by its commutator subgroup (or, for
+coinvariants, by the subgroup of all relators act(g, h) * h^-1), built from
+cosets.  A finite abelian group is determined up to isomorphism by how many
+x solve x^d = 1 for each d dividing its exponent; for invariant factors
+d_1 | ... | d_r that count is the product of gcd(d, d_i).
+"""
+
+import random
+from math import gcd, lcm, prod
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modelk.constructions import semidirect
+from modelk.groups import (abelianization, coinvariants, commutator_subgroup,
+                           enumerate_group, generated_subgroup, quotient_group)
+from modelk.matrix_groups import gl_group
+from modelk.perms import Perm
+from modelk.rings import Zmod
+from modelk.suites import random_semidirect_action
+
+SEEDED = settings(derandomize=True, database=None, deadline=None)
+
+
+def _power_counts(Q):
+    orders = [Q.element_order(x) for x in Q.elements]
+    exponent = lcm(*orders)
+    return {d: sum(d % o == 0 for o in orders)
+            for d in range(1, exponent + 1) if exponent % d == 0}
+
+
+def _agrees(factors, Q):
+    counts = _power_counts(Q)
+    return prod(factors) == Q.order and all(
+        n == prod(gcd(d, f) for f in factors) for d, n in counts.items())
+
+
+def _check_abelianization(G):
+    Q = quotient_group(G, commutator_subgroup(G))
+    assert _agrees(abelianization(G).factors, Q), G.name
+
+
+@SEEDED
+@given(st.lists(st.permutations(range(5)), min_size=1, max_size=3))
+def test_abelianization_of_subgroups_of_sym5(images):
+    _check_abelianization(enumerate_group([Perm(tuple(p)) for p in images]))
+
+
+@SEEDED
+@given(st.integers(0, 2 ** 32))
+def test_abelianization_of_seeded_semidirect_products(seed):
+    _check_abelianization(semidirect(random_semidirect_action(random.Random(seed))))
+
+
+@settings(SEEDED, max_examples=8)
+@given(st.integers(2, 9))
+def test_abelianization_of_gl2_over_zmod(m):
+    _check_abelianization(gl_group(2, Zmod(m)))
+
+
+@SEEDED
+@given(st.integers(0, 2 ** 32))
+def test_coinvariants_of_seeded_actions(seed):
+    rng = random.Random(seed)
+    action = random_semidirect_action(rng)
+    while not action.target.is_abelian():
+        action = random_semidirect_action(rng)
+    H, act = action.target, action.act
+    relators = {H.op(act(g, h), H.inv(h))
+                for g in action.acting.elements for h in H.elements}
+    N = generated_subgroup(H, sorted(relators, key=H.index_of))
+    assert _agrees(coinvariants(H, action).factors, quotient_group(H, N))

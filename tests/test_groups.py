@@ -9,7 +9,9 @@ from modelk.groups import (FiniteGroup, abelian_iso, abelianization,
                            element_key, enumerate_group, generated_subgroup,
                            GroupAction, invariants_from_factors, is_normal,
                            quotient_group)
+from modelk.matrix_groups import gl_group
 from modelk.perms import Perm
+from modelk.rings import GF, Zmod
 
 
 def test_enumeration_starts_at_identity_and_is_deterministic():
@@ -56,19 +58,33 @@ def test_element_orders():
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
-def test_commutator_subgroup_two_paths_agree():
-    # dihedral(12) is small enough for the all-pairs route; force the
-    # closure route via a generator-bearing copy and compare
-    G = dihedral(12)
-    direct = commutator_subgroup(G)
-    from modelk import groups as groups_mod
-    old = groups_mod._PAIRWISE_LIMIT
-    groups_mod._PAIRWISE_LIMIT = 1
-    try:
-        closure = commutator_subgroup(G)
-    finally:
-        groups_mod._PAIRWISE_LIMIT = old
-    assert set(direct.elements) == set(closure.elements)
+def _all_pairs_commutator_subgroup(G):
+    comms = {G.commutator(a, b) for a in G.elements for b in G.elements}
+    return set(generated_subgroup(G, sorted(comms, key=G.index_of)).elements)
+
+
+def test_commutator_subgroup_matches_all_pairs_closure():
+    # GL_2(Z_6) is past the order where the all-pairs route used to stop
+    for G in (dihedral(12), by_name("sym:4"), quaternion8(), sl2(3),
+              gl_group(2, GF(3)), gl_group(2, Zmod(6))):
+        assert set(commutator_subgroup(G).elements) == \
+            _all_pairs_commutator_subgroup(G), G.name
+
+
+def test_generators_that_span_a_proper_subgroup_are_rejected():
+    G = FiniteGroup(range(6), lambda a, b: (a + b) % 6, 0,
+                    inv=lambda a: (-a) % 6, generators=[2], name="Z_6")
+    with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
+        abelianization(G)
+    with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
+        commutator_subgroup(G)
+    with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
+        is_normal(G, generated_subgroup(G, [3]))
+    # the acting group's generators bound the coinvariant relators
+    K = FiniteGroup(range(2), lambda a, b: (a + b) % 2, 0, generators=[0])
+    inversion = GroupAction(K, cyclic(4), lambda k, h: (-h) % 4 if k else h)
+    with pytest.raises(WorkbenchError, match="reach 1 of its 2 elements"):
+        coinvariants(cyclic(4), inversion)
 
 
 def test_commutator_subgroup_of_sym3_is_alt3():

@@ -62,10 +62,26 @@ def test_gl_over_zmod_composite():
     assert abelianization(G).factors == (2,)
 
 
+def test_gl2_over_zmod_abelianization():
+    # GL_2(Z_6) = Sym(3) x GL_2(F_3); the others by the all-pairs route
+    for m, ab in ((4, (2, 2)), (6, (2, 2)), (8, (2, 2, 2)), (9, (6,))):
+        assert abelianization(gl_group(2, Zmod(m))).factors == ab, m
+
+
+def test_check_gl_ab_over_zmod_with_noncyclic_units():
+    for m, units in ((8, (2, 2)), (12, (2, 2)), (15, (2, 4))):
+        rep = check_gl_ab(1, Zmod(m))
+        assert rep.units_invariants.factors == units, m
+        assert rep.ab.factors == units, m
+        assert rep.matches_units and rep.commutator_is_sl and rep.passed, m
+
+
 def test_module_group_is_elementary_abelian():
     V = module_group(GF(3), 2)
     assert V.order == 9
     assert abelianization(V).factors == (3, 3)
+    # the unit vectors alone span only F_2^2 inside F_4^2
+    assert abelianization(module_group(GF(4), 2)).factors == (2, 2, 2, 2)
 
 
 def test_affine_group_structure():
