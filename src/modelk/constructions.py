@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import factorial
+from operator import mul
 
 from .errors import WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
@@ -83,7 +84,7 @@ def _perm_group(k: int, cap) -> FiniteGroup:
     gens = [Perm.transposition(k, i, i + 1) for i in range(k - 1)]
     if not gens:
         gens = [Perm.identity(k)]
-    return FiniteGroup(elements, lambda a, b: a * b, Perm.identity(k),
+    return FiniteGroup(elements, mul, Perm.identity(k),
                        inv=lambda a: a.inverse(), generators=gens,
                        name=f"Sym({k})",
                        cap=cap if cap is not None else max(DEFAULT_CAP, factorial(k)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul, sub
 
 from .errors import CapExceededError, InvalidActionError, WorkbenchError
 
@@ -160,9 +161,8 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     for g in gens:
         g.inverse()  # raises for a non-invertible generator
     identity = gens[0].identity_like()
-    op = lambda a, b: a * b
-    ordered = _bfs_closure(gens, op, identity, cap=cap, key=element_key)
-    return FiniteGroup(ordered, op, identity, inv=lambda a: a.inverse(),
+    ordered = _bfs_closure(gens, mul, identity, cap=cap, key=element_key)
+    return FiniteGroup(ordered, mul, identity, inv=lambda a: a.inverse(),
                        generators=gens, name=name, cap=cap)
 
 
@@ -311,6 +311,7 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
     vectors = {G.identity: (0,) * k}
     queue = [G.identity]
+    seen = set()  # a repeated relator adds nothing to the lattice
     for x in queue:
         vx = vectors[x]
         for i, g in enumerate(gens):
@@ -320,9 +321,12 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
                 vectors[y] = vx[:i] + (vx[i] + 1,) + vx[i + 1:]
                 queue.append(y)
             else:
-                row = [u - w for u, w in zip(vx, vy)]
+                row = list(map(sub, vx, vy))
                 row[i] += 1
-                _add_relator(basis, row, n)
+                row = tuple(row)
+                if row not in seen:
+                    seen.add(row)
+                    _add_relator(basis, row, n)
     _check_generation(G, len(vectors))
     if action is not None:
         for g in action.acting.generators:

@@ -1,14 +1,118 @@
-"""Square matrices over a MatRing, with exact inverse via the adjugate."""
+"""Square matrices over a MatRing, with exact inverse via the adjugate.
+
+The public constructor `Mat(ring, rows)` validates its entries.  Products,
+inverses and identities are valid by construction and skip that check.  The
+arithmetic runs in straight-line functions generated once per (ring, n), the
+way `dataclasses` generates `__init__`: integer arithmetic with one `% m` per
+entry over Z/m and prime fields, direct indexing of the add and mul tables
+over F_(p^e) with e > 1.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 from .errors import WorkbenchError
 from .rings import MatRing
 
 
-@dataclass(frozen=True)
+class _Arith:
+    """Source-text arithmetic for the kernels of one ring."""
+
+    def __init__(self, ring: MatRing):
+        self.tables = ring.kind == "gf" and ring.char != ring.size
+        self.m = ring.size
+
+    def add(self, x: str, y: str) -> str:
+        return f"A[{x}][{y}]" if self.tables else f"{x} + {y}"
+
+    def sub(self, x: str, y: str) -> str:
+        return f"A[{x}][N[{y}]]" if self.tables else f"{x} - {y}"
+
+    def mul(self, x: str, y: str) -> str:
+        return f"M[{x}][{y}]" if self.tables else f"{x} * {y}"
+
+    def reduce(self, expr: str) -> str:
+        return expr if self.tables else f"({expr}) % {self.m}"
+
+    def dot(self, xs, ys) -> str:
+        terms = [self.mul(x, y) for x, y in zip(xs, ys)]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = self.add(acc, t)
+        return self.reduce(acc)
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+def _compile(name: str, args: str, body: list[str], ring: MatRing):
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"A": ring._add, "M": ring._mul, "N": ring._neg}
+    exec(source, namespace)
+    return namespace[name]
+
+
+class _Kernels:
+    """Straight-line product, apply and det for n x n matrices over a ring."""
+
+    def __init__(self, ring: MatRing, n: int):
+        self.ring, self.n = ring, n
+        ar = _Arith(ring)
+        self.a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+        self.unpack_a = f"{_tuple(map(_tuple, self.a))} = a"
+        b = [[f"b{i}_{j}" for j in range(n)] for i in range(n)]
+        rows = _tuple(_tuple(ar.dot(row, col) for col in zip(*b)) for row in self.a)
+        self.mul = _compile("mul", "a, b", [self.unpack_a,
+                                            f"{_tuple(map(_tuple, b))} = b",
+                                            f"return {rows}"], ring)
+        v = [f"v{j}" for j in range(n)]
+        entries = _tuple(ar.dot(row, v) for row in self.a)
+        self.apply = _compile("apply", "a, v", [self.unpack_a, f"{_tuple(v)} = v",
+                                                f"return {entries}"], ring)
+
+    @cached_property
+    def det(self):
+        """Laplace expansion along the rows from the bottom up, sharing every
+        minor: d_S is the minor on the last |S| rows and the columns in S.
+        Its size, n * 2^(n-1) terms, is why it is built on first use."""
+        n, ar = self.n, _Arith(self.ring)
+        body = [self.unpack_a]
+        minor = {(): "1"} if n == 0 else {(j,): x for j, x in enumerate(self.a[-1])}
+        for size in range(2, n + 1):
+            row = self.a[n - size]
+            for cols in combinations(range(n), size):
+                terms = [ar.mul(row[j], minor[cols[:pos] + cols[pos + 1:]])
+                         for pos, j in enumerate(cols)]
+                acc = terms[0]
+                for pos, term in enumerate(terms[1:], 1):
+                    acc = ar.sub(acc, term) if pos % 2 else ar.add(acc, term)
+                minor[cols] = "d" + "_".join(map(str, cols))
+                body.append(f"{minor[cols]} = {acc}")
+        body.append(f"return {ar.reduce(minor[tuple(range(n))])}")
+        return _compile("det", "a", body, self.ring)
+
+
+@lru_cache(maxsize=None)
+def _kernels(ring: MatRing, n: int) -> _Kernels:
+    return _Kernels(ring, n)
+
+
+_new = object.__new__
+
+
+def _trusted(ring: MatRing, rows: tuple, kernels: _Kernels) -> "Mat":
+    """A Mat whose rows are known to be square with entries in the ring."""
+    m = _new(Mat)
+    d = m.__dict__
+    d["ring"], d["rows"], d["_k"] = ring, rows, kernels
+    return m
+
+
+@dataclass(frozen=True, eq=False)
 class Mat:
     ring: MatRing
     rows: tuple[tuple[int, ...], ...]
@@ -19,13 +123,25 @@ class Mat:
             raise ValueError("matrix must be square")
         for r in self.rows:
             for x in r:
-                if not (0 <= x < self.ring.size):
+                # the kernels compute with the entries as Python ints
+                if not (isinstance(x, int) and 0 <= x < self.ring.size):
                     raise ValueError(f"entry {x} outside {self.ring}")
+        object.__setattr__(self, "_k", _kernels(self.ring, n))
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return self.rows == other.rows and (self.ring is other.ring
+                                            or self.ring == other.ring)
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @staticmethod
     def identity(ring: MatRing, n: int) -> "Mat":
-        return Mat(ring, tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
-                               for i in range(n)))
+        return _trusted(ring, tuple(tuple(ring.one if i == j else ring.zero
+                                          for j in range(n)) for i in range(n)),
+                        _kernels(ring, n))
 
     @staticmethod
     def transvection(ring: MatRing, n: int, i: int, j: int, c: int) -> "Mat":
@@ -41,49 +157,28 @@ class Mat:
         return len(self.rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        R, n = self.ring, self.n
-        ot = tuple(zip(*other.rows))  # columns of other
-        out = []
-        for row in self.rows:
-            new = []
-            for col in ot:
-                acc = R.zero
-                for a, b in zip(row, col):
-                    acc = R.add(acc, R.mul(a, b))
-                new.append(acc)
-            out.append(tuple(new))
-        return Mat(R, tuple(out))
+        k = self._k
+        if other._k is not k:
+            if self.ring is not other.ring and self.ring != other.ring:
+                raise ValueError("ring mismatch")
+            if self.n != other.n:
+                raise ValueError(f"size mismatch: {self.n}x{self.n} times "
+                                 f"{other.n}x{other.n}")
+        return _trusted(self.ring, k.mul(self.rows, other.rows), k)
 
     def det(self) -> int:
-        R, n = self.ring, self.n
-        if n == 1:
-            return self.rows[0][0]
-        # Laplace expansion along the first row; fine at the sizes we enumerate
-        total = R.zero
-        for j in range(n):
-            c = self.rows[0][j]
-            if c == R.zero:
-                continue
-            minor = Mat(R, tuple(r[:j] + r[j + 1:] for r in self.rows[1:]))
-            term = R.mul(c, minor.det())
-            total = R.add(total, term if j % 2 == 0 else R.neg(term))
-        return total
+        return self._k.det(self.rows)
 
     def adjugate(self) -> "Mat":
-        R, n = self.ring, self.n
+        R, n, rows = self.ring, self.n, self.rows
         if n == 1:
-            return Mat(R, ((R.one,),))
-        cof = [[R.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Mat(R, tuple(r[:j] + r[j + 1:]
-                                     for k, r in enumerate(self.rows) if k != i))
-                c = minor.det()
-                cof[i][j] = c if (i + j) % 2 == 0 else R.neg(c)
-        # adjugate is the transpose of the cofactor matrix
-        return Mat(R, tuple(tuple(cof[j][i] for j in range(n)) for i in range(n)))
+            return _trusted(R, ((R.one,),), self._k)
+        det = _kernels(R, n - 1).det
+        # entry (i, j) of the adjugate is the (j, i) cofactor
+        cof = [[det(tuple(r[:j] + r[j + 1:] for r in rows[:i] + rows[i + 1:]))
+                for j in range(n)] for i in range(n)]
+        return _trusted(R, tuple(tuple(cof[j][i] if (i + j) % 2 == 0 else R.neg(cof[j][i])
+                                       for j in range(n)) for i in range(n)), self._k)
 
     def inverse(self) -> "Mat":
         R = self.ring
@@ -92,7 +187,8 @@ class Mat:
             raise WorkbenchError(f"matrix is singular over {R}: det = {d}")
         dinv = R.inv(d)
         adj = self.adjugate()
-        return Mat(R, tuple(tuple(R.mul(dinv, x) for x in row) for row in adj.rows))
+        return _trusted(R, tuple(tuple(R.mul(dinv, x) for x in row) for row in adj.rows),
+                        self._k)
 
     def is_invertible(self) -> bool:
         return self.ring.is_unit(self.det())
@@ -101,14 +197,10 @@ class Mat:
         return Mat.identity(self.ring, self.n)
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        R = self.ring
-        out = []
-        for row in self.rows:
-            acc = R.zero
-            for a, x in zip(row, vec):
-                acc = R.add(acc, R.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        if len(vec) != len(self.rows):
+            raise ValueError(f"cannot apply a {self.n}x{self.n} matrix to a "
+                             f"vector of length {len(vec)}")
+        return self._k.apply(self.rows, vec)
 
     @property
     def sort_key(self):
@@ -116,3 +208,13 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.ring}, {self.rows})"
+
+
+def invertible_matrices(ring: MatRing, n: int):
+    """Every invertible n x n matrix over the ring, in lexicographic order of
+    the row-major entry tuple."""
+    k = _kernels(ring, n)
+    det, units = k.det, set(ring.units())
+    for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n):
+        if det(rows) in units:
+            yield _trusted(ring, rows, k)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
                      abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat
+from .matrices import Mat, invertible_matrices
 from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
 _CANDIDATE_LIMIT = 2 ** 21
@@ -37,7 +38,7 @@ def _designated_generators(n: int, ring: MatRing) -> list[Mat]:
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n over the ring, enumerated by filtering all matrices on unit det.
+    """GL_n over the ring: every matrix with a unit determinant.
 
     Element order is lexicographic in the row-major entry tuple.  For fields
     the order formula is checked before enumeration so that an over-cap
@@ -53,16 +54,12 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     if ring.size ** (n * n) > _CANDIDATE_LIMIT:
         raise CapExceededError(
             f"enumerating {ring.size ** (n * n)} candidate matrices is over budget")
-    elements = []
-    for entries in product(ring.elements, repeat=n * n):
-        m = Mat(ring, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
-        if m.is_invertible():
-            elements.append(m)
+    elements = list(invertible_matrices(ring, n))
     if cap is not None and len(elements) > cap:
         raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
         assert len(elements) == expected
-    return FiniteGroup(elements, lambda a, b: a * b, Mat.identity(ring, n),
+    return FiniteGroup(elements, mul, Mat.identity(ring, n),
                        inv=lambda a: a.inverse(),
                        generators=_designated_generators(n, ring),
                        name=f"GL_{n}({ring})", cap=cap)
@@ -82,7 +79,7 @@ def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """Closure of the transvections I + c*e_ij (i != j, c nonzero)."""
     if n == 1:
-        return FiniteGroup([Mat.identity(ring, 1)], lambda a, b: a * b,
+        return FiniteGroup([Mat.identity(ring, 1)], mul,
                            Mat.identity(ring, 1), inv=lambda a: a.inverse(),
                            name=f"E_1({ring})", cap=cap)
     gens = [Mat.transvection(ring, n, i, j, c)
@@ -196,11 +193,14 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     G = gl_group(n, ring, cap=cap)
     V = module_group(ring, n * copies)
 
-    def act(m: Mat, vec):
-        out = []
-        for c in range(copies):
-            out.extend(m.apply(vec[c * n:(c + 1) * n]))
-        return tuple(out)
+    if copies == 1:
+        act = Mat.apply
+    else:
+        def act(m: Mat, vec):
+            out = []
+            for c in range(copies):
+                out.extend(m.apply(vec[c * n:(c + 1) * n]))
+            return tuple(out)
 
     action = GroupAction(G, V, act, name=f"matrix action on {V.name}")
     return semidirect(action, name=f"Aff_{n}({ring})^{copies}", cap=cap)

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
+
+_new = object.__new__
+
+
+def _trusted(images: tuple[int, ...]) -> "Perm":
+    """A Perm whose images are known to be a bijection of 0..k-1."""
+    p = _new(Perm)
+    p.__dict__["images"] = images
+    return p
 
 
 @dataclass(frozen=True, order=True)
@@ -21,7 +31,7 @@ class Perm:
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(tuple(range(degree)))
+        return _trusted(tuple(range(degree)))
 
     @staticmethod
     def transposition(degree: int, i: int, j: int) -> "Perm":
@@ -44,15 +54,16 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
+        images = self.images
+        if len(images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Perm(tuple(self.images[y] for y in other.images))
+        return _trusted(tuple([images[y] for y in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(tuple(inv))
+        return _trusted(tuple(inv))
 
     def identity_like(self) -> "Perm":
         return Perm.identity(self.degree)
@@ -87,9 +98,8 @@ class Perm:
 
 def permute_tuple(p: Perm, values: tuple) -> tuple:
     """Left action of p on an indexed tuple: result[p(x)] = values[x]."""
-    inv = p.inverse()
-    return tuple(values[inv(x)] for x in range(p.degree))
+    return tuple([values[x] for x in p.inverse().images])
 
 
 def perm_product(perms) -> Perm:
-    return reduce(lambda a, b: a * b, perms)
+    return reduce(mul, perms)

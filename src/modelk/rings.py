@@ -27,17 +27,20 @@ _AXIOM_CHECK_LIMIT = 16
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
+    """(p, e) with q = p^e for a prime p, or None; trial division to sqrt(q)."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             e = 0
             rest = q
             while rest % p == 0:
                 rest //= p
                 e += 1
-            if rest == 1:
-                return p, e
-            return None
-    return None
+            return (p, e) if rest == 1 else None
+        p += 1
+    return q, 1
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .automorphisms import AffineMap, PAMap
 from .catalogue import by_name, cyclic, dihedral, quaternion8
@@ -72,7 +73,7 @@ def _coordinate_perm_action(rng: random.Random) -> GroupAction:
 def _factor_swap_action(rng: random.Random) -> GroupAction:
     base = by_name(rng.choice(["sym:3", "dihedral:8", "q8", "dihedral:10"]))
     swap = FiniteGroup([Perm.identity(2), Perm.transposition(2, 0, 1)],
-                       lambda a, b: a * b, Perm.identity(2),
+                       mul, Perm.identity(2),
                        inv=lambda a: a.inverse(),
                        generators=[Perm.transposition(2, 0, 1)], name="swap")
     return index_permutation_action(base, 2, swap)

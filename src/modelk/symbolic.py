@@ -21,19 +21,6 @@ from .errors import UnsupportedRingError, WorkbenchError
 COUNTABLE = "countable"
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-        d += 1
-    return True  # q itself is prime
-
-
 @dataclass(frozen=True)
 class RingDescriptor:
     kind: str  # finite-field | poly-char0 | integers | infinite-field | abstract-ed
@@ -43,7 +30,9 @@ class RingDescriptor:
 
     @staticmethod
     def finite_field(q: int) -> "RingDescriptor":
-        if not _is_prime_power(q):
+        from .rings import _factor_prime_power
+
+        if _factor_prime_power(q) is None:
             raise WorkbenchError(f"{q} is not a prime power")
         return _register(RingDescriptor("finite-field", q=q))
 
