@@ -3,9 +3,8 @@
 The public constructor `Mat(ring, rows)` validates its entries.  Products,
 inverses and identities are valid by construction and skip that check.  The
 arithmetic runs in straight-line functions generated once per (ring, n), the
-way `dataclasses` generates `__init__`: integer arithmetic with one `% m` per
-entry over Z/m and prime fields, direct indexing of the add and mul tables
-over F_(p^e) with e > 1.
+way `dataclasses` generates `__init__`, that index the ring's add, mul and
+neg tables directly.
 """
 
 from __future__ import annotations
@@ -18,31 +17,16 @@ from .errors import WorkbenchError
 from .rings import MatRing
 
 
-class _Arith:
-    """Source-text arithmetic for the kernels of one ring."""
+def _sum(terms) -> str:
+    """Source text of the ring sum of terms, each a source text."""
+    acc, *rest = terms
+    for t in rest:
+        acc = f"A[{acc}][{t}]"
+    return acc
 
-    def __init__(self, ring: MatRing):
-        self.tables = ring.kind == "gf" and ring.char != ring.size
-        self.m = ring.size
 
-    def add(self, x: str, y: str) -> str:
-        return f"A[{x}][{y}]" if self.tables else f"{x} + {y}"
-
-    def sub(self, x: str, y: str) -> str:
-        return f"A[{x}][N[{y}]]" if self.tables else f"{x} - {y}"
-
-    def mul(self, x: str, y: str) -> str:
-        return f"M[{x}][{y}]" if self.tables else f"{x} * {y}"
-
-    def reduce(self, expr: str) -> str:
-        return expr if self.tables else f"({expr}) % {self.m}"
-
-    def dot(self, xs, ys) -> str:
-        terms = [self.mul(x, y) for x, y in zip(xs, ys)]
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = self.add(acc, t)
-        return self.reduce(acc)
+def _dot(xs, ys) -> str:
+    return _sum(f"M[{x}][{y}]" for x, y in zip(xs, ys))
 
 
 def _tuple(items) -> str:
@@ -61,16 +45,15 @@ class _Kernels:
 
     def __init__(self, ring: MatRing, n: int):
         self.ring, self.n = ring, n
-        ar = _Arith(ring)
         self.a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
         self.unpack_a = f"{_tuple(map(_tuple, self.a))} = a"
         b = [[f"b{i}_{j}" for j in range(n)] for i in range(n)]
-        rows = _tuple(_tuple(ar.dot(row, col) for col in zip(*b)) for row in self.a)
+        rows = _tuple(_tuple(_dot(row, col) for col in zip(*b)) for row in self.a)
         self.mul = _compile("mul", "a, b", [self.unpack_a,
                                             f"{_tuple(map(_tuple, b))} = b",
                                             f"return {rows}"], ring)
         v = [f"v{j}" for j in range(n)]
-        entries = _tuple(ar.dot(row, v) for row in self.a)
+        entries = _tuple(_dot(row, v) for row in self.a)
         self.apply = _compile("apply", "a, v", [self.unpack_a, f"{_tuple(v)} = v",
                                                 f"return {entries}"], ring)
 
@@ -79,25 +62,29 @@ class _Kernels:
         """Laplace expansion along the rows from the bottom up, sharing every
         minor: d_S is the minor on the last |S| rows and the columns in S.
         Its size, n * 2^(n-1) terms, is why it is built on first use."""
-        n, ar = self.n, _Arith(self.ring)
+        n = self.n
         body = [self.unpack_a]
         minor = {(): "1"} if n == 0 else {(j,): x for j, x in enumerate(self.a[-1])}
         for size in range(2, n + 1):
             row = self.a[n - size]
             for cols in combinations(range(n), size):
-                terms = [ar.mul(row[j], minor[cols[:pos] + cols[pos + 1:]])
+                terms = [f"M[{row[j]}][{minor[cols[:pos] + cols[pos + 1:]]}]"
                          for pos, j in enumerate(cols)]
-                acc = terms[0]
-                for pos, term in enumerate(terms[1:], 1):
-                    acc = ar.sub(acc, term) if pos % 2 else ar.add(acc, term)
                 minor[cols] = "d" + "_".join(map(str, cols))
-                body.append(f"{minor[cols]} = {acc}")
-        body.append(f"return {ar.reduce(minor[tuple(range(n))])}")
+                body.append(f"{minor[cols]} = " + _sum(
+                    f"N[{t}]" if pos % 2 else t for pos, t in enumerate(terms)))
+        body.append(f"return {minor[tuple(range(n))]}")
         return _compile("det", "a", body, self.ring)
+
+
+MAX_N = 10  # the det kernel of a 10 x 10 matrix has 5,120 product terms
 
 
 @lru_cache(maxsize=None)
 def _kernels(ring: MatRing, n: int) -> _Kernels:
+    if n > MAX_N:
+        raise WorkbenchError(f"{n}x{n} matrices are over budget: the kernels "
+                             f"support n <= {MAX_N}")
     return _Kernels(ring, n)
 
 
@@ -114,6 +101,9 @@ def _trusted(ring: MatRing, rows: tuple, kernels: _Kernels) -> "Mat":
 
 @dataclass(frozen=True, eq=False)
 class Mat:
+    """An n x n matrix over a ring, n <= MAX_N; larger sizes raise
+    WorkbenchError, since the det kernel grows as n * 2^(n-1)."""
+
     ring: MatRing
     rows: tuple[tuple[int, ...], ...]
 
@@ -123,7 +113,7 @@ class Mat:
             raise ValueError("matrix must be square")
         for r in self.rows:
             for x in r:
-                # the kernels compute with the entries as Python ints
+                # the kernels index the ring's tables with the entries
                 if not (isinstance(x, int) and 0 <= x < self.ring.size):
                     raise ValueError(f"entry {x} outside {self.ring}")
         object.__setattr__(self, "_k", _kernels(self.ring, n))
@@ -210,7 +200,7 @@ class Mat:
         return f"Mat({self.ring}, {self.rows})"
 
 
-def invertible_matrices(ring: MatRing, n: int):
+def _invertible_matrices(ring: MatRing, n: int):
     """Every invertible n x n matrix over the ring, in lexicographic order of
     the row-major entry tuple."""
     k = _kernels(ring, n)

@@ -10,7 +10,7 @@ from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
                      abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat, invertible_matrices
+from .matrices import Mat, _invertible_matrices
 from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
 _CANDIDATE_LIMIT = 2 ** 21
@@ -54,7 +54,7 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     if ring.size ** (n * n) > _CANDIDATE_LIMIT:
         raise CapExceededError(
             f"enumerating {ring.size ** (n * n)} candidate matrices is over budget")
-    elements = list(invertible_matrices(ring, n))
+    elements = list(_invertible_matrices(ring, n))
     if cap is not None and len(elements) > cap:
         raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
@@ -193,14 +193,11 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     G = gl_group(n, ring, cap=cap)
     V = module_group(ring, n * copies)
 
-    if copies == 1:
-        act = Mat.apply
-    else:
-        def act(m: Mat, vec):
-            out = []
-            for c in range(copies):
-                out.extend(m.apply(vec[c * n:(c + 1) * n]))
-            return tuple(out)
+    def act(m: Mat, vec):
+        out = []
+        for c in range(copies):
+            out.extend(m.apply(vec[c * n:(c + 1) * n]))
+        return tuple(out)
 
     action = GroupAction(G, V, act, name=f"matrix action on {V.name}")
     return semidirect(action, name=f"Aff_{n}({ring})^{copies}", cap=cap)

@@ -441,7 +441,8 @@ def embedding_target(ring: RingDescriptor, mat) -> tuple[int, Atom, int]:
 
     The matrix must use its last coordinate: matrices of the form
     diag(A', 1) already live at a lower level.  Returns the level, the
-    tower atom at that level, and the determinant.
+    tower atom at that level, and the determinant.  Like every `Mat`, the
+    matrix has at most `matrices.MAX_N` rows.
     """
     _register(ring)
     n = len(mat.rows)

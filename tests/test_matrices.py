@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.errors import WorkbenchError
-from modelk.matrices import Mat
+from modelk.matrices import MAX_N, Mat
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 
@@ -112,6 +112,18 @@ def test_mat_rejects_ragged_and_non_square_rows():
         Mat(GF(3), ((1, 0), (0,)))
     with pytest.raises(ValueError, match="square"):
         Mat(GF(3), ((1, 0, 0), (0, 1, 0)))
+
+
+def test_sizes_up_to_the_kernel_bound():
+    R = GF(3)
+    big = Mat.identity(R, MAX_N)
+    assert big.det() == R.one and big * big == big
+    assert Mat(R, big.rows).inverse() == big
+    rows = tuple(tuple(int(i == j) for j in range(MAX_N + 1)) for i in range(MAX_N + 1))
+    with pytest.raises(WorkbenchError, match="over budget"):
+        Mat(R, rows)
+    with pytest.raises(WorkbenchError, match="over budget"):
+        Mat.identity(R, MAX_N + 1)
 
 
 def test_perm_rejects_a_non_bijection():
