@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WorkbenchError
-from .linalg import clear_denominators, frac_rows, mat_inv, mat_vec, null_space, rref
+from .linalg import frac_rows, integer_row, mat_inv, mat_vec, null_space, rref
 
 NEG_INF = float("-inf")
 
@@ -32,14 +32,13 @@ class AffineCoset:
     @staticmethod
     def from_rows(ambient: int, rows) -> "AffineCoset":
         """Canonicalize an augmented system; each row is n coefficients + rhs."""
-        rows = frac_rows(rows)
         for row in rows:
             if len(row) != ambient + 1:
                 raise WorkbenchError(f"row length {len(row)} != ambient {ambient} + 1")
         reduced, pivots = rref(rows)
         if ambient in pivots:
             return AffineCoset(ambient, (), True)
-        return AffineCoset(ambient, tuple(tuple(r) for r in reduced))
+        return AffineCoset(ambient, tuple(map(tuple, reduced)))
 
     @staticmethod
     def from_equations(ambient: int, equations) -> "AffineCoset":
@@ -98,7 +97,7 @@ class AffineCoset:
             raise WorkbenchError("ambient mismatch")
         if self.empty or other.empty:
             return AffineCoset.empty_set(self.ambient)
-        return AffineCoset.from_rows(self.ambient, list(self.rows) + list(other.rows))
+        return AffineCoset.from_rows(self.ambient, self.rows + other.rows)
 
     def is_subset(self, other: "AffineCoset") -> bool:
         if self.empty:
@@ -138,7 +137,7 @@ class AffineCoset:
         """Image under x -> Mx + c with M invertible."""
         if self.empty:
             return self
-        minv = mat_inv(frac_rows(matrix))
+        minv = mat_inv(matrix)
         offset = _as_fraction_tuple(offset)
         a = self.coefficient_rows()
         new_coeff = [mat_vec(list(zip(*minv)), row) for row in a]  # row * M^-1
@@ -215,7 +214,7 @@ class AffineCoset:
 
     def integer_rows(self) -> list[list[int]]:
         """Denominator-cleared augmented rows, primitive per row."""
-        return [clear_denominators(list(r)) for r in self.rows]
+        return [integer_row(r) for r in self.rows]
 
     @property
     def sort_key(self):

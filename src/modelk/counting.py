@@ -9,7 +9,15 @@ the count provably equals the Grothendieck class evaluated at p:
       augmented matrix, and bound-variable block), so projections behave;
   (b) for every block of the normal form and every subset of its holes, the
       stacked integer system keeps rank and consistency mod p, so the
-      inclusion-exclusion over F_p matches the one over Q term by term;
+      inclusion-exclusion over F_p matches the one over Q term by term.
+      Subsets of at most n + 1 holes (n the ambient dimension) decide it
+      for every subset.  For an integer matrix, rank mod p <= rank over Q.
+      The rows of any stacked system have a Q-basis of at most n + 1 rows,
+      taken from the carrier and at most n + 1 holes.  If the carrier
+      stacked with those holes keeps its rank mod p, the full stack has
+      rank mod p at least that, which is its own rank over Q, so the two
+      agree; the same goes for the coefficient block.  So no subset fails
+      unless a small one does;
   (c) observed mod-p membership agrees pointwise: the reduced blocks stay
       pairwise disjoint and their union is exactly the reduced raw set.
 """
@@ -67,10 +75,11 @@ def _leaf_rank_pattern_ok(system: LinearSystem, p: int) -> bool:
 
 
 def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
+    """Condition (b), checked on the hole subsets of size <= ambient + 1."""
     for block in d.blocks:
         base = block.carrier.integer_rows()
         hole_rows = [h.integer_rows() for h in block.holes]
-        for size in range(len(hole_rows) + 1):
+        for size in range(min(len(hole_rows), d.ambient + 1) + 1):
             for subset in itertools.combinations(range(len(hole_rows)), size):
                 stacked = list(base)
                 for i in subset:
@@ -83,16 +92,22 @@ def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
     return True
 
 
-def _leaf_holds(system: LinearSystem, point, p: int) -> bool:
+def _leaf_mod_p(system: LinearSystem, p: int):
+    """A leaf's x-block, y-block and right-hand side as integers mod p."""
     n, b = system.ambient, system.bound
-    ybl, rhs = [], []
-    for row in system.rows:
-        shift = sum(int(a) * x for a, x in zip(row[:n], point))
-        rhs.append((int(row[-1]) - shift) % p)
-        ybl.append([int(v) % p for v in row[n:n + b]])
-    if b == 0:
-        return all(v == 0 for v in rhs)
-    return solvable_mod_p(ybl, rhs, p)
+    xbl = [[int(a) % p for a in row[:n]] for row in system.rows]
+    ybl = [[int(v) % p for v in row[n:n + b]] for row in system.rows]
+    rhs = [int(row[-1]) % p for row in system.rows]
+    return xbl, ybl if b else None, rhs
+
+
+def _leaf_holds(leaf_mod_p, point, p: int) -> bool:
+    xbl, ybl, rhs = leaf_mod_p
+    shifted = [(c - sum(a * x for a, x in zip(row, point))) % p
+               for row, c in zip(xbl, rhs)]
+    if ybl is None:
+        return not any(shifted)
+    return solvable_mod_p(ybl, shifted, p)
 
 
 def _expr_holds(expr, truth) -> bool:
@@ -107,9 +122,13 @@ def _expr_holds(expr, truth) -> bool:
     raise WorkbenchError(f"not a boolean expression node: {expr!r}")
 
 
-def _point_in_rows(int_rows, point, p: int) -> bool:
-    return all(sum(a * x for a, x in zip(row[:-1], point)) % p == row[-1] % p
-               for row in int_rows)
+def _rows_mod_p(int_rows, p: int):
+    return [([a % p for a in row[:-1]], row[-1] % p) for row in int_rows]
+
+
+def _point_in_rows(rows_mod_p, point, p: int) -> bool:
+    return all(sum(a * x for a, x in zip(coeffs, point)) % p == c
+               for coeffs, c in rows_mod_p)
 
 
 def count_points_mod_p(expr, p: int) -> CountReport:
@@ -128,14 +147,15 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     good = all(_leaf_rank_pattern_ok(s, p) for s in systems)
     good = good and _lattice_ranks_ok(normal, p)
 
-    block_rows = [(b.carrier.integer_rows(), [h.integer_rows() for h in b.holes])
+    block_rows = [(_rows_mod_p(b.carrier.integer_rows(), p),
+                   [_rows_mod_p(h.integer_rows(), p) for h in b.holes])
                   for b in normal.blocks]
-    leaves = expr_leaves(expr)
+    leaves = [(id(leaf), _leaf_mod_p(leaf.payload, p))
+              for leaf in expr_leaves(expr)]
 
     count = 0
     for point in itertools.product(range(p), repeat=ambient):
-        truth = {id(leaf): _leaf_holds(leaf.payload, point, p)
-                 for leaf in leaves}
+        truth = {key: _leaf_holds(leaf, point, p) for key, leaf in leaves}
         raw = _expr_holds(expr, truth)
         if raw:
             count += 1

@@ -300,18 +300,22 @@ class K0Class:
 
 
 def _hole_intersections(carrier: AffineCoset, holes):
-    """Map from index subsets to intersections with the carrier, built
-    incrementally; supersets of an empty intersection stay empty."""
+    """Map from index subsets to their nonempty intersections with the
+    carrier.  Subsets are grown by one larger index at a time, and only from
+    nonempty intersections: every superset of an empty one is empty."""
     if len(holes) > _HOLE_LIMIT:
         raise CapExceededError(f"more than {_HOLE_LIMIT} holes in one block")
-    table = {(): carrier}
-    for size in range(1, len(holes) + 1):
-        for subset in itertools.combinations(range(len(holes)), size):
-            smaller = table[subset[:-1]]
-            if smaller.empty:
-                table[subset] = smaller
-            else:
-                table[subset] = smaller.intersect(holes[subset[-1]])
+    frontier = [] if carrier.empty else [((), carrier)]
+    table = dict(frontier)
+    while frontier:
+        grown = []
+        for subset, coset in frontier:
+            for i in range(subset[-1] + 1 if subset else 0, len(holes)):
+                meet = coset.intersect(holes[i])
+                if not meet.empty:
+                    grown.append((subset + (i,), meet))
+        table.update(grown)
+        frontier = grown
     return table
 
 
@@ -319,8 +323,6 @@ def block_class(block: Block) -> K0Class:
     table = _hole_intersections(block.carrier, block.holes)
     total = K0Class.zero()
     for subset, coset in table.items():
-        if coset.empty:
-            continue
         sign = -1 if len(subset) % 2 else 1
         total = total + K0Class.monomial(coset.dim, sign)
     return total

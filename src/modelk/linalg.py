@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Matrices are lists of row lists.  Everything here is small and dense; the
-point is exactness and determinism, not speed.
+Matrices are lists of row lists.  Everything here is small and dense.  One
+elimination loop serves every routine that eliminates: rational rows are
+scaled to integer rows once, Gauss-Jordan runs on integers by
+cross-multiplication, and each updated row is divided by its content (over
+Q) or reduced mod p (over F_p).  Fractions are built only for the final
+reduced rows, so the cost is integer arithmetic rather than a gcd per
+Fraction operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import WorkbenchError
 
@@ -15,32 +21,80 @@ def frac_rows(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def integer_row(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators, then divided by
+    its content: the primitive integer row on the same line."""
+    try:
+        dens = [x.denominator for x in row]
+    except AttributeError:  # floats, strings: anything else Fraction accepts
+        return integer_row([Fraction(x) for x in row])
+    den = lcm(*dens)
+    if den == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [x.numerator * (den // d) for x, d in zip(row, dens)]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _eliminate(rows: list[list[int]], p: int | None = None):
+    """Gauss-Jordan on integer rows; returns (nonzero rows, pivot columns).
+
+    A row is cleared against the pivot row by cross-multiplication,
+    pivot * row - entry * pivot_row, so no division happens.  Over Q
+    (p None) the new row is divided by its content, which keeps entries
+    small; over F_p (p prime) entries are kept reduced mod p.  Row i of the
+    result has its only nonzero pivot-column entry at pivots[i], so dividing
+    it by that entry gives row i of the reduced row echelon form.
+    """
+    m = [row for row in rows if any(row)]
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(m[0]) if m else 0):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            row = [pv * a - f * b for a, b in zip(m[i], prow)]
+            if p is None:
+                g = gcd(*row)
+                if g > 1:
+                    row = [v // g for v in row]
+            else:
+                row = [v % p for v in row]
+            m[i] = row
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
     return m[:r], pivots
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Entries may be ints, Fractions or anything Fraction accepts.  Each
+    eliminated integer row is divided by its pivot entry; zeros and ones
+    share one Fraction each."""
+    m, pivots = _eliminate([integer_row(row) for row in rows])
+    return [[_ZERO if not x else _ONE if x == row[c] else Fraction(x, row[c])
+             for x in row] for row, c in zip(m, pivots)], pivots
+
+
 def rank(rows) -> int:
-    return len(rref(frac_rows(rows))[0])
+    return len(_eliminate([integer_row(row) for row in rows])[1])
 
 
 def null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -70,7 +124,7 @@ def mat_mul(a, b):
 def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse by Gauss-Jordan; raises on a singular matrix."""
     n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(rows)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -78,45 +132,9 @@ def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in reduced]
 
 
-def clear_denominators(row: list[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row (gcd 1, first sign +)."""
-    from math import gcd
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    m = [[x % p for x in row] for row in rows]
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of an integer matrix over F_p (p prime)."""
+    return len(_eliminate([[x % p for x in row] for row in rows], p)[1])
 
 
 def solvable_mod_p(coeff: list[list[int]], rhs: list[int], p: int) -> bool:
