@@ -8,6 +8,7 @@ constructions share one source of truth.
 
 from __future__ import annotations
 
+from array import array
 from itertools import permutations, product
 from math import factorial
 from operator import mul
@@ -57,6 +58,26 @@ def direct_power(K: FiniteGroup, k: int, *, name="") -> FiniteGroup:
                        cap=max(K.cap or 0, len(elements)) or None)
 
 
+def _semidirect_tables(action: GroupAction) -> list[array]:
+    """Generator tables of the semidirect product from its factors' tables
+    and the checked action's index table, on pair indices i * |K| + j for
+    (H.elements[i], K.elements[j]).  Right multiplication by (h', 1) takes
+    (h, k) to (h * act(k, h'), k), one right-multiplication table in H per
+    distinct act(k, h'); by (1, k') it takes (h, k) to (h, k k')."""
+    H, K, rows = action.target, action.acting, action._table
+    size, n = K.order, H.order * K.order
+    tables = []
+    for h in H.generators:
+        j = H.index_of(h)
+        table = array("l", [0]) * n
+        for k, row in enumerate(rows):
+            table[k::size] = array("l", [i * size + k for i in H._right_table(row[j])])
+        tables.append(table)
+    for right in K._generator_tables():
+        tables.append(array("l", [i * size + r for i in range(H.order) for r in right]))
+    return tables
+
+
 def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
     """Pairs (h, k) with (h, k)(h', k') = (h * act(k, h'), k k')."""
     action.check()
@@ -73,10 +94,12 @@ def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
     if cap is None:
         cap = max(H.cap or 0, K.cap or 0, len(elements)) or None
     gens = [(h, K.identity) for h in H.generators] + [(H.identity, k) for k in K.generators]
-    return FiniteGroup(elements, op, (H.identity, K.identity), inv=inv,
-                       generators=gens,
-                       name=name or f"{H.name or 'H'})x({K.name or 'K'}",
-                       cap=cap)
+    HK = FiniteGroup(elements, op, (H.identity, K.identity), inv=inv,
+                     generators=gens,
+                     name=name or f"{H.name or 'H'})x({K.name or 'K'}",
+                     cap=cap)
+    HK._make_tables = lambda _: _semidirect_tables(action)
+    return HK
 
 
 def _perm_group(k: int, cap) -> FiniteGroup:

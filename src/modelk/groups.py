@@ -9,9 +9,10 @@ reproducible.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul, sub
+from operator import mul
 
 from .errors import CapExceededError, InvalidActionError, WorkbenchError
 
@@ -37,7 +38,12 @@ def element_key(x):
 
 
 class FiniteGroup:
-    """A finite group on an explicit, ordered element tuple."""
+    """A finite group on an explicit, ordered element tuple.
+
+    Its generator tables, built on first use, hold for each generator g the
+    array whose entry i is the index of elements[i] * g.  They are the
+    Cayley graph that the generation check and abelianization walk.
+    """
 
     def __init__(self, elements, op, identity, inv=None, generators=(),
                  name="", cap=DEFAULT_CAP):
@@ -58,6 +64,12 @@ class FiniteGroup:
             raise WorkbenchError("identity missing from enumeration")
         self._inv_cache = {}
         self._abelian = None
+        self._tables = None
+        self._right_tables = {}
+        self._tree = None
+        # a construction that knows its structure replaces this with a
+        # cheaper build of the same tables
+        self._make_tables = _own_product_tables
         # a group always carries a generating set, and a short one keeps the
         # relator rows of abelianization short
         self.generators = tuple(generators) or self._pick_generators()
@@ -110,11 +122,50 @@ class FiniteGroup:
         return n
 
     def is_abelian(self) -> bool:
+        """Whether the generators, which must generate the group
+        (WorkbenchError otherwise), commute pairwise."""
         if self._abelian is None:
-            els = self.elements
-            self._abelian = all(self.op(a, b) == self.op(b, a)
-                                for i, a in enumerate(els) for b in els[i + 1:])
+            _check_generation(self)
+            gens, op = self.generators, self.op
+            self._abelian = all(op(a, b) == op(b, a)
+                                for i, a in enumerate(gens) for b in gens[i + 1:])
         return self._abelian
+
+    def _generator_tables(self) -> list[array]:
+        if self._tables is None:
+            self._tables = self._make_tables(self)
+        return self._tables
+
+    def _right_table(self, j: int) -> array:
+        """The array whose entry i is the index of elements[i] * elements[j]."""
+        table = self._right_tables.get(j)
+        if table is None:
+            table = _product_tables(self, self._index, self.op, (self.elements[j],))[0]
+            self._right_tables[j] = table
+        return table
+
+    def _spanning_tree(self):
+        """Breadth-first search over the generator tables from the identity.
+
+        Returns the indices reached, in order, and two arrays: for each
+        reached index y but the identity's, parent[y] = x and via[y] = i with
+        elements[x] * g_i = elements[y]; parent[y] is -1 where y is unreached.
+        """
+        if self._tree is None:
+            tables = self._generator_tables()
+            start = self._index[self.identity]
+            parent = array("l", [-1]) * len(self.elements)
+            via = array("l", [0]) * len(self.elements)
+            parent[start] = start
+            reached = [start]
+            for x in reached:
+                for i, table in enumerate(tables):
+                    y = table[x]
+                    if parent[y] < 0:
+                        parent[y], via[y] = x, i
+                        reached.append(y)
+            self._tree = reached, parent, via
+        return self._tree
 
     def conjugate(self, g, x):
         return self.op(self.op(g, x), self.inv(g))
@@ -125,6 +176,27 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"<{label} of order {self.order}>"
+
+
+def _product_tables(G: FiniteGroup, index: dict, op, gens) -> list[array]:
+    """Generator tables from products: entry i of table j is the position in
+    `index` of x_i * gens[j], x_i being the i-th key of `index`.  The keys are
+    G's elements in order, or stand-ins with an operation of their own.
+    Raises WorkbenchError when a product leaves them."""
+    tables = []
+    for g in gens:
+        try:
+            tables.append(array("l", [index[op(x, g)] for x in index]))
+        except KeyError:
+            x = next(x for x in index if op(x, g) not in index)
+            raise WorkbenchError(
+                f"{G.name or 'the group'} is not closed under its operation: "
+                f"{x!r} * {g!r} = {op(x, g)!r} is not one of its elements") from None
+    return tables
+
+
+def _own_product_tables(G: FiniteGroup) -> list[array]:
+    return _product_tables(G, G._index, G.op, G.generators)
 
 
 def _bfs_closure(generators, op, identity, *, cap, key):
@@ -174,7 +246,9 @@ def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
                        generators=gens, name=name, cap=G.cap)
 
 
-def _check_generation(G: FiniteGroup, reached: int) -> None:
+def _check_generation(G: FiniteGroup) -> None:
+    """Raise WorkbenchError unless G's generators reach all of G."""
+    reached = len(G._spanning_tree()[0])
     if reached < G.order:
         raise WorkbenchError(f"the generators of {G.name or 'the group'} "
                              f"reach {reached} of its {G.order} elements")
@@ -186,7 +260,7 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     It is the normal closure of the commutators of G's generators, which must
     generate G (WorkbenchError otherwise).
     """
-    _check_generation(G, generated_subgroup(G, G.generators).order)
+    _check_generation(G)
     name = f"[{G.name or 'G'},{G.name or 'G'}]"
     seeds = {G.commutator(a, b) for a in G.generators for b in G.generators}
     seeds.discard(G.identity)
@@ -205,7 +279,7 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
 
 def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
     """Whether the subgroup H (sharing G's operation) is normal in G."""
-    _check_generation(G, generated_subgroup(G, G.generators).order)
+    _check_generation(G)
     return all(G.conjugate(g, h) in H for g in G.generators for h in H.elements)
 
 
@@ -304,36 +378,36 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     puts ord(g_i) * e_i, hence |G| * e_i, in their span.  An action adds the
     rows v(act(g, h_i)) - e_i over acting generators g and G's generators
     h_i.  The Smith form of the basis gives the invariant factors.
+    The search and the edges run on G's generator tables, with each vector
+    packed into one int of k digits of s bits; a relator's coordinates lie
+    in [-n, n], so with n added to each digit they fit in s bits, and only
+    the distinct relators are unpacked.
     Raises WorkbenchError when the generators do not generate G.
     """
-    gens = G.generators
-    k, n = len(gens), G.order
-    basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
-    vectors = {G.identity: (0,) * k}
-    queue = [G.identity]
-    seen = set()  # a repeated relator adds nothing to the lattice
-    for x in queue:
-        vx = vectors[x]
-        for i, g in enumerate(gens):
-            y = G.op(x, g)
-            vy = vectors.get(y)
-            if vy is None:
-                vectors[y] = vx[:i] + (vx[i] + 1,) + vx[i + 1:]
-                queue.append(y)
-            else:
-                row = list(map(sub, vx, vy))
-                row[i] += 1
-                row = tuple(row)
-                if row not in seen:
-                    seen.add(row)
-                    _add_relator(basis, row, n)
-    _check_generation(G, len(vectors))
+    _check_generation(G)
+    tables = G._generator_tables()
+    reached, parent, via = G._spanning_tree()
+    k, n = len(tables), G.order
+    s = (2 * n).bit_length()
+    units = [1 << (s * i) for i in range(k)]
+    packed = [0] * n
+    for y in reached[1:]:
+        packed[y] = packed[parent[y]] + units[via[y]]
+    relators = set()
+    for unit, table in zip(units, tables):
+        # a tree edge gives the zero relator
+        relators.update([d + unit for d in {vx - packed[y]
+                                             for vx, y in zip(packed, table)}])
     if action is not None:
         for g in action.acting.generators:
-            for i, h in enumerate(gens):
-                row = list(vectors[action.act(g, h)])
-                row[i] -= 1
-                _add_relator(basis, row, n)
+            relators.update([packed[G.index_of(action.act(g, h))] - unit
+                             for unit, h in zip(units, G.generators)])
+    relators.discard(0)
+    offset, mask = sum(n * unit for unit in units), (1 << s) - 1
+    basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
+    for r in relators:
+        r += offset
+        _add_relator(basis, [(r >> (s * i) & mask) - n for i in range(k)], n)
     # Z^k / (span(B) + n * Z^k) depends only on B's Smith form, shared by its
     # transpose: alternating row and column Hermite bases reach a diagonal
     while any(basis[i][j] for i in range(k) for j in range(i + 1, k)):
@@ -357,9 +431,7 @@ def abelian_iso(a: AbInvariants, b: AbInvariants) -> bool:
 class GroupAction:
     """A group G acting on a group H by automorphisms.
 
-    `mapping(g, h)` evaluates the action.  `check()` validates the action on
-    generators, which suffices: automorphy of the generator maps propagates
-    to products, as does the homomorphism law for the map into Aut(H).
+    `mapping(g, h)` evaluates the action.  `check()` validates it.
     """
 
     def __init__(self, acting: FiniteGroup, target: FiniteGroup, mapping, name=""):
@@ -368,37 +440,62 @@ class GroupAction:
         self.mapping = mapping
         self.name = name
         self._checked = False
+        self._table = None
 
     def act(self, g, h):
         return self.mapping(g, h)
 
     def check(self) -> None:
+        """Raise InvalidActionError unless the mapping is an action by
+        automorphisms; WorkbenchError when either group's generators do not
+        generate it.
+
+        Write r(k) for the map h -> act(k, h).  The check computes the table
+        of act(k, h) as element indices of H once, for all k and h, and then
+        runs on integers:
+        - every act(k, h) lies in H;
+        - each generator g of G gives a bijection r(g);
+        - r(g) is a homomorphism in the form r(g)(x * h) = r(g)(x) * r(g)(h),
+          for all x and each generator h of H;
+        - r(k * g) = r(k) o r(g) for all k and each generator g of G.
+        Generators suffice, and the right-multiplication forms are equivalent
+        to the two-sided laws.  By induction on the length of a word w in
+        the generators, the third gives r(g)(x * w) = r(g)(x) * r(g)(w) and
+        the fourth r(k * w) = r(k) o r(w); every element of a finite group
+        that its generators generate is such a word.  So each r(g) is an
+        automorphism of H, and r is a homomorphism from G into maps of H
+        whose values are products of automorphisms; r(e) is then the
+        identity, since r(g) = r(e) o r(g) with r(g) bijective.  Conversely
+        an action by automorphisms passes every check.
+        """
         if self._checked:
             return
         G, H, act = self.acting, self.target, self.mapping
         for group in (G, H):
-            _check_generation(group, generated_subgroup(group, group.generators).order)
+            _check_generation(group)
+        index, targets = H._index, H.elements
+        table = []
+        for k in G.elements:
+            try:
+                table.append([index[act(k, h)] for h in targets])
+            except KeyError:
+                y = next(y for y in (act(k, h) for h in targets) if y not in index)
+                raise InvalidActionError(f"action leaves the target group: {y!r}") from None
         for g in G.generators:
-            image = set()
-            for h in H.elements:
-                y = act(g, h)
-                if y not in H:
-                    raise InvalidActionError(f"action leaves the target group: {y!r}")
-                image.add(y)
-            if len(image) != H.order:
+            row = table[G.index_of(g)]
+            if len(set(row)) != H.order:
                 raise InvalidActionError("generator does not act bijectively")
-            for h1 in H.generators:
-                for h2 in H.elements:
-                    if act(g, H.op(h1, h2)) != H.op(act(g, h1), act(g, h2)):
-                        raise InvalidActionError(
-                            "generator does not act by a homomorphism")
-        for g1 in G.generators:
-            for g2 in G.elements:
-                g12 = G.op(g1, g2)
-                for h in H.elements:
-                    if act(g12, h) != act(g1, act(g2, h)):
-                        raise InvalidActionError(
-                            "action map is not a homomorphism into Aut(H)")
+            for h, right in zip(H.generators, H._generator_tables()):
+                image = H._right_table(row[H.index_of(h)])
+                if [row[j] for j in right] != [image[j] for j in row]:
+                    raise InvalidActionError("generator does not act by a homomorphism")
+        for g, right in zip(G.generators, G._generator_tables()):
+            row = table[G.index_of(g)]
+            for k, row_k in enumerate(table):
+                if table[right[k]] != [row_k[j] for j in row]:
+                    raise InvalidActionError(
+                        "action map is not a homomorphism into Aut(H)")
+        self._table = table
         self._checked = True
 
     def __repr__(self) -> str:

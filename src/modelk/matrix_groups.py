@@ -9,8 +9,9 @@ from operator import mul
 from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat, _invertible_matrices
+                     _product_tables, abelianization, enumerate_group,
+                     invariants_from_factors)
+from .matrices import Mat, _invertible_matrices, _kernels
 from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
 _CANDIDATE_LIMIT = 2 ** 21
@@ -59,10 +60,16 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
         raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
         assert len(elements) == expected
-    return FiniteGroup(elements, mul, Mat.identity(ring, n),
-                       inv=lambda a: a.inverse(),
-                       generators=_designated_generators(n, ring),
-                       name=f"GL_{n}({ring})", cap=cap)
+    G = FiniteGroup(elements, mul, Mat.identity(ring, n),
+                    inv=lambda a: a.inverse(),
+                    generators=_designated_generators(n, ring),
+                    name=f"GL_{n}({ring})", cap=cap)
+    # the tables run on row tuples through the product kernel, skipping
+    # Mat's Python-level __hash__ and __eq__
+    G._make_tables = lambda group: _product_tables(
+        group, {m.rows: i for i, m in enumerate(group.elements)},
+        _kernels(ring, n).mul, [g.rows for g in group.generators])
+    return G
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:

@@ -98,7 +98,10 @@ class Perm:
 
 def permute_tuple(p: Perm, values: tuple) -> tuple:
     """Left action of p on an indexed tuple: result[p(x)] = values[x]."""
-    return tuple([values[x] for x in p.inverse().images])
+    result = list(values)
+    for x, y in enumerate(p.images):
+        result[y] = values[x]
+    return tuple(result)
 
 
 def perm_product(perms) -> Perm:

@@ -80,11 +80,22 @@ def test_generators_that_span_a_proper_subgroup_are_rejected():
         commutator_subgroup(G)
     with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
         is_normal(G, generated_subgroup(G, [3]))
+    with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
+        G.is_abelian()
     # the acting group's generators bound the coinvariant relators
     K = FiniteGroup(range(2), lambda a, b: (a + b) % 2, 0, generators=[0])
     inversion = GroupAction(K, cyclic(4), lambda k, h: (-h) % 4 if k else h)
     with pytest.raises(WorkbenchError, match="reach 1 of its 2 elements"):
         coinvariants(cyclic(4), inversion)
+
+
+def test_operation_that_leaves_the_enumeration_is_rejected():
+    # 3 + 1 = 4 mod 5 is not among the elements 0..3
+    G = FiniteGroup(range(4), lambda a, b: (a + b) % 5, 0, generators=(1,),
+                    name="Z_4?")
+    with pytest.raises(WorkbenchError,
+                       match=r"Z_4\? is not closed .*: 3 \* 1 = 4 is not one"):
+        abelianization(G)
 
 
 def test_commutator_subgroup_of_sym3_is_alt3():
@@ -162,7 +173,25 @@ def test_action_check_catches_non_automorphism():
     H = cyclic(4)
     K = cyclic(2)
     bad = GroupAction(K, H, lambda k, h: (h + k) % 4)  # translation, not hom
-    with pytest.raises(InvalidActionError):
+    with pytest.raises(InvalidActionError,
+                       match="generator does not act by a homomorphism"):
+        bad.check()
+
+
+@pytest.mark.parametrize("acting, target, mapping, message", [
+    # k = 1 sends h to h + 4, outside 0..3
+    (2, 4, lambda k, h: h + 4 * k, "action leaves the target group: 4"),
+    # k = 1 sends everything to 0
+    (2, 4, lambda k, h: 0 if k else h, "generator does not act bijectively"),
+    # each power of 2 is an automorphism of Z_5, but 2^3 = 3 is not 2^0 = 1
+    (3, 5, lambda k, h: h * 2 ** k % 5,
+     r"action map is not a homomorphism into Aut\(H\)"),
+])
+def test_action_check_rejects_each_broken_law(acting, target, mapping, message):
+    from modelk.errors import InvalidActionError
+
+    bad = GroupAction(cyclic(acting), cyclic(target), mapping)
+    with pytest.raises(InvalidActionError, match=message):
         bad.check()
 
 
