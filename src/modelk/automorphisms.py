@@ -239,30 +239,6 @@ class PAMap:
         return True
 
 
-def validate(f: PAMap) -> VerificationReport:
-    return f.validate()
-
-
-def support(f: PAMap) -> DefinableSet:
-    return f.support()
-
-
-def dim_aut(f: PAMap):
-    return f.support_dim()
-
-
-def in_omega_m(f: PAMap, m: int) -> bool:
-    return f.in_omega(m)
-
-
-def compose(f: PAMap, g: PAMap) -> PAMap:
-    return f.compose(g)
-
-
-def invert(f: PAMap) -> PAMap:
-    return f.invert()
-
-
 def decompose_affine(f: PAMap) -> tuple[AffineMap, PAMap]:
     """Split f on all of Q^n into (affine g, lower-dimensional h) with
     f = g o h.

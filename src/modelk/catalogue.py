@@ -8,6 +8,7 @@ from .constructions import direct_product, symmetric_group
 from .errors import WorkbenchError
 from .groups import FiniteGroup, enumerate_group
 from .matrices import Mat
+from .matrix_groups import elementary_closure
 from .perms import Perm
 from .rings import GF
 
@@ -52,11 +53,9 @@ def quaternion8() -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def sl2(q: int) -> FiniteGroup:
-    """SL_2(F_q) generated by transvections (all off-diagonal shears)."""
-    ring = GF(q)
-    gens = [Mat.transvection(ring, 2, i, j, c)
-            for i, j in ((0, 1), (1, 0)) for c in range(1, q)]
-    G = enumerate_group(gens, name=f"SL_2(F_{q})")
+    """SL_2(F_q) as the closure of the transvections, E_2(F_q)."""
+    G = elementary_closure(2, GF(q))
+    G.name = f"SL_2(F_{q})"
     expected = q * (q * q - 1)
     if G.order != expected:
         raise WorkbenchError(f"transvections gave order {G.order}, expected {expected}")

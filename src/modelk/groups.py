@@ -147,22 +147,22 @@ class FiniteGroup:
     def _spanning_tree(self):
         """Breadth-first search over the generator tables from the identity.
 
-        Returns the indices reached, in order, and two arrays: for each
+        Returns the indices reached, in order, and two lists: for each
         reached index y but the identity's, parent[y] = x and via[y] = i with
         elements[x] * g_i = elements[y]; parent[y] is -1 where y is unreached.
         """
         if self._tree is None:
-            tables = self._generator_tables()
+            steps = list(enumerate(self._generator_tables()))
             start = self._index[self.identity]
-            parent = array("l", [-1]) * len(self.elements)
-            via = array("l", [0]) * len(self.elements)
+            parent, via = [-1] * len(self.elements), [0] * len(self.elements)
             parent[start] = start
             reached = [start]
             for x in reached:
-                for i, table in enumerate(tables):
+                for i, table in steps:
                     y = table[x]
                     if parent[y] < 0:
-                        parent[y], via[y] = x, i
+                        parent[y] = x
+                        via[y] = i
                         reached.append(y)
             self._tree = reached, parent, via
         return self._tree
@@ -225,17 +225,28 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication.
 
     Generators must share a representation and expose __mul__, inverse()
-    and identity_like(); permutations and matrices both qualify.
+    and identity_like(); permutations and matrices both qualify.  Matrices
+    are closed, and their generator tables built, on integer codes.
     """
     gens = list(generators)
     if not gens:
         raise WorkbenchError("need at least one generator")
     for g in gens:
         g.inverse()  # raises for a non-invertible generator
+    # imported here, so that `import modelk` does not load the matrix layer
+    from .matrices import Mat, _code_closure, _code_tables
+
     identity = gens[0].identity_like()
-    ordered = _bfs_closure(gens, mul, identity, cap=cap, key=element_key)
-    return FiniteGroup(ordered, mul, identity, inv=lambda a: a.inverse(),
-                       generators=gens, name=name, cap=cap)
+    matrices = all(type(g) is Mat for g in gens)
+    if matrices:
+        ordered = _code_closure(gens, identity, cap)
+    else:
+        ordered = _bfs_closure(gens, mul, identity, cap=cap, key=element_key)
+    G = FiniteGroup(ordered, mul, identity, inv=lambda a: a.inverse(),
+                    generators=gens, name=name, cap=cap)
+    if matrices:
+        G._make_tables = _code_tables
+    return G
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
@@ -353,18 +364,25 @@ def invariants_from_factors(factors) -> AbInvariants:
     return AbInvariants(tuple(d for d in chain if d > 1))
 
 
-def _add_relator(basis, row, n) -> None:
+def _add_relator(basis, row, n) -> bool:
     """Enlarge the lattice span(basis) + n * Z^k by one row: Euclid's algorithm
     against each pivot of the upper-triangular basis.  Entries are kept mod n,
-    which changes nothing because n * Z^k lies in the lattice."""
+    which changes nothing because n * Z^k lies in the lattice.  Returns
+    whether a pivot changed."""
     row = [x % n for x in row]
+    changed = False
     for j in range(len(row)):
         while row[j]:
             pivot = basis[j]
             q = row[j] // pivot[j]
             row = [(x - q * y) % n for x, y in zip(row, pivot)]
             if row[j]:
-                basis[j], row = row, pivot
+                basis[j], row, changed = row, pivot, True
+    return changed
+
+
+def _scaled_identity(k, n):
+    return [[n if i == j else 0 for i in range(k)] for j in range(k)]
 
 
 def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbInvariants:
@@ -373,15 +391,24 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     A breadth-first search from the identity over G's k generators reaches
     each element x along a word whose exponent sums form v(x) in Z^k.  Each
     Cayley edge x * g_i = y gives the relator v(x) + e_i - v(y), and G^ab is
-    Z^k modulo these relators (Reidemeister-Schreier).  They are kept as a
-    Hermite basis mod |G|, which is sound because the g_i-cycle through x
-    puts ord(g_i) * e_i, hence |G| * e_i, in their span.  An action adds the
-    rows v(act(g, h_i)) - e_i over acting generators g and G's generators
-    h_i.  The Smith form of the basis gives the invariant factors.
+    Z^k modulo the lattice L these relators span (Reidemeister-Schreier).
+    An action adds the rows v(act(g, h_i)) - e_i over acting generators g
+    and G's generators h_i.  The Smith form of a basis of L gives the
+    invariant factors.
+
+    L is kept as an upper-triangular Hermite basis B mod a modulus m with
+    m * Z^k in L.  At first m = |G|, which is sound because the g_i-cycle
+    through x puts ord(g_i) * e_i, hence |G| * e_i, in L.  The product d of
+    B's pivots is the index of span(B) in Z^k, so d * Z^k lies in span(B),
+    inside L; hence so does gcd(d, m) * Z^k.  Whenever that gcd falls below
+    m it becomes the modulus: B is reduced mod it, and so is each relator
+    after.  A reduced relator equal to one already added lies in L and is
+    skipped, so at most m^k relators are reduced at modulus m.
+
     The search and the edges run on G's generator tables, with each vector
     packed into one int of k digits of s bits; a relator's coordinates lie
-    in [-n, n], so with n added to each digit they fit in s bits, and only
-    the distinct relators are unpacked.
+    in [-n, n], n = |G|, so with n added to each digit they fit in s bits,
+    and only the distinct relators are unpacked.
     Raises WorkbenchError when the generators do not generate G.
     """
     _check_generation(G)
@@ -402,19 +429,33 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
         for g in action.acting.generators:
             relators.update([packed[G.index_of(action.act(g, h))] - unit
                              for unit, h in zip(units, G.generators)])
-    relators.discard(0)
     offset, mask = sum(n * unit for unit in units), (1 << s) - 1
-    basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
+    shifts = [s * i for i in range(k)]
+    m = n
+    basis = _scaled_identity(k, m)
+    seen = {(0,) * k}
     for r in relators:
         r += offset
-        _add_relator(basis, [(r >> (s * i) & mask) - n for i in range(k)], n)
-    # Z^k / (span(B) + n * Z^k) depends only on B's Smith form, shared by its
+        row = tuple([((r >> shift & mask) - n) % m for shift in shifts])
+        if row in seen:
+            continue
+        seen.add(row)
+        if _add_relator(basis, row, m):
+            d = gcd(m, prod(basis[j][j] for j in range(k)))
+            if d < m:
+                m, old = d, basis
+                basis = _scaled_identity(k, m)
+                for b in old:
+                    _add_relator(basis, b, m)
+                if m == 1:
+                    break
+    # Z^k / (span(B) + m * Z^k) depends only on B's Smith form, shared by its
     # transpose: alternating row and column Hermite bases reach a diagonal
     while any(basis[i][j] for i in range(k) for j in range(i + 1, k)):
         columns = zip(*basis)
-        basis = [[n if i == j else 0 for i in range(k)] for j in range(k)]
+        basis = _scaled_identity(k, m)
         for column in columns:
-            _add_relator(basis, list(column), n)
+            _add_relator(basis, column, m)
     return invariants_from_factors(basis[j][j] for j in range(k))
 
 

@@ -5,15 +5,25 @@ inverses and identities are valid by construction and skip that check.  The
 arithmetic runs in straight-line functions generated once per (ring, n), the
 way `dataclasses` generates `__init__`, that index the ring's add, mul and
 neg tables directly.
+
+Matrix groups run on a private integer form of a matrix, its code: the
+row-major entry tuple read as a base-q numeral, q the ring's size, so that
+numeric order of codes is lexicographic order of rows.  A row is a digit of
+the code in base Q = q^n.  Right multiplication by a generator g maps each
+row on its own, so for g there is a row-image table per row position i,
+taking a row code r to code(r * g) * Q^(n-1-i), and code(x * g) is the sum
+of n lookups.  The tables fill on first lookup, so a small group of large
+matrices computes only the rows that occur, not all q^n.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .errors import WorkbenchError
+from .errors import CapExceededError, WorkbenchError
 from .rings import MatRing
 
 
@@ -33,15 +43,28 @@ def _tuple(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _compile(name: str, args: str, body: list[str], ring: MatRing):
+def _compile(name: str, args: str, body: list[str], ring: MatRing, **names):
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"A": ring._add, "M": ring._mul, "N": ring._neg}
+    namespace = {"A": ring._add, "M": ring._mul, "N": ring._neg, **names}
     exec(source, namespace)
     return namespace[name]
 
 
+class _OnDemand(dict):
+    """A dict that fills a missing key k with fill(k) on first lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _Kernels:
-    """Straight-line product, apply and det for n x n matrices over a ring."""
+    """Straight-line product, apply and det for n x n matrices over a ring,
+    and the kernels on codes."""
 
     def __init__(self, ring: MatRing, n: int):
         self.ring, self.n = ring, n
@@ -75,6 +98,74 @@ class _Kernels:
                     f"N[{t}]" if pos % 2 else t for pos, t in enumerate(terms)))
         body.append(f"return {minor[tuple(range(n))]}")
         return _compile("det", "a", body, self.ring)
+
+    @cached_property
+    def row_of(self) -> _OnDemand:
+        """Row code -> row tuple."""
+        q, n = self.ring.size, self.n
+
+        def digits(r):
+            row = [0] * n
+            for j in range(n - 1, -1, -1):
+                r, row[j] = divmod(r, q)
+            return tuple(row)
+        return _OnDemand(digits)
+
+    @cached_property
+    def row_code(self) -> _OnDemand:
+        """Row tuple -> row code."""
+        q = self.ring.size
+
+        def code(row):
+            r = 0
+            for x in row:
+                r = r * q + x
+            return r
+        return _OnDemand(code)
+
+    def _digits(self) -> list[str]:
+        """Source text of each row code of a matrix code c, top row first."""
+        n, Q = self.n, self.ring.size ** self.n
+        digits = []
+        for i in range(n):
+            d = "c" if i == n - 1 else f"c // {Q ** (n - 1 - i)}"
+            digits.append(d if i == 0 else f"{d} % {Q}")
+        return digits
+
+    @cached_property
+    def encode(self):
+        """Rows of each matrix -> list of matrix codes."""
+        n, Q = self.n, self.ring.size ** self.n
+        r = [f"r{i}" for i in range(n)]
+        code = " + ".join(f"E[{x}]" if i == n - 1 else f"E[{x}] * {Q ** (n - 1 - i)}"
+                          for i, x in enumerate(r))
+        return _compile("encode", "rows", [f"return [{code} for {_tuple(r)} in rows]"],
+                        self.ring, E=self.row_code)
+
+    @cached_property
+    def decode(self):
+        """Matrix codes -> list of the matrices' rows."""
+        rows = _tuple(f"D[{d}]" for d in self._digits())
+        return _compile("decode", "codes", [f"return [{rows} for c in codes]"],
+                        self.ring, D=self.row_of)
+
+    @cached_property
+    def image(self):
+        """(matrix codes, the row-image tables of g) -> codes of the
+        products with g on the right."""
+        tables = [f"T{i}" for i in range(self.n)]
+        code = " + ".join(f"{t}[{d}]" for t, d in zip(tables, self._digits()))
+        return _compile("image", "codes, " + ", ".join(tables),
+                        [f"return [{code} for c in codes]"], self.ring)
+
+    def row_images(self, g: "Mat") -> list[_OnDemand]:
+        """Per row position i, the table r -> code(r * g) * Q^(n-1-i)."""
+        n, Q = self.n, self.ring.size ** self.n
+        columns = tuple(zip(*g.rows))
+        apply, row_of, row_code = self.apply, self.row_of, self.row_code
+        last = _OnDemand(lambda r: row_code[apply(columns, row_of[r])])
+        return [_OnDemand(lambda r, scale=Q ** (n - 1 - i): last[r] * scale)
+                for i in range(n - 1)] + [last]
 
 
 MAX_N = 10  # the det kernel of a 10 x 10 matrix has 5,120 product terms
@@ -200,11 +291,47 @@ class Mat:
         return f"Mat({self.ring}, {self.rows})"
 
 
-def _invertible_matrices(ring: MatRing, n: int):
+def _invertible_matrices(ring: MatRing, n: int) -> list["Mat"]:
     """Every invertible n x n matrix over the ring, in lexicographic order of
     the row-major entry tuple."""
     k = _kernels(ring, n)
     det, units = k.det, set(ring.units())
-    for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n):
-        if det(rows) in units:
-            yield _trusted(ring, rows, k)
+    return [_trusted(ring, rows, k)
+            for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n)
+            if det(rows) in units]
+
+
+def _code_closure(gens: list["Mat"], identity: "Mat", cap) -> list["Mat"]:
+    """The group the generators generate, in breadth-first levels from the
+    identity, each level sorted by code.  That is the order of
+    `groups._bfs_closure` under `groups.element_key`, whose key orders
+    matrices by their rows, found on codes one level at a time."""
+    for g in gens:
+        identity * g  # raises ValueError on a ring or size mismatch
+    k = identity._k
+    tables = [k.row_images(g) for g in gens]
+    level = k.encode([identity.rows])
+    ordered, seen = list(level), set(level)
+    while level:
+        fresh = set()
+        for t in tables:
+            fresh.update(k.image(level, *t))
+        fresh -= seen
+        if cap is not None and len(seen) + len(fresh) > cap:
+            raise CapExceededError(f"closure exceeded the element cap of {cap}")
+        level = sorted(fresh)
+        seen.update(level)
+        ordered += level
+    return [_trusted(identity.ring, rows, k) for rows in k.decode(ordered)]
+
+
+def _code_tables(group) -> list[array]:
+    """Generator tables of a group of Mats sharing one ring and size: entry
+    i of table j is the index of elements[i] * generators[j], found on
+    codes.  The group must be closed under right multiplication by its
+    generators."""
+    k = group.identity._k
+    codes = k.encode([m.rows for m in group.elements])
+    index = {c: i for i, c in enumerate(codes)}.__getitem__
+    return [array("l", map(index, k.image(codes, *k.row_images(g))))
+            for g in group.generators]

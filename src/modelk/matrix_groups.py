@@ -9,11 +9,12 @@ from operator import mul
 from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     _product_tables, abelianization, enumerate_group,
-                     invariants_from_factors)
-from .matrices import Mat, _invertible_matrices, _kernels
+                     abelianization, enumerate_group, invariants_from_factors)
+from .matrices import Mat, _code_tables, _invertible_matrices
 from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
+# gl_group searches all n x n matrices over the ring for a unit det; this
+# limits that search, apart from the cap on the group's order
 _CANDIDATE_LIMIT = 2 ** 21
 
 
@@ -54,8 +55,10 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
                 f"GL_{n}({ring}) has order {expected}, cap is {cap}")
     if ring.size ** (n * n) > _CANDIDATE_LIMIT:
         raise CapExceededError(
-            f"enumerating {ring.size ** (n * n)} candidate matrices is over budget")
-    elements = list(_invertible_matrices(ring, n))
+            f"GL_{n}({ring}) is searched for among {ring.size ** (n * n)} "
+            f"candidate matrices, over the limit of 2^21 candidate matrices; "
+            f"--cap does not raise this limit")
+    elements = _invertible_matrices(ring, n)
     if cap is not None and len(elements) > cap:
         raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
@@ -64,11 +67,7 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
                     inv=lambda a: a.inverse(),
                     generators=_designated_generators(n, ring),
                     name=f"GL_{n}({ring})", cap=cap)
-    # the tables run on row tuples through the product kernel, skipping
-    # Mat's Python-level __hash__ and __eq__
-    G._make_tables = lambda group: _product_tables(
-        group, {m.rows: i for i, m in enumerate(group.elements)},
-        _kernels(ring, n).mul, [g.rows for g in group.generators])
+    G._make_tables = _code_tables
     return G
 
 
@@ -79,8 +78,10 @@ def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     gens = [Mat.transvection(ring, n, i, j, c)
             for i in range(n) for j in range(n) if i != j
             for c in range(1, ring.size)]
-    return FiniteGroup(kernel, G.op, G.identity, inv=G.inv, generators=gens,
-                       name=f"SL_{n}({ring})", cap=cap)
+    S = FiniteGroup(kernel, G.op, G.identity, inv=G.inv, generators=gens,
+                    name=f"SL_{n}({ring})", cap=cap)
+    S._make_tables = _code_tables
+    return S
 
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:

@@ -10,15 +10,18 @@ d_1 | ... | d_r that count is the product of gcd(d, d_i).
 import random
 from math import gcd, lcm, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelk.catalogue import cyclic, klein_four, sl2
 from modelk.constructions import semidirect
-from modelk.groups import (abelianization, coinvariants, commutator_subgroup,
-                           enumerate_group, generated_subgroup, quotient_group)
-from modelk.matrix_groups import gl_group
+from modelk.groups import (GroupAction, abelianization, coinvariants,
+                           commutator_subgroup, enumerate_group,
+                           generated_subgroup, quotient_group)
+from modelk.matrix_groups import elementary_closure, gl_group
 from modelk.perms import Perm
-from modelk.rings import Zmod
+from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -60,6 +63,40 @@ def test_abelianization_of_gl2_over_zmod(m):
     _check_abelianization(gl_group(2, Zmod(m)))
 
 
+# The Smith route's modulus shrinks from |G|: to 1 for the perfect groups
+# E_3(F_2), SL_2(F_4) and SL_2(F_5), and for GL_2(Z_8) from 1536 to 8, the
+# index of its non-cyclic answer.
+@pytest.mark.parametrize("build, factors", [
+    (lambda: elementary_closure(3, GF(2)), ()),
+    (lambda: sl2(4), ()),
+    (lambda: sl2(5), ()),
+    (lambda: gl_group(2, Zmod(8)), (2, 2, 2)),
+], ids=["E_3(F_2)", "SL_2(F_4)", "SL_2(F_5)", "GL_2(Z_8)"])
+def test_abelianization_where_the_modulus_shrinks(build, factors):
+    G = build()
+    assert abelianization(G).factors == factors
+    _check_abelianization(G)
+
+
+def _check_coinvariants(action):
+    H, act = action.target, action.act
+    relators = {H.op(act(g, h), H.inv(h))
+                for g in action.acting.elements for h in H.elements}
+    N = generated_subgroup(H, sorted(relators, key=H.index_of))
+    assert _agrees(coinvariants(H, action).factors, quotient_group(H, N))
+
+
+def test_coinvariants_whose_action_rows_shrink_the_modulus():
+    # -1 and 3 generate the units of Z_8; the relator of -1 alone brings the
+    # modulus from 8 to 2, and that of 3 is then 0 mod 2
+    units = GroupAction(klein_four(), cyclic(8),
+                        lambda k, h: h * (-1) ** k[0] * 3 ** k[1] % 8)
+    assert coinvariants(cyclic(8), units).factors == (2,)
+    _check_coinvariants(units)
+
+
+# In about a quarter of these actions the modulus shrinks before some of
+# the action rows are reduced.
 @SEEDED
 @given(st.integers(0, 2 ** 32))
 def test_coinvariants_of_seeded_actions(seed):
@@ -67,8 +104,4 @@ def test_coinvariants_of_seeded_actions(seed):
     action = random_semidirect_action(rng)
     while not action.target.is_abelian():
         action = random_semidirect_action(rng)
-    H, act = action.target, action.act
-    relators = {H.op(act(g, h), H.inv(h))
-                for g in action.acting.elements for h in H.elements}
-    N = generated_subgroup(H, sorted(relators, key=H.index_of))
-    assert _agrees(coinvariants(H, action).factors, quotient_group(H, N))
+    _check_coinvariants(action)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from modelk.automorphisms import (AffineMap, PAMap, conjugate,
-                                  decompose_affine, dim_aut, in_omega_m)
+from modelk.automorphisms import AffineMap, PAMap, conjugate, decompose_affine
 from modelk.cosets import NEG_INF, AffineCoset
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
@@ -121,21 +120,21 @@ def test_image_must_equal_domain():
 def test_identity_has_empty_support():
     f = PAMap.identity(2)
     assert f.support().is_empty
-    assert dim_aut(f) == NEG_INF
-    assert in_omega_m(f, 0)
+    assert f.support_dim() == NEG_INF
+    assert f.in_omega(0)
 
 
 def test_translation_support_is_everything():
     f = PAMap.from_affine(AffineMap.translation([1, 0]))
     assert f.support().same_set(DefinableSet.full_space(2))
-    assert dim_aut(f) == 2
-    assert not in_omega_m(f, 1)
+    assert f.support_dim() == 2
+    assert not f.in_omega(1)
 
 
 def test_swap_support_is_the_two_points():
     f = swap_map(1, (Fraction(0),), (Fraction(3),))
-    assert dim_aut(f) == 0
-    assert in_omega_m(f, 0) and in_omega_m(f, 1)
+    assert f.support_dim() == 0
+    assert f.in_omega(0) and f.in_omega(1)
     s = f.support()
     assert s.contains((Fraction(0),)) and s.contains((Fraction(3),))
     assert not s.contains((Fraction(1),))
@@ -145,7 +144,7 @@ def test_linear_map_support_excludes_fixed_line():
     # fixes the axis x2 = 0 pointwise, moves everything else
     f = PAMap.from_affine(AffineMap.make([[1, 1], [0, 1]], [0, 0]))
     s = f.support()
-    assert dim_aut(f) == 2
+    assert f.support_dim() == 2
     assert not s.contains((Fraction(5), Fraction(0)))
     assert s.contains((Fraction(0), Fraction(1)))
 
@@ -195,7 +194,7 @@ def test_conjugation_preserves_support_dim():
     h = swap_map(2, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     g = AffineMap.make([[2, 1], [1, 1]], [3, -1])
     k = conjugate(g, h)
-    assert dim_aut(k) == dim_aut(h) == 0
+    assert k.support_dim() == h.support_dim() == 0
     moved = g.apply((Fraction(0), Fraction(0)))
     assert k.apply(moved) == g.apply((Fraction(1), Fraction(1)))
 
@@ -205,7 +204,7 @@ def test_conjugation_by_pamap():
     g = PAMap.from_affine(AffineMap.make([[3]], [0]))
     k = conjugate(g, h)
     assert k.apply((Fraction(0),)) == (Fraction(3),)
-    assert dim_aut(k) == 0
+    assert k.support_dim() == 0
 
 
 # --- seeded random laws ------------------------------------------------------

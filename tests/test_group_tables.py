@@ -1,23 +1,34 @@
 """Seeded property tests: composed generator tables against products.
 
 Semidirect and wreath products and affine groups build their generator
-tables from their factors' tables, and GL from the matrix product kernel on
-row tuples.  Each must equal the table read off the group's own
+tables from their factors' tables, and matrix groups from integer codes of
+their elements.  Each must equal the table read off the group's own
 operation: entry i of table j is the index of elements[i] * generators[j].
+Matrix closures run on codes too; their element order must equal the
+closure on Mat values, kept here as the oracle.
 """
 
 import random
+from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelk.catalogue import by_name
+from modelk.catalogue import by_name, quaternion8, sl2
 from modelk.constructions import semidirect, wreath
-from modelk.matrix_groups import affine_group, gl_group
+from modelk.errors import CapExceededError
+from modelk.groups import _bfs_closure, element_key, enumerate_group
+from modelk.matrices import Mat
+from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
+                                  special_linear)
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
 
 SEEDED = settings(derandomize=True, database=None, deadline=None)
+RINGS = [Zmod(m) for m in range(2, 10)] + [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+# GL_3 fits the default cap over the rings of size 2 and 3 only
+MATRIX_CASES = [(n, R) for R in RINGS for n in (1, 2, 3) if n < 3 or R.size <= 3]
 
 
 def _check_tables(G):
@@ -51,3 +62,72 @@ def test_tables_of_affine_groups(nq, copies):
 @given(st.integers(2, 9))
 def test_tables_of_gl2_over_zmod(m):
     _check_tables(gl_group(2, Zmod(m)))
+
+
+@settings(SEEDED, max_examples=len(MATRIX_CASES))
+@given(st.sampled_from(MATRIX_CASES))
+def test_code_tables_of_linear_groups(case):
+    n, R = case
+    for G in (gl_group(n, R), special_linear(n, R), elementary_closure(n, R)):
+        _check_tables(G)
+
+
+def test_code_tables_of_catalogue_matrix_groups():
+    for G in (sl2(3), sl2(4), sl2(5), sl2(7), quaternion8()):
+        _check_tables(G)
+
+
+@st.composite
+def _matrix_generators(draw):
+    """One to three invertible n x n matrices, n <= 3, over one ring."""
+    R = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, R.size - 1)] * n)
+    matrix = st.tuples(*[row] * n).map(lambda rows: Mat(R, rows))
+    return draw(st.lists(matrix.filter(Mat.is_invertible), min_size=1, max_size=3))
+
+
+@settings(SEEDED, max_examples=60)
+@given(_matrix_generators())
+def test_code_closure_order_matches_the_closure_on_matrices(gens):
+    cap = 2000
+    try:
+        oracle = _bfs_closure(gens, mul, gens[0].identity_like(), cap=cap,
+                              key=element_key)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            enumerate_group(gens, cap=cap)
+        return
+    G = enumerate_group(gens, cap=cap)
+    assert list(G.elements) == oracle
+    _check_tables(G)
+
+
+def test_code_closure_names_the_cap():
+    with pytest.raises(CapExceededError, match="closure exceeded the element cap of 100"):
+        elementary_closure(3, GF(3), cap=100)
+
+
+def test_code_closure_rejects_mixed_rings_and_sizes():
+    with pytest.raises(ValueError, match="ring mismatch"):
+        enumerate_group([Mat.transvection(GF(3), 2, 0, 1, 1),
+                         Mat.transvection(Zmod(3), 2, 0, 1, 1)])
+    with pytest.raises(ValueError, match="size mismatch: 2x2 times 3x3"):
+        enumerate_group([Mat.transvection(GF(3), 2, 0, 1, 1),
+                         Mat.transvection(GF(3), 3, 0, 1, 1)])
+
+
+def test_row_images_fill_only_the_rows_that_occur():
+    # the rows of a 10 x 10 permutation matrix are 10 unit vectors, where a
+    # table of every row would hold 3^10 rows per row position
+    F3 = GF(3)
+    P = Mat(F3, tuple(tuple(int(j == (i + 1) % 10) for j in range(10))
+                      for i in range(10)))
+    G = enumerate_group([P])
+    assert G.order == 10
+    _check_tables(G)
+    k = P._k
+    tables = k.row_images(P)
+    k.image(k.encode([x.rows for x in G.elements]), *tables)
+    assert [len(t) for t in tables] == [10] * 10
+

@@ -112,3 +112,7 @@ def test_gl_cap():
 
     with pytest.raises(CapExceededError):
         gl_group(3, GF(5), cap=1000)
+    # 6^9 candidate matrices; no cap lifts the limit on them
+    with pytest.raises(CapExceededError, match=r"10077696 candidate matrices, over "
+                       r"the limit of 2\^21 candidate matrices; --cap does not raise"):
+        gl_group(3, Zmod(6), cap=None)
