@@ -16,9 +16,9 @@ from .groups import (AbInvariants, FiniteGroup, GroupAction, abelianization,
                      generated_subgroup, quotient_group)
 from .report import VerificationReport
 from .symbolic import (Atom, FormalAbGroup, RingDescriptor, TheoryFlags,
-                       derive_flags, embedding_target, formal_equal,
-                       k1_algebraic, k1_free_module, k1_truncation,
-                       truncation_consistency, truncation_levels)
+                       derive_flags, embedding_target, k1_algebraic,
+                       k1_free_module, k1_truncation, truncation_consistency,
+                       truncation_levels)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "abelianization", "coinvariants", "commutator_subgroup",
     "enumerate_group", "generated_subgroup", "quotient_group",
     "VerificationReport", "Atom", "FormalAbGroup", "RingDescriptor",
-    "TheoryFlags", "derive_flags", "embedding_target", "formal_equal",
-    "k1_algebraic", "k1_free_module", "k1_truncation",
+    "TheoryFlags", "derive_flags", "embedding_target", "k1_algebraic",
+    "k1_free_module", "k1_truncation",
     "truncation_consistency", "truncation_levels", "__version__",
 ]

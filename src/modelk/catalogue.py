@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .constructions import direct_product, symmetric_group
-from .errors import WorkbenchError
+from .errors import WorkbenchError, int_token
 from .groups import FiniteGroup, enumerate_group
 from .matrices import Mat
 from .matrix_groups import elementary_closure
@@ -66,14 +66,10 @@ def by_name(spec: str) -> FiniteGroup:
     """Resolve specs like sym:4, cyclic:6, dihedral:8, sl2:3, klein, q8."""
     head, _, arg = spec.partition(":")
     head = head.strip().lower()
-    if head == "sym":
-        return symmetric_group(int(arg))
-    if head == "cyclic":
-        return cyclic(int(arg))
-    if head == "dihedral":
-        return dihedral(int(arg))
-    if head == "sl2":
-        return sl2(int(arg))
+    sized = {"sym": symmetric_group, "cyclic": cyclic, "dihedral": dihedral,
+             "sl2": sl2}
+    if head in sized:
+        return sized[head](int_token(arg, spec))
     if head == "klein":
         return klein_four()
     if head in ("q8", "quaternion"):

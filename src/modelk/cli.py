@@ -19,12 +19,12 @@ import sys
 from . import jsonio
 from .counting import count_points_mod_p
 from .defsets import boolean_normalize, definable_dim, definably_isomorphic, k0_class
-from .errors import WorkbenchError
+from .errors import WorkbenchError, int_token
 from .formulas import elaborate, parse_formula
 from .groups import DEFAULT_CAP, abelianization
 from .suites import SUITE_NAMES, run_suite
-from .symbolic import (RingDescriptor, TheoryFlags, derive_flags,
-                       k1_free_module, k1_truncation, truncation_levels)
+from .symbolic import (RingDescriptor, TheoryFlags, k1_free_module,
+                       k1_truncation, ring_from_key, truncation_levels)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,25 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ring(token: str) -> RingDescriptor:
-    head, _, rest = token.partition(":")
-    if token == "z":
-        return RingDescriptor.integers()
-    if token == "poly-char0":
-        return RingDescriptor.polynomial_ring("F")
-    if head == "fq":
-        return RingDescriptor.finite_field(int(rest))
-    if head == "poly":
-        return RingDescriptor.polynomial_ring(rest or "F")
-    if head == "field":
-        return RingDescriptor.infinite_field(rest or "F")
-    if head == "ed":
-        return RingDescriptor.abstract_ed(rest or "R")
-    raise WorkbenchError(f"unknown ring token {token!r}")
-
-
 def _ring_and_flags(args) -> tuple[RingDescriptor, TheoryFlags | None]:
-    ring = _parse_ring(args.ring)
+    ring = ring_from_key(args.ring)
     if ring.kind == "abstract-ed" and args.unit_sum:
         ring = RingDescriptor.abstract_ed(ring.tag, has_unit_sum=True)
     chosen = [f for f in ("t_closed", "cofinal_even", "cofinal_odd")
@@ -136,7 +119,7 @@ def _resolve_group(spec: str, cap: int):
     parts = spec.split(":")
     head = parts[0].lower()
     if head in ("gl", "sl", "aff") and len(parts) == 3:
-        n, q = int(parts[1]), int(parts[2])
+        n, q = (int_token(part, spec) for part in parts[1:])
         if head == "gl":
             return gl_group(n, GF(q), cap=cap)
         if head == "sl":
@@ -144,7 +127,7 @@ def _resolve_group(spec: str, cap: int):
         return affine_group(n, GF(q), cap=cap)
     if head == "wreath" and len(parts) >= 3:
         base = by_name(":".join(parts[1:-1]))
-        return wreath(base, int(parts[-1]), cap=cap)
+        return wreath(base, int_token(parts[-1], spec), cap=cap)
     return by_name(spec)
 
 

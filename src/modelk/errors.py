@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+command-line tokens go through."""
 
 
 class WorkbenchError(Exception):
@@ -26,3 +27,12 @@ class FormulaError(WorkbenchError):
         if line is not None:
             message = f"line {line}, col {col}: {message}"
         super().__init__(message)
+
+
+def int_token(text: str, token: str) -> int:
+    """`text`, a part of the spec or key `token`, read as an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise WorkbenchError(
+            f"{text!r} in {token!r} is not an integer") from None

@@ -465,10 +465,6 @@ def abelianization(G: FiniteGroup) -> AbInvariants:
     return _abelian_quotient(G)
 
 
-def abelian_iso(a: AbInvariants, b: AbInvariants) -> bool:
-    return a.factors == b.factors
-
-
 class GroupAction:
     """A group G acting on a group H by automorphisms.
 

@@ -3,6 +3,11 @@
 Rationals become plain ints when integral and "p/q" strings otherwise, so
 round-tripping is exact.  Dumps are byte-stable: keys sorted, two-space
 indent, and a trailing newline.
+
+Symbolic atoms store only their ring's key, read back with
+`symbolic.ring_from_key`: an unknown key fails when the JSON is decoded, and
+an `ed:` ring declared to satisfy 1 = u + v decodes as undeclared, because
+the declaration is not part of the key.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from .automorphisms import AffineMap, PAMap
 from .cosets import AffineCoset
 from .defsets import Block, DefinableSet, K0Class, make_block
 from .errors import WorkbenchError
-from .symbolic import COUNTABLE, Atom, FormalAbGroup
+from .symbolic import (COUNTABLE, UNDETERMINED, Atom, FormalAbGroup, glab,
+                       units_of, zmod)
 
 # rationals ------------------------------------------------------------------
 
@@ -129,13 +135,13 @@ def abgroup_to_json(g: FormalAbGroup) -> dict:
 def _atom_from_json(d: dict) -> Atom:
     kind = d["atom"]
     if kind == "Zmod":
-        return Atom("zmod", k=int(d["k"]))
+        return zmod(d["k"])
     if kind == "UnitsOf":
-        return Atom("units", ring=str(d["ring"]))
+        return units_of(d["ring"])
     if kind == "GLab":
-        return Atom("glab", ring=str(d["ring"]), n=int(d["n"]))
+        return glab(d["n"], d["ring"])
     if kind == "UndeterminedZ2":
-        return Atom("und")
+        return UNDETERMINED
     raise WorkbenchError(f"unknown atom kind {kind!r}")
 
 

@@ -5,6 +5,15 @@ formal GL_n(R) abelianizations, and a marker for the one level whose group
 the calculus does not determine.  Multiplicities are positive integers or
 the distinguished symbol "countable"; arithmetic saturates at countable.
 
+Rings are `RingDescriptor` values, and an atom holds its ring's descriptor.
+Whether an abstract Euclidean domain (`ed:`) is declared to satisfy
+1 = u + v for units u, v belongs to that descriptor value; no table outside
+it records declarations.  `ring_from_key` is the one ring-token grammar,
+shared with the command line: `fq:<q>`, `z`, `poly-char0`, `poly:<tag>`,
+`field:<tag>` and `ed:<tag>`, where an empty tag means the default tag.
+JSON stores only a ring's key, so an `ed:` ring read back from JSON is
+undeclared.
+
 Normalization rewrites GL_n(R)^ab to R^x whenever the Euclidean-domain
 facts apply (n = 1 always; n = 2 given a unit decomposition 1 = u + v;
 n >= 3 always), collapses unit groups of concrete rings to cyclic atoms,
@@ -16,13 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedRingError, WorkbenchError
+from .errors import UnsupportedRingError, WorkbenchError, int_token
 
 COUNTABLE = "countable"
 
 
 @dataclass(frozen=True)
 class RingDescriptor:
+    """A ring the calculus knows, built with the factories below.  An empty
+    tag means the default tag, so every key reads back through
+    `ring_from_key` as the same ring, up to an `ed:` declaration."""
+
     kind: str  # finite-field | poly-char0 | integers | infinite-field | abstract-ed
     q: int = 0
     tag: str = ""
@@ -34,26 +47,25 @@ class RingDescriptor:
 
         if _factor_prime_power(q) is None:
             raise WorkbenchError(f"{q} is not a prime power")
-        return _register(RingDescriptor("finite-field", q=q))
+        return RingDescriptor("finite-field", q=q)
 
     @staticmethod
     def polynomial_ring(tag: str = "F") -> "RingDescriptor":
-        return _register(RingDescriptor("poly-char0", tag=tag))
+        return RingDescriptor("poly-char0", tag=tag or "F")
 
     @staticmethod
     def integers() -> "RingDescriptor":
-        return _register(RingDescriptor("integers"))
+        return RingDescriptor("integers")
 
     @staticmethod
     def infinite_field(tag: str = "F") -> "RingDescriptor":
-        return _register(RingDescriptor("infinite-field", tag=tag))
+        return RingDescriptor("infinite-field", tag=tag or "F")
 
     @staticmethod
     def abstract_ed(tag: str = "R",
                     has_unit_sum: bool | None = None) -> "RingDescriptor":
-        # latest declaration for a tag wins; atoms refer to rings by key
-        return _register(
-            RingDescriptor("abstract-ed", tag=tag, unit_sum_flag=has_unit_sum))
+        return RingDescriptor("abstract-ed", tag=tag or "R",
+                              unit_sum_flag=has_unit_sum)
 
     @property
     def key(self) -> str:
@@ -93,22 +105,18 @@ class RingDescriptor:
         return f"{self.pretty()}^x"
 
 
-_RING_BY_KEY: dict[str, RingDescriptor] = {}
-
-
-def _register(ring: RingDescriptor) -> RingDescriptor:
-    _RING_BY_KEY[ring.key] = ring
-    return ring
-
-
 def ring_from_key(key: str) -> RingDescriptor:
-    if key in _RING_BY_KEY:
-        return _RING_BY_KEY[key]
+    """The ring a key or command-line token names: `fq:<q>`, `z`,
+    `poly-char0` (the same as `poly:F`), `poly:<tag>`, `field:<tag>` or
+    `ed:<tag>`.  An empty tag means the default tag, and an `ed:` ring comes
+    back without a unit-sum declaration."""
     if key == "z":
         return RingDescriptor.integers()
+    if key == "poly-char0":
+        return RingDescriptor.polynomial_ring()
     head, _, rest = key.partition(":")
     if head == "fq":
-        return RingDescriptor.finite_field(int(rest))
+        return RingDescriptor.finite_field(int_token(rest, key))
     if head == "poly":
         return RingDescriptor.polynomial_ring(rest)
     if head == "field":
@@ -157,35 +165,36 @@ def derive_flags(ring: RingDescriptor) -> TheoryFlags:
 # ---------------------------------------------------------------------------
 # atoms and formal sums
 
-_ATOM_RANK = {"zmod": 0, "units": 1, "glab": 2, "und": 3}
+_ATOM_KINDS = ("zmod", "units", "glab", "und")
 
 
 @dataclass(frozen=True)
 class Atom:
     kind: str  # zmod | units | glab | und
     k: int = 0
-    ring: str = ""
+    ring: RingDescriptor | None = None  # units and glab only
     n: int = 0
 
     def sort_key(self):
-        return (_ATOM_RANK[self.kind], self.k, self.ring, self.n)
+        return (_ATOM_KINDS.index(self.kind), self.k,
+                self.ring.key if self.ring else "", self.n)
 
     def pretty(self) -> str:
         if self.kind == "zmod":
             return f"Z_{self.k}"
         if self.kind == "units":
-            return ring_from_key(self.ring).units_pretty()
+            return self.ring.units_pretty()
         if self.kind == "glab":
-            return f"GL_{self.n}({ring_from_key(self.ring).pretty()})^ab"
+            return f"GL_{self.n}({self.ring.pretty()})^ab"
         return "Z_2?"
 
     def to_json(self) -> dict:
         if self.kind == "zmod":
             return {"atom": "Zmod", "k": self.k}
         if self.kind == "units":
-            return {"atom": "UnitsOf", "ring": self.ring}
+            return {"atom": "UnitsOf", "ring": self.ring.key}
         if self.kind == "glab":
-            return {"atom": "GLab", "ring": self.ring, "n": self.n}
+            return {"atom": "GLab", "ring": self.ring.key, "n": self.n}
         return {"atom": "UndeterminedZ2"}
 
 
@@ -193,24 +202,23 @@ def zmod(k: int) -> Atom:
     return Atom("zmod", k=int(k))
 
 
+def _as_ring(ring) -> RingDescriptor:
+    if isinstance(ring, RingDescriptor):
+        return ring
+    return ring_from_key(str(ring))
+
+
 def units_of(ring) -> Atom:
-    key = ring.key if isinstance(ring, RingDescriptor) else str(ring)
-    return Atom("units", ring=key)
+    """R^x for a descriptor or a ring key."""
+    return Atom("units", ring=_as_ring(ring))
 
 
 def glab(n: int, ring) -> Atom:
-    key = ring.key if isinstance(ring, RingDescriptor) else str(ring)
-    return Atom("glab", ring=key, n=int(n))
+    """GL_n(R)^ab for a descriptor or a ring key."""
+    return Atom("glab", ring=_as_ring(ring), n=int(n))
 
 
 UNDETERMINED = Atom("und")
-
-
-def _unit_sum_for_key(key: str) -> bool | None:
-    try:
-        return ring_from_key(key).has_unit_sum
-    except WorkbenchError:
-        return None
 
 
 def normalize_atom(atom: Atom) -> list[Atom]:
@@ -219,27 +227,27 @@ def normalize_atom(atom: Atom) -> list[Atom]:
         return [atom]
     if atom.kind == "zmod":
         return [] if atom.k == 1 else [atom]
+    ring = atom.ring
     if atom.kind == "units":
-        key = atom.ring
-        if key == "z":
+        if ring.kind == "integers":
             return [zmod(2)]
-        if key.startswith("fq:"):
-            return normalize_atom(zmod(int(key.partition(":")[2]) - 1))
-        if key.startswith("poly:"):
-            return [units_of("field:" + key.partition(":")[2])]
+        if ring.kind == "finite-field":
+            return normalize_atom(zmod(ring.q - 1))
+        if ring.kind == "poly-char0":
+            return [units_of(RingDescriptor.infinite_field(ring.tag))]
         return [atom]
     # glab
     if atom.n == 0:
         return []
-    if atom.ring == "z":
+    if ring.kind == "integers":
         # GL_n(Z)^ab: Z_2 for n = 1 or n >= 3, Z_2 + Z_2 for n = 2
         return [zmod(2), zmod(2)] if atom.n == 2 else [zmod(2)]
     if atom.n == 1:
-        return normalize_atom(units_of(atom.ring))
-    if atom.n >= 3 or _unit_sum_for_key(atom.ring):
+        return normalize_atom(units_of(ring))
+    if atom.n >= 3 or ring.has_unit_sum:
         # determinant is onto the units with kernel generated by
         # elementary matrices: n >= 3 over any ED, n = 2 given 1 = u + v
-        return normalize_atom(units_of(atom.ring))
+        return normalize_atom(units_of(ring))
     return [atom]
 
 
@@ -322,10 +330,6 @@ class FormalAbGroup:
                              for a, m in self.summands]}
 
 
-def formal_equal(a: FormalAbGroup, b: FormalAbGroup) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # the closed forms
 
@@ -358,7 +362,6 @@ def k1_free_module(ring: RingDescriptor, flags: TheoryFlags | None = None,
     the countably generated module), and the integers as a module over
     themselves (rank one).
     """
-    _register(ring)
     if ring.kind == "integers":
         if free_rank not in (None, 1):
             raise UnsupportedRingError(
@@ -399,7 +402,6 @@ def truncation_levels(ring: RingDescriptor, n: int,
     """
     if n < 1:
         raise WorkbenchError("levels start at n = 1")
-    _register(ring)
     if ring.kind == "integers":
         if n == 1:
             return [[glab(1, ring), zmod(2)], [zmod(2)]]
@@ -432,7 +434,6 @@ def k1_truncation(ring: RingDescriptor, n: int,
 
 def k1_algebraic(ring: RingDescriptor) -> FormalAbGroup:
     """Units of the ring: the algebraic K1 of a Euclidean domain."""
-    _register(ring)
     return FormalAbGroup.from_atoms([units_of(ring)])
 
 
@@ -444,7 +445,6 @@ def embedding_target(ring: RingDescriptor, mat) -> tuple[int, Atom, int]:
     tower atom at that level, and the determinant.  Like every `Mat`, the
     matrix has at most `matrices.MAX_N` rows.
     """
-    _register(ring)
     n = len(mat.rows)
     det = mat.det()
     if not mat.ring.is_unit(det):
@@ -522,26 +522,12 @@ def truncation_consistency(ring: RingDescriptor, n: int,
     except UnsupportedRingError as exc:
         report.add("levels-match-k1-form", False, str(exc))
         return report
-
-    def substitute(atoms, gl_values):
-        from .groups import invariants_from_factors
-
-        orders = []
-        for atom in atoms:
-            if atom.kind == "glab":
-                orders.extend(gl_values[atom.n])
-                continue
-            for piece in normalize_atom(atom):
-                if piece.kind != "zmod":
-                    return None
-                orders.append(piece.k)
-        return invariants_from_factors(orders).factors
-
-    body = _branch_body(ring, flags)
-    ok = substitute(levels[-1], brute) == (2,)
-    for i in range(1, n):
-        level = levels[-1 - i]
-        ok = ok and substitute(level, brute) == substitute(body, brute)
+    # each GL_i^ab atom becomes the cyclic atoms of its brute-force value
+    brute_atoms = {glab(i, ring): [zmod(k) for k in brute[i]] for i in brute}
+    *upper, bottom, closed = (
+        _atoms_to_factors([b for a in atoms for b in brute_atoms.get(a, [a])])
+        for atoms in levels[1:] + [_branch_body(ring, flags)])
+    ok = bottom == (2,) and all(f == closed for f in upper)
     report.add("levels-match-k1-form", ok,
                "substituted truncation levels against the closed form")
     return report

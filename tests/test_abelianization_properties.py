@@ -24,8 +24,6 @@ from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
 
-SEEDED = settings(derandomize=True, database=None, deadline=None)
-
 
 def _power_counts(Q):
     orders = [Q.element_order(x) for x in Q.elements]
@@ -45,19 +43,17 @@ def _check_abelianization(G):
     assert _agrees(abelianization(G).factors, Q), G.name
 
 
-@SEEDED
 @given(st.lists(st.permutations(range(5)), min_size=1, max_size=3))
 def test_abelianization_of_subgroups_of_sym5(images):
     _check_abelianization(enumerate_group([Perm(tuple(p)) for p in images]))
 
 
-@SEEDED
 @given(st.integers(0, 2 ** 32))
 def test_abelianization_of_seeded_semidirect_products(seed):
     _check_abelianization(semidirect(random_semidirect_action(random.Random(seed))))
 
 
-@settings(SEEDED, max_examples=8)
+@settings(max_examples=8)
 @given(st.integers(2, 9))
 def test_abelianization_of_gl2_over_zmod(m):
     _check_abelianization(gl_group(2, Zmod(m)))
@@ -97,7 +93,6 @@ def test_coinvariants_whose_action_rows_shrink_the_modulus():
 
 # In about a quarter of these actions the modulus shrinks before some of
 # the action rows are reduced.
-@SEEDED
 @given(st.integers(0, 2 ** 32))
 def test_coinvariants_of_seeded_actions(seed):
     rng = random.Random(seed)

@@ -211,6 +211,8 @@ def test_conjugation_by_pamap():
 
 def test_random_maps_satisfy_group_laws():
     rng = random.Random(1130)
+    # the third maps come from their own stream, so f and g stay as they were
+    third = random.Random(1131)
     for _ in range(25):
         ambient = rng.choice([1, 2])
         f = random_pamap(rng, ambient)
@@ -218,8 +220,13 @@ def test_random_maps_satisfy_group_laws():
         assert f.validate().passed
         ident = PAMap.identity(ambient)
         assert f.compose(f.invert()).same_map(ident)
+        assert f.invert().compose(f).same_map(ident)
         fg = f.compose(g)
         assert fg.validate().passed
         assert fg.invert().same_map(g.invert().compose(f.invert()))
+        h = random_pamap(third, ambient)
+        assert fg.compose(h).same_map(f.compose(g.compose(h)))
+        outside = fg.support().difference(f.support().union(g.support()))
+        assert outside.is_empty
         pt = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ambient))
         assert fg.apply(pt) == f.apply(g.apply(pt))

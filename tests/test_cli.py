@@ -1,7 +1,9 @@
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,10 @@ from modelk.defsets import make_block
 from modelk.jsonio import dumps, pamap_to_json
 
 CROSS = "ambient 2; pp(x1 = 0) | pp(x2 = 0)"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RINGS = ["fq:3", "fq:4", "fq:5", "fq:9", "z", "poly-char0", "poly:K",
+                "field:Q", "ed:R --unit-sum --t-closed",
+                "ed:S --unit-sum --cofinal-odd"]
 
 
 def run(capsys, *argv):
@@ -159,6 +165,28 @@ def test_k1_flag_validation(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_k1_rejects_malformed_ring_integers(capsys):
+    for token in ("fq:abc", "fq:"):
+        code, out, err = run(capsys, "k1", "--ring", token)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and repr(token) in err
+
+
+@pytest.mark.parametrize("spec", GOLDEN_RINGS)
+def test_symbolic_json_matches_golden_files(capsys, spec):
+    # tests/golden/*.json hold `modelk --json <command>` output; any change to
+    # the symbolic layer must leave these bytes alone
+    slug = re.sub(r"[^A-Za-z0-9]+", "-", spec).strip("-")
+    commands = {f"k1-{slug}": ["k1", "--ring", *spec.split()]}
+    for n in (1, 2, 3):
+        commands[f"omega-ab-{slug}-n{n}"] = [
+            "omega-ab", "--ring", *spec.split(), "--n", str(n)]
+    for name, argv in commands.items():
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
 def test_omega_ab(capsys):
     code, out, _ = run(capsys, "omega-ab", "--ring", "fq:4", "--n", "2")
     assert code == 0
@@ -220,6 +248,18 @@ def test_abelianize_catalogue_and_extended_specs(capsys):
     assert doc["order"] == 8 and doc["abelianization"] == [2, 2]
     code, _, err = run(capsys, "abelianize", "--group", "mystery:7")
     assert code == 1 and "error:" in err
+
+
+def test_abelianize_rejects_malformed_matrix_group_integers(capsys):
+    code, out, err = run(capsys, "abelianize", "--group", "gl:2:x")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'gl:2:x'" in err
+
+
+def test_abelianize_rejects_malformed_catalogue_integers(capsys):
+    code, out, err = run(capsys, "abelianize", "--group", "sym:x")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'sym:x'" in err
 
 
 # --- usage errors --------------------------------------------------------------------

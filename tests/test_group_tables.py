@@ -25,7 +25,6 @@ from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
 
-SEEDED = settings(derandomize=True, database=None, deadline=None)
 RINGS = [Zmod(m) for m in range(2, 10)] + [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
 # GL_3 fits the default cap over the rings of size 2 and 3 only
 MATRIX_CASES = [(n, R) for R in RINGS for n in (1, 2, 3) if n < 3 or R.size <= 3]
@@ -36,20 +35,19 @@ def _check_tables(G):
     assert [list(t) for t in G._generator_tables()] == by_products, G.name
 
 
-@SEEDED
 @given(st.integers(0, 2 ** 32))
 def test_tables_of_seeded_semidirect_products(seed):
     _check_tables(semidirect(random_semidirect_action(random.Random(seed))))
 
 
-@settings(SEEDED, max_examples=12)
+@settings(max_examples=12)
 @given(st.sampled_from(("cyclic:2", "cyclic:3", "cyclic:4", "sym:3")),
        st.integers(1, 3))
 def test_tables_of_wreath_products(base, k):
     _check_tables(wreath(by_name(base), k))
 
 
-@settings(SEEDED, max_examples=12)
+@settings(max_examples=12)
 @given(st.sampled_from(((1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8),
                         (2, 2), (2, 3))),
        st.integers(1, 2))
@@ -58,13 +56,13 @@ def test_tables_of_affine_groups(nq, copies):
     _check_tables(affine_group(n, GF(q), copies))
 
 
-@settings(SEEDED, max_examples=8)
+@settings(max_examples=8)
 @given(st.integers(2, 9))
 def test_tables_of_gl2_over_zmod(m):
     _check_tables(gl_group(2, Zmod(m)))
 
 
-@settings(SEEDED, max_examples=len(MATRIX_CASES))
+@settings(max_examples=len(MATRIX_CASES))
 @given(st.sampled_from(MATRIX_CASES))
 def test_code_tables_of_linear_groups(case):
     n, R = case
@@ -87,7 +85,7 @@ def _matrix_generators(draw):
     return draw(st.lists(matrix.filter(Mat.is_invertible), min_size=1, max_size=3))
 
 
-@settings(SEEDED, max_examples=60)
+@settings(max_examples=60)
 @given(_matrix_generators())
 def test_code_closure_order_matches_the_closure_on_matrices(gens):
     cap = 2000

@@ -14,8 +14,8 @@ from modelk.jsonio import (abgroup_from_json, abgroup_to_json,
                            dumps, k0_from_json, k0_to_json, pamap_from_json,
                            pamap_to_json, rat_from_json, rat_to_json)
 from modelk.suites import random_coset, random_pamap
-from modelk.symbolic import (COUNTABLE, RingDescriptor, k1_free_module,
-                             k1_truncation, units_of, zmod)
+from modelk.symbolic import (COUNTABLE, RingDescriptor, TheoryFlags,
+                             k1_free_module, k1_truncation, units_of, zmod)
 
 
 def test_rational_codec():
@@ -96,6 +96,24 @@ def test_abgroup_round_trip():
     assert mixed.multiplicity(units_of("field:K")) == COUNTABLE
     with pytest.raises(WorkbenchError):
         abgroup_from_json({"summands": [{"atom": "Mystery"}]})
+
+
+def test_abgroup_ring_keys_are_read_when_decoded():
+    for ring in ("mystery:x", "fq:abc", "fq:6"):
+        for atom in ({"atom": "UnitsOf", "ring": ring},
+                     {"atom": "GLab", "ring": ring, "n": 2}):
+            with pytest.raises(WorkbenchError):
+                abgroup_from_json({"summands": [atom]})
+    # the key does not carry the unit-sum declaration: the same bytes come
+    # back, over a domain that is no longer declared
+    flagged = RingDescriptor.abstract_ed("R", has_unit_sum=True)
+    g = k1_truncation(flagged, 2, TheoryFlags(True))
+    again = abgroup_from_json(abgroup_to_json(g))
+    assert abgroup_to_json(again) == abgroup_to_json(g)
+    assert again.multiplicity(units_of(RingDescriptor.abstract_ed("R"))) == 2
+    level_two = abgroup_from_json(
+        {"summands": [{"atom": "GLab", "ring": "ed:R", "n": 2}]})
+    assert level_two.pretty() == "GL_2(R)^ab"
 
 
 def test_dumps_is_byte_stable():

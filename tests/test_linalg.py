@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from modelk.cosets import AffineCoset
@@ -19,7 +19,6 @@ from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
 from modelk.linalg import mat_inv, null_space, rank, rank_mod_p, rref, solvable_mod_p
 
-SEEDED = settings(derandomize=True, database=None, deadline=None)
 PRIMES = (2, 3, 5, 7)
 
 
@@ -86,7 +85,6 @@ def _matrices(draw, entry=_ENTRY, max_rows=6, max_cols=7):
     return [rows[i] for i in order]
 
 
-@SEEDED
 @given(_matrices())
 def test_rref_and_rank_match_fraction_gauss_jordan(rows):
     expected_rows, expected_pivots = _oracle_rref(rows)
@@ -96,7 +94,6 @@ def test_rref_and_rank_match_fraction_gauss_jordan(rows):
     assert rank(rows) == len(expected_rows)
 
 
-@SEEDED
 @given(_matrices(entry=st.integers(-9, 9)), st.sampled_from(PRIMES))
 def test_rank_mod_p_matches_field_oracle(rows, p):
     got = rank_mod_p(rows, p)
@@ -104,7 +101,6 @@ def test_rank_mod_p_matches_field_oracle(rows, p):
     assert got <= rank(rows)
 
 
-@SEEDED
 @given(_matrices(entry=st.integers(-9, 9), max_cols=6), st.sampled_from(PRIMES),
        st.data())
 def test_solvable_mod_p_is_a_rank_comparison(coeff, p, data):
@@ -115,7 +111,6 @@ def test_solvable_mod_p_is_a_rank_comparison(coeff, p, data):
     assert solvable_mod_p(coeff, rhs, p) == expected
 
 
-@SEEDED
 @given(_matrices(max_rows=5, max_cols=5))
 def test_null_space_is_annihilated(rows):
     ncols = len(rows[0]) if rows else 0
@@ -179,7 +174,6 @@ def _blocks(draw):
     return carrier, holes
 
 
-@SEEDED
 @given(st.lists(_blocks(), min_size=1, max_size=2), st.sampled_from(PRIMES))
 def test_lattice_certificate_matches_all_subsets(parts, p):
     n = parts[0][0].ambient

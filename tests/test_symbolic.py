@@ -5,7 +5,7 @@ from modelk.matrices import Mat
 from modelk.rings import GF
 from modelk.symbolic import (COUNTABLE, UNDETERMINED, Atom, FormalAbGroup,
                              RingDescriptor, TheoryFlags, derive_flags,
-                             embedding_target, formal_equal, glab,
+                             embedding_target, glab,
                              k1_algebraic, k1_free_module, k1_truncation,
                              normalize_atom, ring_from_key,
                              truncation_consistency, truncation_levels,
@@ -42,10 +42,29 @@ def test_ring_keys_and_pretty():
     assert FIELD.key == "field:Q"
     ed = RingDescriptor.abstract_ed("R0", has_unit_sum=True)
     assert ed.key == "ed:R0"
-    for ring in (F5, POLY, ZZ, FIELD, ed):
+    for ring in (F5, POLY, ZZ, FIELD):
         assert ring_from_key(ring.key) == ring
+    # the key does not carry the unit-sum declaration
+    assert ring_from_key(ed.key) == RingDescriptor.abstract_ed("R0")
     with pytest.raises(WorkbenchError):
         ring_from_key("mystery:thing")
+
+
+def test_ring_token_grammar():
+    assert ring_from_key("poly-char0") == RingDescriptor.polynomial_ring("F")
+    for token in ("poly:", "poly"):
+        assert ring_from_key(token) == RingDescriptor.polynomial_ring("F")
+    assert ring_from_key("field:") == RingDescriptor.infinite_field("F")
+    assert ring_from_key("ed:") == RingDescriptor.abstract_ed("R")
+    assert ring_from_key("fq:9") == RingDescriptor.finite_field(9)
+    # an empty tag is the default tag in the factories too, so keys round-trip
+    for ring in (RingDescriptor.polynomial_ring(""),
+                 RingDescriptor.infinite_field(""),
+                 RingDescriptor.abstract_ed("")):
+        assert ring.tag in ("F", "R") and ring_from_key(ring.key) == ring
+    for bad in ("fq:abc", "fq:", "fq:6", "Z", "nonsense:9"):
+        with pytest.raises(WorkbenchError):
+            ring_from_key(bad)
 
 
 def test_unit_sum_facts():
@@ -111,12 +130,19 @@ def test_normalize_glab_over_abstract_rings():
     assert normalize_atom(glab(3, unknown)) == [units_of(unknown)]
 
 
-def test_latest_tag_declaration_wins():
-    RingDescriptor.abstract_ed("R5")
-    assert normalize_atom(glab(2, ring_from_key("ed:R5"))) == [
-        glab(2, RingDescriptor.abstract_ed("R5"))]
-    flagged = RingDescriptor.abstract_ed("R5", has_unit_sum=True)
-    assert normalize_atom(glab(2, flagged)) == [units_of(flagged)]
+def test_unit_sum_declaration_belongs_to_the_ring():
+    def level_two(ring):
+        return FormalAbGroup.from_atoms([glab(2, ring)]).pretty()
+
+    # each declaration is built both before and after the other one
+    for _ in range(2):
+        flagged = RingDescriptor.abstract_ed("R", has_unit_sum=True)
+        assert level_two(flagged) == "R^x"
+        plain = RingDescriptor.abstract_ed("R")
+        assert level_two(plain) == "GL_2(R)^ab"
+        assert level_two(flagged) == "R^x"
+        assert level_two(ring_from_key("ed:R")) == "GL_2(R)^ab"
+        assert level_two(flagged) == "R^x"
 
 
 # --- formal sums --------------------------------------------------------------
@@ -140,7 +166,7 @@ def test_formal_group_merging_and_saturation():
 def test_formal_equality_ignores_display():
     a = FormalAbGroup.from_atoms([zmod(2), zmod(4)], display="first")
     b = FormalAbGroup.from_atoms([zmod(4), zmod(2)], display="second")
-    assert formal_equal(a, b)
+    assert a == b
     assert a.pretty() == "first" and b.pretty() == "second"
     assert FormalAbGroup.from_atoms([zmod(2)]).pretty() == "Z_2"
 
@@ -182,7 +208,7 @@ def test_k1_branch_shapes_differ_per_level_not_in_total():
     a = k1_free_module(ed, TheoryFlags(True))
     b = k1_free_module(ed, TheoryFlags(False, False))
     # countable multiplicities absorb the extra parity summand
-    assert formal_equal(a, b)
+    assert a == b
     assert a.multiplicity(units_of(ed)) == COUNTABLE
     # but the truncations see the difference at every level
     # one extra parity summand at each of the n upper levels
