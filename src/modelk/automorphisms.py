@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cosets import NEG_INF, AffineCoset
 from .defsets import (Block, DefinableSet, block_intersect, block_subtract,
                       k0_class, make_block)
 from .errors import WorkbenchError
-from .linalg import frac_rows, mat_inv, mat_mul, mat_vec
+from .linalg import frac_rows, integer_affine, mat_inv, mat_mul, mat_vec
 from .report import VerificationReport
 
 
@@ -93,17 +94,35 @@ class AffineMap:
             rows.append(row + [other.offset[i] - self.offset[i]])
         return AffineCoset.from_rows(n, rows)
 
+    @cached_property
+    def _forward(self):
+        """This map as integers over a common denominator."""
+        return integer_affine(self.matrix, self.offset)
+
+    @cached_property
+    def _backward(self):
+        """The inverse map as integers over a common denominator."""
+        inv = mat_inv([list(r) for r in self.matrix])
+        return integer_affine(inv, [-x for x in mat_vec(inv, self.offset)])
+
     def image_coset(self, coset: AffineCoset) -> AffineCoset:
-        return coset.affine_image([list(r) for r in self.matrix], self.offset)
+        return coset.pullback(self._backward)
 
     def image_block(self, block: Block) -> Block:
-        moved = make_block(self.image_coset(block.carrier),
-                           [self.image_coset(h) for h in block.holes])
-        assert moved is not None  # affine bijections preserve nonemptiness
-        return moved
+        return _pull_block(block, self._backward)
+
+    def preimage_block(self, block: Block) -> Block:
+        return _pull_block(block, self._forward)
 
     def sort_key(self):
         return (self.matrix, self.offset)
+
+
+def _pull_block(block: Block, form) -> Block:
+    moved = make_block(block.carrier.pullback(form),
+                       [h.pullback(form) for h in block.holes])
+    assert moved is not None  # affine bijections preserve nonemptiness
+    return moved
 
 
 class PAMap:
@@ -206,10 +225,8 @@ class PAMap:
             raise WorkbenchError("composition needs equal domains")
         pieces = []
         for gb, gm in inner.pieces:
-            ginv = gm.inverse()
             for fb, fm in self.pieces:
-                pulled = ginv.image_block(fb)
-                part = block_intersect(gb, pulled)
+                part = block_intersect(gb, gm.preimage_block(fb))
                 if part is not None:
                     pieces.append((part, fm.compose(gm)))
         return PAMap(self.ambient, pieces)

@@ -9,6 +9,9 @@ suites (verify), and brute-force abelianization of catalogue groups
 Exit codes: 0 on success, 1 for a domain error or a failing verify run,
 2 for usage errors.  With --json all output is a single JSON document
 with sorted keys, so identical inputs give byte-identical output.
+
+Each command imports the layers it uses when it runs, so a command loads
+only those.
 """
 
 from __future__ import annotations
@@ -16,15 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import jsonio
-from .counting import count_points_mod_p
-from .defsets import boolean_normalize, definable_dim, definably_isomorphic, k0_class
 from .errors import WorkbenchError, int_token
-from .formulas import elaborate, parse_formula
-from .groups import DEFAULT_CAP, abelianization
-from .suites import SUITE_NAMES, run_suite
-from .symbolic import (RingDescriptor, TheoryFlags, k1_free_module,
-                       k1_truncation, ring_from_key, truncation_levels)
+from .groups import DEFAULT_CAP
+
+# the names of `suites.SUITE_NAMES`, kept here so that the parser does not
+# load every layer (a test checks that the two agree)
+SUITE_NAMES = ("ed", "gl", "lift", "perm", "semiab", "truncation", "wreath")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ring_and_flags(args) -> tuple[RingDescriptor, TheoryFlags | None]:
+def _ring_and_flags(args):
+    from .symbolic import RingDescriptor, TheoryFlags, ring_from_key
+
     ring = ring_from_key(args.ring)
     if ring.kind == "abstract-ed" and args.unit_sum:
         ring = RingDescriptor.abstract_ed(ring.tag, has_unit_sum=True)
@@ -133,16 +135,20 @@ def _resolve_group(spec: str, cap: int):
 
 def _emit(args, json_obj: dict, text: str) -> None:
     if args.json:
-        sys.stdout.write(jsonio.dumps(json_obj))
+        from .jsonio import dumps
+
+        sys.stdout.write(dumps(json_obj))
     else:
         print(text)
 
 
 def _load_pamap(path: str):
-    import json as _json
+    import json
+
+    from .jsonio import pamap_from_json
 
     raw = sys.stdin.read() if path == "-" else open(path).read()
-    return jsonio.pamap_from_json(_json.loads(raw))
+    return pamap_from_json(json.loads(raw))
 
 
 def _dim_json(value):
@@ -153,19 +159,30 @@ def _dim_text(value) -> str:
     return "-inf (empty)" if value == float("-inf") else str(value)
 
 
+def _normal_form(formula):
+    from .defsets import boolean_normalize
+    from .formulas import elaborate
+
+    return boolean_normalize(elaborate(formula), formula.ambient)
+
+
 def _cmd_k0(args) -> int:
-    formula = parse_formula(args.formula)
-    d = boolean_normalize(elaborate(formula), formula.ambient)
-    cls = k0_class(d)
-    _emit(args, dict(jsonio.k0_to_json(cls), pretty=cls.pretty()), cls.pretty())
+    from .defsets import k0_class
+    from .formulas import parse_formula
+    from .jsonio import k0_to_json
+
+    cls = k0_class(_normal_form(parse_formula(args.formula)))
+    _emit(args, dict(k0_to_json(cls), pretty=cls.pretty()), cls.pretty())
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .defsets import k0_class
+    from .formulas import parse_formula
+
     left = parse_formula(args.left)
     right = parse_formula(args.right)
-    dl = boolean_normalize(elaborate(left), left.ambient)
-    dr = boolean_normalize(elaborate(right), right.ambient)
+    dl, dr = _normal_form(left), _normal_form(right)
     cl, cr = k0_class(dl), k0_class(dr)
     iso = cl == cr
     _emit(args,
@@ -177,8 +194,10 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    formula = parse_formula(args.formula)
-    d = boolean_normalize(elaborate(formula), formula.ambient)
+    from .defsets import definable_dim
+    from .formulas import parse_formula
+
+    d = _normal_form(parse_formula(args.formula))
     value = definable_dim(d)
     _emit(args, {"dim": _dim_json(value), "empty": d.is_empty},
           _dim_text(value))
@@ -186,6 +205,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import count_points_mod_p
+    from .formulas import elaborate, parse_formula
+
     formula = parse_formula(args.formula)
     rep = count_points_mod_p(elaborate(formula), args.prime)
     text = (f"{rep.count} points mod {rep.prime}; "
@@ -196,6 +218,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from . import jsonio
+
     f = _load_pamap(args.mapfile)
     if args.action == "validate":
         rep = f.validate()
@@ -230,6 +254,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_k1(args) -> int:
+    from .symbolic import k1_free_module
+
     ring, flags = _ring_and_flags(args)
     group = k1_free_module(ring, flags=flags, free_rank=args.free_rank)
     _emit(args, dict(group.to_json(), pretty=group.pretty()), group.pretty())
@@ -237,6 +263,8 @@ def _cmd_k1(args) -> int:
 
 
 def _cmd_omega_ab(args) -> int:
+    from .symbolic import k1_truncation, truncation_levels
+
     ring, flags = _ring_and_flags(args)
     levels = truncation_levels(ring, args.n, flags)
     group = k1_truncation(ring, args.n, flags)
@@ -256,12 +284,16 @@ def _cmd_omega_ab(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_suite
+
     rep = run_suite(args.suite, seed=args.seed, cases=args.cases, cap=args.cap)
     _emit(args, rep.to_json(), str(rep))
     return 0 if rep.passed else 1
 
 
 def _cmd_abelianize(args) -> int:
+    from .groups import abelianization
+
     G = _resolve_group(args.group, args.cap)
     ab = abelianization(G)
     _emit(args,

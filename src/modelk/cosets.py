@@ -1,18 +1,31 @@
 """Affine cosets of Q^n: solution sets of rational linear systems.
 
-A coset is stored as the reduced row echelon form of its augmented system
-[A | b], which is a canonical representative: two cosets are equal as sets
-exactly when their stored rows coincide.  The empty set is a distinguished
+A coset stores one canonical form of its augmented system [A | b]: the rows
+of the reduced row echelon form, each scaled to the primitive integer row
+whose pivot entry is positive, kept with their pivot columns.  The form is
+as canonical as the rational RREF, so two cosets are equal as sets exactly
+when their stored rows coincide, and equality and hashing compare
+integers.  Every constructor ends in one canonicalizing step, mostly one
+elimination (`linalg._eliminate`) whose rows get their signs fixed.
+
+Intersection and the subset test reduce one coset's rows against the
+other's stored basis (`linalg.reduce_row`), and affine images and
+preimages are computed on integer rows, so none of them builds a Fraction.
+The rational RREF rows (`rows`) are derived when asked for, for sorting,
+printing and JSON, and are not stored.  The empty set is a distinguished
 value per ambient dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import WorkbenchError
-from .linalg import frac_rows, integer_row, mat_inv, mat_vec, null_space, rref
+from .linalg import (_eliminate, frac_rows, integer_affine, integer_row,
+                     mat_inv, mat_vec, null_space, primitive, rational_row,
+                     reduce_row)
 
 NEG_INF = float("-inf")
 
@@ -23,11 +36,26 @@ def _as_fraction_tuple(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
+def _canonical(ambient: int, rows) -> "AffineCoset":
+    """The coset of primitive integer augmented rows: one elimination, then
+    each row negated if its pivot entry is negative."""
+    m, pivots = _eliminate(rows)
+    if pivots and pivots[-1] == ambient:  # a row 0 = b with b != 0
+        return AffineCoset(ambient, (), True)
+    basis = tuple(tuple(row) if row[c] > 0 else tuple(-x for x in row)
+                  for row, c in zip(m, pivots))
+    return AffineCoset(ambient, basis, False, tuple(pivots))
+
+
+@dataclass(frozen=True, slots=True)
 class AffineCoset:
+    """Build cosets with the static constructors; the fields hold the
+    canonical form described in the module docstring."""
+
     ambient: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
+    basis: tuple[tuple[int, ...], ...] = ()
     empty: bool = False
+    pivots: tuple[int, ...] = field(default=(), compare=False)
 
     @staticmethod
     def from_rows(ambient: int, rows) -> "AffineCoset":
@@ -35,10 +63,7 @@ class AffineCoset:
         for row in rows:
             if len(row) != ambient + 1:
                 raise WorkbenchError(f"row length {len(row)} != ambient {ambient} + 1")
-        reduced, pivots = rref(rows)
-        if ambient in pivots:
-            return AffineCoset(ambient, (), True)
-        return AffineCoset(ambient, tuple(map(tuple, reduced)))
+        return _canonical(ambient, [integer_row(row) for row in rows])
 
     @staticmethod
     def from_equations(ambient: int, equations) -> "AffineCoset":
@@ -58,30 +83,29 @@ class AffineCoset:
     def single_point(point) -> "AffineCoset":
         point = _as_fraction_tuple(point)
         n = len(point)
-        rows = []
+        basis = []
         for i, v in enumerate(point):
-            row = [Fraction(0)] * (n + 1)
-            row[i] = Fraction(1)
-            row[n] = v
-            rows.append(row)
-        return AffineCoset.from_rows(n, rows)
+            row = [0] * (n + 1)
+            row[i], row[n] = v.denominator, v.numerator  # coprime: primitive
+            basis.append(tuple(row))
+        return AffineCoset(n, tuple(basis), False, tuple(range(n)))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational RREF rows, built on each use and not stored."""
+        return tuple(tuple(rational_row(row, row[c]))
+                     for row, c in zip(self.basis, self.pivots))
 
     @property
     def dim(self):
         """Affine dimension; -inf for the empty set."""
         if self.empty:
             return NEG_INF
-        return self.ambient - len(self.rows)
+        return self.ambient - len(self.basis)
 
     @property
     def is_full(self) -> bool:
-        return not self.empty and not self.rows
-
-    def coefficient_rows(self) -> list[list[Fraction]]:
-        return [list(r[:-1]) for r in self.rows]
-
-    def rhs(self) -> list[Fraction]:
-        return [r[-1] for r in self.rows]
+        return not self.empty and not self.basis
 
     def contains(self, point) -> bool:
         if self.empty:
@@ -89,20 +113,42 @@ class AffineCoset:
         point = _as_fraction_tuple(point)
         if len(point) != self.ambient:
             raise WorkbenchError("point has wrong ambient dimension")
-        return all(sum((a * x for a, x in zip(row, point)), Fraction(0)) == row[-1]
-                   for row in self.rows)
+        # map stops at the shorter point, so each sum leaves out the rhs
+        return all(sum(map(mul, row, point)) == row[-1] for row in self.basis)
 
     def intersect(self, other: "AffineCoset") -> "AffineCoset":
+        """The rows of the coset with fewer rows are reduced against the
+        other's basis.  Without a residue the other coset is the answer; a
+        residue 0 = c with c != 0 makes it empty; otherwise only the basis
+        and the residues are eliminated."""
         if self.ambient != other.ambient:
             raise WorkbenchError("ambient mismatch")
         if self.empty or other.empty:
             return AffineCoset.empty_set(self.ambient)
-        return AffineCoset.from_rows(self.ambient, self.rows + other.rows)
+        big, small = ((self, other) if len(self.basis) >= len(other.basis)
+                      else (other, self))
+        residues = []
+        for row in small.basis:
+            residue = reduce_row(row, big.basis, big.pivots)
+            if residue is not None:
+                if not any(residue[:-1]):
+                    return AffineCoset.empty_set(self.ambient)
+                residues.append(residue)
+        if not residues:
+            return big
+        return _canonical(self.ambient, [*big.basis, *residues])
 
     def is_subset(self, other: "AffineCoset") -> bool:
+        """A nonempty coset lies in another exactly when every equation of
+        the other is a combination of its own augmented rows."""
+        if self.ambient != other.ambient:
+            raise WorkbenchError("ambient mismatch")
         if self.empty:
             return True
-        return self.intersect(other) == self
+        if other.empty or len(other.basis) > len(self.basis):
+            return False
+        return all(reduce_row(row, self.basis, self.pivots) is None
+                   for row in other.basis)
 
     def is_proper_subset(self, other: "AffineCoset") -> bool:
         return self != other and self.is_subset(other)
@@ -112,53 +158,56 @@ class AffineCoset:
         if self.empty:
             raise WorkbenchError("empty coset has no points")
         point = [Fraction(0)] * self.ambient
-        pivots = [next(i for i, x in enumerate(row[:-1]) if x != 0) for row in self.rows]
-        for row, p in zip(self.rows, pivots):
-            point[p] = row[-1]
+        for row, p in zip(self.basis, self.pivots):
+            point[p] = Fraction(row[-1], row[p])
         return tuple(point)
 
     def direction_basis(self) -> list[list[Fraction]]:
         """Basis of the parallel linear subspace {x : Ax = 0}."""
         if self.empty:
             raise WorkbenchError("empty coset has no directions")
-        return null_space(self.coefficient_rows(), self.ambient)
+        return null_space([row[:-1] for row in self.basis], self.ambient)
 
     def translate(self, vector) -> "AffineCoset":
+        """The coset moved by a vector: each row keeps its coefficients up
+        to a positive factor, so no elimination is needed."""
         if self.empty:
             return self
         vector = _as_fraction_tuple(vector)
         moved = []
-        for row in self.rows:
-            shift = sum((a * v for a, v in zip(row, vector)), Fraction(0))
-            moved.append(tuple(row[:-1]) + (row[-1] + shift,))
-        return AffineCoset(self.ambient, tuple(moved))
+        for row in self.basis:
+            rhs = row[-1] + sum(map(mul, row, vector), Fraction(0))
+            moved.append(tuple(primitive(
+                [a * rhs.denominator for a in row[:-1]] + [rhs.numerator])))
+        return AffineCoset(self.ambient, tuple(moved), False, self.pivots)
+
+    def pullback(self, form) -> "AffineCoset":
+        """Preimage under x -> (P x + q) / d, for form = (P, q, d) as
+        `linalg.integer_affine` gives it: a . (P x + q) / d = b becomes the
+        integer row (a P) x = d b - a . q."""
+        if self.empty:
+            return self
+        matrix, offset, d = form
+        cols = list(zip(*matrix))
+        rows = [primitive([sum(map(mul, row, col)) for col in cols]
+                          + [d * row[-1] - sum(map(mul, row, offset))])
+                for row in self.basis]
+        return _canonical(self.ambient, rows)
 
     def affine_image(self, matrix, offset) -> "AffineCoset":
-        """Image under x -> Mx + c with M invertible."""
+        """Image under x -> Mx + c with M invertible: the preimage under
+        y -> M^-1 y - M^-1 c."""
         if self.empty:
             return self
         minv = mat_inv(matrix)
-        offset = _as_fraction_tuple(offset)
-        a = self.coefficient_rows()
-        new_coeff = [mat_vec(list(zip(*minv)), row) for row in a]  # row * M^-1
-        rows = []
-        for row, old in zip(new_coeff, self.rows):
-            shift = sum((x * c for x, c in zip(row, offset)), Fraction(0))
-            rows.append(list(row) + [old[-1] + shift])
-        return AffineCoset.from_rows(self.ambient, rows)
+        shift = [-x for x in mat_vec(minv, _as_fraction_tuple(offset))]
+        return self.pullback(integer_affine(minv, shift))
 
     def affine_preimage(self, matrix, offset) -> "AffineCoset":
         """Preimage under x -> Mx + c (M invertible)."""
         if self.empty:
             return self
-        matrix = frac_rows(matrix)
-        offset = _as_fraction_tuple(offset)
-        rows = []
-        for row in self.rows:
-            coeff = mat_vec(list(zip(*matrix)), list(row[:-1]))  # row * M
-            shift = sum((a * c for a, c in zip(row, offset)), Fraction(0))
-            rows.append(list(coeff) + [row[-1] - shift])
-        return AffineCoset.from_rows(self.ambient, rows)
+        return self.pullback(integer_affine(matrix, offset))
 
     def project(self, keep: int) -> "AffineCoset":
         """Image under projection to the first `keep` coordinates."""
@@ -166,33 +215,34 @@ class AffineCoset:
             raise WorkbenchError(f"cannot keep {keep} of {self.ambient} coordinates")
         if self.empty:
             return AffineCoset.empty_set(keep)
-        rows = [list(r) for r in self.rows]
+        rows = list(self.basis)
         for col in range(self.ambient - 1, keep - 1, -1):
-            pivot = next((i for i in range(len(rows)) if rows[i][col] != 0), None)
+            pivot = next((i for i, row in enumerate(rows) if row[col]), None)
             if pivot is None:
                 continue
             prow = rows.pop(pivot)
-            for row in rows:
-                if row[col] != 0:
-                    f = row[col] / prow[col]
-                    for j in range(len(row)):
-                        row[j] -= f * prow[j]
-        trimmed = [row[:keep] + [row[-1]] for row in rows]
-        return AffineCoset.from_rows(keep, trimmed)
+            pv = prow[col]
+            rows = [[pv * a - row[col] * b for a, b in zip(row, prow)]
+                    if row[col] else row for row in rows]
+        return _canonical(keep, [primitive([*row[:keep], row[-1]])
+                                 for row in rows])
 
     def product(self, other: "AffineCoset") -> "AffineCoset":
+        """The rows of both factors, padded, are already canonical."""
         n, m = self.ambient, other.ambient
         if self.empty or other.empty:
             return AffineCoset.empty_set(n + m)
-        rows = [list(r[:-1]) + [Fraction(0)] * m + [r[-1]] for r in self.rows]
-        rows += [[Fraction(0)] * n + list(r[:-1]) + [r[-1]] for r in other.rows]
-        return AffineCoset.from_rows(n + m, rows)
+        basis = [row[:-1] + (0,) * m + row[-1:] for row in self.basis]
+        basis += [(0,) * n + row for row in other.basis]
+        return AffineCoset(n + m, tuple(basis), False,
+                           self.pivots + tuple(n + c for c in other.pivots))
 
     def embed(self, ambient: int, tail=None) -> "AffineCoset":
         """Include into a larger space by pinning the new coordinates.
 
         With tail omitted the new coordinates are pinned to zero, matching
-        the standard inclusion a -> (a, 0).
+        the standard inclusion a -> (a, 0).  The pinning rows have their
+        pivots in the new columns, so the result is already canonical.
         """
         extra = ambient - self.ambient
         if extra < 0:
@@ -204,26 +254,26 @@ class AffineCoset:
         tail = _as_fraction_tuple(tail if tail is not None else [0] * extra)
         if len(tail) != extra:
             raise WorkbenchError("tail length mismatch")
-        rows = [list(r[:-1]) + [Fraction(0)] * extra + [r[-1]] for r in self.rows]
+        basis = [row[:-1] + (0,) * extra + row[-1:] for row in self.basis]
         for i, v in enumerate(tail):
-            row = [Fraction(0)] * (ambient + 1)
-            row[self.ambient + i] = Fraction(1)
-            row[-1] = v
-            rows.append(row)
-        return AffineCoset.from_rows(ambient, rows)
+            row = [0] * (ambient + 1)
+            row[self.ambient + i], row[-1] = v.denominator, v.numerator
+            basis.append(tuple(row))
+        return AffineCoset(ambient, tuple(basis), False,
+                           self.pivots + tuple(range(self.ambient, ambient)))
 
     def integer_rows(self) -> list[list[int]]:
-        """Denominator-cleared augmented rows, primitive per row."""
-        return [integer_row(r) for r in self.rows]
+        """The stored rows: primitive, with a positive pivot entry."""
+        return [list(row) for row in self.basis]
 
     @property
     def sort_key(self):
-        return (self.ambient, 1 if self.empty else 0, len(self.rows), self.rows)
+        return (self.ambient, 1 if self.empty else 0, len(self.basis), self.rows)
 
     def pretty(self) -> str:
         if self.empty:
             return "(empty)"
-        if not self.rows:
+        if not self.basis:
             return f"Q^{self.ambient}"
         terms = []
         for row in self.rows:

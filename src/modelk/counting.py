@@ -110,15 +110,22 @@ def _leaf_holds(leaf_mod_p, point, p: int) -> bool:
     return solvable_mod_p(ybl, shifted, p)
 
 
-def _expr_holds(expr, truth) -> bool:
+def _compile(expr, p: int):
+    """The boolean tree as one function of a point of F_p^n, built once per
+    count.  Each leaf is reduced mod p here, and And and Or evaluate their
+    right side only when the left does not decide."""
     if isinstance(expr, Leaf):
-        return truth[id(expr)]
+        leaf = _leaf_mod_p(expr.payload, p)
+        return lambda point: _leaf_holds(leaf, point, p)
     if isinstance(expr, Not):
-        return not _expr_holds(expr.child, truth)
+        child = _compile(expr.child, p)
+        return lambda point: not child(point)
     if isinstance(expr, And):
-        return _expr_holds(expr.left, truth) and _expr_holds(expr.right, truth)
+        left, right = _compile(expr.left, p), _compile(expr.right, p)
+        return lambda point: left(point) and right(point)
     if isinstance(expr, Or):
-        return _expr_holds(expr.left, truth) or _expr_holds(expr.right, truth)
+        left, right = _compile(expr.left, p), _compile(expr.right, p)
+        return lambda point: left(point) or right(point)
     raise WorkbenchError(f"not a boolean expression node: {expr!r}")
 
 
@@ -147,16 +154,14 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     good = all(_leaf_rank_pattern_ok(s, p) for s in systems)
     good = good and _lattice_ranks_ok(normal, p)
 
+    holds = _compile(expr, p)
     block_rows = [(_rows_mod_p(b.carrier.integer_rows(), p),
                    [_rows_mod_p(h.integer_rows(), p) for h in b.holes])
                   for b in normal.blocks]
-    leaves = [(id(leaf), _leaf_mod_p(leaf.payload, p))
-              for leaf in expr_leaves(expr)]
 
     count = 0
     for point in itertools.product(range(p), repeat=ambient):
-        truth = {key: _leaf_holds(leaf, point, p) for key, leaf in leaves}
-        raw = _expr_holds(expr, truth)
+        raw = holds(point)
         if raw:
             count += 1
         hits = 0

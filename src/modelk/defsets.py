@@ -299,33 +299,27 @@ class K0Class:
         return " ".join(terms)
 
 
-def _hole_intersections(carrier: AffineCoset, holes):
-    """Map from index subsets to their nonempty intersections with the
-    carrier.  Subsets are grown by one larger index at a time, and only from
-    nonempty intersections: every superset of an empty one is empty."""
+def block_class(block: Block) -> K0Class:
+    """Inclusion-exclusion over the nonempty intersections of the carrier
+    with subsets of holes: a subset of size k adds (-1)^k X^dim.  Subsets
+    are grown by one larger index at a time, and only from nonempty
+    intersections, since every superset of an empty one is empty.  The walk
+    is depth first and adds each term as its subset is reached, so it holds
+    only the intersections along one chain of subsets and their siblings."""
+    holes = block.holes
     if len(holes) > _HOLE_LIMIT:
         raise CapExceededError(f"more than {_HOLE_LIMIT} holes in one block")
-    frontier = [] if carrier.empty else [((), carrier)]
-    table = dict(frontier)
-    while frontier:
-        grown = []
-        for subset, coset in frontier:
-            for i in range(subset[-1] + 1 if subset else 0, len(holes)):
-                meet = coset.intersect(holes[i])
-                if not meet.empty:
-                    grown.append((subset + (i,), meet))
-        table.update(grown)
-        frontier = grown
-    return table
-
-
-def block_class(block: Block) -> K0Class:
-    table = _hole_intersections(block.carrier, block.holes)
-    total = K0Class.zero()
-    for subset, coset in table.items():
-        sign = -1 if len(subset) % 2 else 1
-        total = total + K0Class.monomial(coset.dim, sign)
-    return total
+    coeffs = [0] * (block.ambient + 1)
+    # (largest hole index in the subset, intersection, (-1)^size)
+    stack = [] if block.carrier.empty else [(-1, block.carrier, 1)]
+    while stack:
+        last, coset, sign = stack.pop()
+        coeffs[coset.dim] += sign
+        for i in range(last + 1, len(holes)):
+            meet = coset.intersect(holes[i])
+            if not meet.empty:
+                stack.append((i, meet, -sign))
+    return K0Class.make(coeffs)
 
 
 def k0_class(d: DefinableSet) -> K0Class:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .automorphisms import AffineMap, PAMap
 from .cosets import AffineCoset
 from .defsets import Block, DefinableSet, K0Class, make_block
 from .errors import WorkbenchError
-from .symbolic import (COUNTABLE, UNDETERMINED, Atom, FormalAbGroup, glab,
-                       units_of, zmod)
+
+if TYPE_CHECKING:  # the symbolic layer loads only to decode its values
+    from .symbolic import Atom, FormalAbGroup
 
 # rationals ------------------------------------------------------------------
 
@@ -133,6 +135,8 @@ def abgroup_to_json(g: FormalAbGroup) -> dict:
 
 
 def _atom_from_json(d: dict) -> Atom:
+    from .symbolic import UNDETERMINED, glab, units_of, zmod
+
     kind = d["atom"]
     if kind == "Zmod":
         return zmod(d["k"])
@@ -146,6 +150,8 @@ def _atom_from_json(d: dict) -> Atom:
 
 
 def abgroup_from_json(d: dict) -> FormalAbGroup:
+    from .symbolic import COUNTABLE, FormalAbGroup
+
     pairs = []
     for s in d.get("summands", []):
         mult = s.get("mult", 1)

@@ -2,11 +2,16 @@
 
 Matrices are lists of row lists.  Everything here is small and dense.  One
 elimination loop serves every routine that eliminates: rational rows are
-scaled to integer rows once, Gauss-Jordan runs on integers by
+scaled to primitive integer rows once, Gauss-Jordan runs on integers by
 cross-multiplication, and each updated row is divided by its content (over
 Q) or reduced mod p (over F_p).  Fractions are built only for the final
 reduced rows, so the cost is integer arithmetic rather than a gcd per
 Fraction operation.
+
+`cosets` keeps the eliminated rows themselves, sign-fixed so that each
+pivot entry is positive: `reduce_row` tests a row against such a basis, and
+`integer_affine` puts an affine map's data over one common denominator, so
+that a coset's preimage is computed on integers too.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ def frac_rows(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def primitive(ints: list[int]) -> list[int]:
+    """An integer row divided by its content (a zero row stays zero)."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def integer_row(row) -> list[int]:
     """A rational row scaled by the lcm of its denominators, then divided by
     its content: the primitive integer row on the same line."""
@@ -30,11 +41,8 @@ def integer_row(row) -> list[int]:
         return integer_row([Fraction(x) for x in row])
     den = lcm(*dens)
     if den == 1:
-        ints = [x.numerator for x in row]
-    else:
-        ints = [x.numerator * (den // d) for x, d in zip(row, dens)]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+        return primitive([x.numerator for x in row])
+    return primitive([x.numerator * (den // d) for x, d in zip(row, dens)])
 
 
 def _eliminate(rows: list[list[int]], p: int | None = None):
@@ -79,18 +87,40 @@ def _eliminate(rows: list[list[int]], p: int | None = None):
     return m[:r], pivots
 
 
+def reduce_row(row, basis, pivots) -> list[int] | None:
+    """The primitive residue of an integer row against an echelon basis, or
+    None when the row lies in the basis's span.
+
+    The basis rows are eliminated integer rows (as `_eliminate` returns
+    them): row i is zero at every pivot column but pivots[i].  Clearing the
+    row at each pivot column by cross-multiplication therefore never
+    refills a column already cleared, so one pass leaves a row that is zero
+    at every pivot column, and zero everywhere exactly when the row is a
+    combination of the basis rows."""
+    for prow, c in zip(basis, pivots):
+        f = row[c]
+        if f:
+            pv = prow[c]
+            row = [pv * a - f * b for a, b in zip(row, prow)]
+    return primitive(row) if any(row) else None
+
+
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def rational_row(row, pivot: int) -> list[Fraction]:
+    """An integer row divided by its pivot entry; zeros and ones share one
+    Fraction each."""
+    return [_ZERO if not x else _ONE if x == pivot else Fraction(x, pivot)
+            for x in row]
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Entries may be ints, Fractions or anything Fraction accepts.  Each
-    eliminated integer row is divided by its pivot entry; zeros and ones
-    share one Fraction each."""
+    Entries may be ints, Fractions or anything Fraction accepts."""
     m, pivots = _eliminate([integer_row(row) for row in rows])
-    return [[_ZERO if not x else _ONE if x == row[c] else Fraction(x, row[c])
-             for x in row] for row, c in zip(m, pivots)], pivots
+    return [rational_row(row, row[c]) for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -130,6 +160,17 @@ def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots != list(range(n)):
         raise WorkbenchError("matrix is singular over Q")
     return [row[n:] for row in reduced]
+
+
+def integer_affine(matrix, offset):
+    """The map x -> M x + c as integers (P, q, d) with M = P / d and
+    c = q / d, d > 0 the lcm of every denominator."""
+    matrix = frac_rows(matrix)
+    offset = [Fraction(x) for x in offset]
+    d = lcm(*(x.denominator for row in matrix for x in row),
+            *(x.denominator for x in offset))
+    return ([[x.numerator * (d // x.denominator) for x in row] for row in matrix],
+            [x.numerator * (d // x.denominator) for x in offset], d)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -362,6 +362,10 @@ def k1_free_module(ring: RingDescriptor, flags: TheoryFlags | None = None,
     the countably generated module), and the integers as a module over
     themselves (rank one).
     """
+    if isinstance(free_rank, int) and free_rank < 1:
+        raise WorkbenchError(
+            f"free rank {free_rank} is not a module rank: give 1 over the "
+            f"integers, or {COUNTABLE!r} (the default) over the other rings")
     if ring.kind == "integers":
         if free_rank not in (None, 1):
             raise UnsupportedRingError(

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modelk.automorphisms import AffineMap, PAMap
-from modelk.cli import main
+from modelk.cli import SUITE_NAMES, main
 from modelk.cosets import AffineCoset
 from modelk.defsets import make_block
 from modelk.jsonio import dumps, pamap_to_json
@@ -147,6 +149,15 @@ def test_k1_over_the_integers(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("ring", ["z", "fq:5"])
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_k1_rejects_free_ranks_below_one(capsys, ring, rank):
+    code, out, err = run(capsys, "k1", "--ring", ring, "--free-rank", rank)
+    assert code == 1 and not out
+    assert err.startswith(f"error: free rank {rank} is not a module rank")
+    assert "rank 2 or more" not in err
+
+
 def test_k1_rejects_f2_and_flagless_domains(capsys):
     code, _, err = run(capsys, "k1", "--ring", "fq:2")
     assert code == 1 and "error:" in err
@@ -210,6 +221,12 @@ def test_omega_ab_cofinal_odd(capsys):
 
 
 # --- verification suites -----------------------------------------------------------
+
+def test_cli_suite_names_are_the_suites():
+    from modelk.suites import SUITE_NAMES as names
+
+    assert SUITE_NAMES == names
+
 
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "perm")
@@ -278,3 +295,42 @@ def test_json_output_is_byte_stable(capsys):
     code2, second, _ = run(capsys, "--json", "k0", CROSS)
     assert (code, code2) == (0, 0) and first == second
     assert first.endswith("\n")
+
+
+# --- the package and its entry point ------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
+def test_bare_package_import_loads_no_layer():
+    loaded = _python("-c", "import modelk, sys; "
+                     "print(sorted(m for m in sys.modules if m.startswith('modelk.')))")
+    assert loaded.returncode == 0 and loaded.stdout.strip() == "[]"
+    names = _python("-c", "import modelk; "
+                    "print(all(getattr(modelk, n) is not None for n in modelk.__all__))")
+    assert names.stdout.strip() == "True"
+
+
+def test_public_names_come_from_their_layers():
+    import modelk
+    from modelk import AffineCoset as lazy
+
+    assert lazy is AffineCoset
+    assert "count_points_mod_p" in dir(modelk)
+    with pytest.raises(AttributeError):
+        modelk.no_such_name
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    done = _python("-m", "modelk", "--json", "k0", CROSS)
+    assert done.returncode == 0
+    assert main(["--json", "k0", CROSS]) == 0
+    assert done.stdout == capsys.readouterr().out
+    failed = _python("-m", "modelk", "k1", "--ring", "z", "--free-rank", "0")
+    assert failed.returncode == 1 and failed.stderr.startswith("error:")

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from modelk import counting
 from modelk.counting import count_points_mod_p
 from modelk.cosets import AffineCoset, LinearSystem
-from modelk.defsets import And, Leaf, Not, Or
+from modelk.defsets import And, Leaf, Not, Or, boolean_normalize, expr_leaves
 from modelk.errors import WorkbenchError
+from modelk.linalg import solvable_mod_p
 from modelk.suites import random_expression
 
 
@@ -110,3 +113,58 @@ def test_good_prime_bridge_on_seeded_expressions():
                 assert rep.count == rep.predicted, (expr, p)
     assert runs == 120
     assert good > runs // 2  # bad primes exist but are the exception
+
+
+def _holds_at(expr, point, p):
+    """The boolean tree evaluated at one point, each leaf by a mod-p solve."""
+    if isinstance(expr, Leaf):
+        s = expr.payload
+        n = s.ambient
+        shifted = [int(row[-1] - sum(a * x for a, x in zip(row[:n], point))) % p
+                   for row in s.rows]
+        ybl = [[int(v) % p for v in row[n:-1]] for row in s.rows]
+        return solvable_mod_p(ybl, shifted, p) if s.bound else not any(shifted)
+    if isinstance(expr, Not):
+        return not _holds_at(expr.child, point, p)
+    if isinstance(expr, And):
+        return _holds_at(expr.left, point, p) and _holds_at(expr.right, point, p)
+    return _holds_at(expr.left, point, p) or _holds_at(expr.right, point, p)
+
+
+def _in_rows(coset, point, p):
+    return all((sum(a * x for a, x in zip(row, point)) - row[-1]) % p == 0
+               for row in coset.integer_rows())
+
+
+def _count_point_by_point(expr, p):
+    """(count, good) from a walk over the points: the tree walked at each
+    point with every leaf decided, and condition (c) as hits of the reduced
+    blocks at each point."""
+    ambient = expr_leaves(expr)[0].payload.ambient
+    normal = boolean_normalize(expr, ambient)
+    good = (all(counting._leaf_rank_pattern_ok(leaf.payload, p)
+                for leaf in expr_leaves(expr))
+            and counting._lattice_ranks_ok(normal, p))
+    count = 0
+    for point in itertools.product(range(p), repeat=ambient):
+        raw = _holds_at(expr, point, p)
+        count += raw
+        hits = sum(_in_rows(b.carrier, point, p)
+                   and not any(_in_rows(h, point, p) for h in b.holes)
+                   for b in normal.blocks)
+        if hits > 1 or (hits == 1) != raw:
+            good = False
+    return count, good
+
+
+def test_compiled_tree_matches_a_walk_of_the_tree():
+    rng = random.Random(4343)
+    flags = set()
+    for _ in range(60):
+        ambient = rng.randint(1, 3)
+        expr = random_expression(rng, ambient)
+        for p in (2, 3, 5):
+            rep = count_points_mod_p(expr, p)
+            assert (rep.count, rep.good_prime) == _count_point_by_point(expr, p)
+            flags.add(rep.good_prime)
+    assert flags == {True, False}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from modelk.defsets import (And, DefinableSet, K0Class, Leaf, Not, Or,
                             block_class, boolean_normalize, definable_dim,
                             definably_isomorphic, k0_class, make_block,
                             shift_witness, witness_point)
-from modelk.errors import WorkbenchError
+from modelk.errors import CapExceededError, WorkbenchError
 from modelk.suites import random_coset, random_expression, random_point
 
 F = Fraction
@@ -142,6 +143,43 @@ def test_block_class_inclusion_exclusion():
     b = make_block(carrier, [l1, l2])
     # X^2 - 2X + 1: plane minus two lines meeting at a point
     assert block_class(b) == K0Class.make([1, -2, 1])
+
+
+def _class_over_all_subsets(block):
+    """Inclusion-exclusion over every subset of holes, each intersection
+    stacked from the rational rows."""
+    coeffs = [0] * (block.ambient + 1)
+    for size in range(len(block.holes) + 1):
+        for subset in itertools.combinations(block.holes, size):
+            rows = [r for c in (block.carrier, *subset) for r in c.rows]
+            meet = AffineCoset.from_rows(block.ambient, rows)
+            if not meet.empty:
+                coeffs[meet.dim] += (-1) ** size
+    return K0Class.make(coeffs)
+
+
+def test_block_class_matches_every_subset():
+    rng = random.Random(4444)
+    # a pencil of planes through one line, where every subset meets
+    pencil = [AffineCoset.from_rows(3, [[1, t, 0, 0]]) for t in range(7)]
+    blocks = [make_block(AffineCoset.full(3), pencil)]
+    for _ in range(30):
+        ambient = rng.randint(1, 3)
+        holes = [random_coset(rng, ambient) for _ in range(rng.randint(0, 6))]
+        blocks.append(make_block(random_coset(rng, ambient), holes))
+    for b in blocks:
+        if b is not None:
+            assert block_class(b) == _class_over_all_subsets(b)
+    assert block_class(blocks[0]) == K0Class.make([0, 6, -7, 1])
+
+
+def test_block_class_keeps_the_hole_cap():
+    lines = [AffineCoset.from_rows(2, [[1, t, t * t]]) for t in range(17)]
+    with pytest.raises(CapExceededError, match="more than 16 holes"):
+        block_class(make_block(AffineCoset.full(2), lines))
+    # general position: each pair meets in its own point, no three meet
+    assert block_class(make_block(AffineCoset.full(2), lines[:16])).coeffs == (
+        120, -16, 1)
 
 
 def test_class_is_presentation_invariant():
