@@ -148,7 +148,11 @@ def _load_pamap(path: str):
     from .jsonio import pamap_from_json
 
     raw = sys.stdin.read() if path == "-" else open(path).read()
-    return pamap_from_json(json.loads(raw))
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise WorkbenchError(f"the map file is not JSON: {exc}") from None
+    return pamap_from_json(doc)
 
 
 def _dim_json(value):

@@ -98,7 +98,8 @@ def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
                      generators=gens,
                      name=name or f"{H.name or 'H'})x({K.name or 'K'}",
                      cap=cap)
-    HK._make_tables = lambda _: _semidirect_tables(action)
+    # the action is checked, and every caller abelianizes the product
+    HK._tables = _semidirect_tables(action)
     return HK
 
 

@@ -2,15 +2,20 @@
 
 Elements are opaque hashable values (permutations, matrices, pairs, cosets);
 each group carries its own operation.  Enumerations are deterministic: BFS
-from the identity with generators applied in the given order and new elements
-of each level sorted by a structural key, so every downstream tie-break is
-reproducible.
+from the identity, the new elements of each level sorted by a structural
+key, so every downstream tie-break is reproducible.
+
+One loop closes generators into a group (`_closure`) and one builder makes
+a group's generator tables (`_product_tables`).  Both run on keys that
+`_keying` picks: integer codes for matrices under `mul` that share a ring
+and size, and the elements themselves otherwise.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 
@@ -67,9 +72,6 @@ class FiniteGroup:
         self._tables = None
         self._right_tables = {}
         self._tree = None
-        # a construction that knows its structure replaces this with a
-        # cheaper build of the same tables
-        self._make_tables = _own_product_tables
         # a group always carries a generating set, and a short one keeps the
         # relator rows of abelianization short
         self.generators = tuple(generators) or self._pick_generators()
@@ -133,14 +135,14 @@ class FiniteGroup:
 
     def _generator_tables(self) -> list[array]:
         if self._tables is None:
-            self._tables = self._make_tables(self)
+            self._tables = _product_tables(self, self.generators)
         return self._tables
 
     def _right_table(self, j: int) -> array:
         """The array whose entry i is the index of elements[i] * elements[j]."""
         table = self._right_tables.get(j)
         if table is None:
-            table = _product_tables(self, self._index, self.op, (self.elements[j],))[0]
+            table = _product_tables(self, (self.elements[j],))[0]
             self._right_tables[j] = table
         return table
 
@@ -178,82 +180,94 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-def _product_tables(G: FiniteGroup, index: dict, op, gens) -> list[array]:
-    """Generator tables from products: entry i of table j is the position in
-    `index` of x_i * gens[j], x_i being the i-th key of `index`.  The keys are
-    G's elements in order, or stand-ins with an operation of their own.
-    Raises WorkbenchError when a product leaves them."""
-    tables = []
-    for g in gens:
-        try:
-            tables.append(array("l", [index[op(x, g)] for x in index]))
-        except KeyError:
-            x = next(x for x in index if op(x, g) not in index)
-            raise WorkbenchError(
-                f"{G.name or 'the group'} is not closed under its operation: "
-                f"{x!r} * {g!r} = {op(x, g)!r} is not one of its elements") from None
-    return tables
+def _keying(op, identity, *values):
+    """How the closure loop and the table builder see the elements of a group
+    with this operation and identity, given every element they will meet in
+    `values`: a tuple (encode, step, decode, order).  Matrices under `mul`
+    that all share the identity's kernels, hence one ring and size, ride
+    integer codes (see `matrices`); any other elements are their own keys.
+    encode maps a list of elements to their keys and decode maps keys back;
+    step(g) maps a list of keys to the keys of their products with g on the
+    right; `order` is the sort key that orders keys as `element_key` orders
+    their elements, None for codes, whose numeric order is that order."""
+    # only a Mat carries kernels, so this needs no import of the matrix layer
+    k = getattr(identity, "_k", None)
+    if op is mul and k is not None and all(
+            getattr(x, "_k", None) is k for x in chain.from_iterable(values)):
+        return k.code_keys()
+    # tuple() returns a tuple unchanged, so G's elements are their own keys
+    return tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key
 
 
-def _own_product_tables(G: FiniteGroup) -> list[array]:
-    return _product_tables(G, G._index, G.op, G.generators)
-
-
-def _bfs_closure(generators, op, identity, *, cap, key):
-    """Deterministic closure of {identity} under right multiplication."""
-    seen = {identity}
-    ordered = [identity]
-    level = [identity]
+def _closure(start, steps, cap, key):
+    """Breadth-first closure of [start] under the steps, in levels, each
+    level's new keys sorted by `key`."""
+    ordered, seen, level = [start], {start}, [start]
     while level:
-        fresh = []
-        for x in level:
-            for g in generators:
-                y = op(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-                    if cap is not None and len(seen) > cap:
-                        raise CapExceededError(
-                            f"closure exceeded the element cap of {cap}")
-        fresh.sort(key=key)
-        ordered.extend(fresh)
-        level = fresh
+        fresh = set()
+        for step in steps:
+            fresh.update(step(level))
+        fresh -= seen
+        if cap is not None and len(seen) + len(fresh) > cap:
+            raise CapExceededError(f"closure exceeded the element cap of {cap}")
+        level = sorted(fresh, key=key)
+        seen.update(level)
+        ordered += level
     return ordered
 
 
+def _keys_of(G: FiniteGroup, gens):
+    """G's elements as `_keying` keys for loops that multiply them by gens:
+    (keys, index of each key in G, step, decode)."""
+    encode, step, decode, _ = _keying(G.op, G.identity, G.elements, gens)
+    keys = encode(G.elements)
+    index = G._index if keys is G.elements else dict(zip(keys, range(G.order)))
+    return keys, index, step, decode
+
+
+def _product_tables(G: FiniteGroup, gens) -> list[array]:
+    """Entry i of table j is the index of elements[i] * gens[j].  Raises
+    WorkbenchError when a product leaves G."""
+    keys, index, step, _ = _keys_of(G, gens)
+    tables = []
+    for g in gens:
+        images = step(g)(keys)
+        try:
+            tables.append(array("l", map(index.__getitem__, images)))
+        except KeyError:
+            x = next(x for x, y in zip(G.elements, images) if y not in index)
+            raise WorkbenchError(
+                f"{G.name or 'the group'} is not closed under its operation: "
+                f"{x!r} * {g!r} = {G.op(x, g)!r} is not one of its elements") from None
+    return tables
+
+
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
-    """Close a generator list under its own multiplication.
+    """Close a generator list under its own multiplication, in breadth-first
+    levels from the identity, each level sorted by `element_key`.
 
     Generators must share a representation and expose __mul__, inverse()
-    and identity_like(); permutations and matrices both qualify.  Matrices
-    are closed, and their generator tables built, on integer codes.
+    and identity_like(); permutations and matrices both qualify.
     """
     gens = list(generators)
     if not gens:
         raise WorkbenchError("need at least one generator")
     for g in gens:
         g.inverse()  # raises for a non-invertible generator
-    # imported here, so that `import modelk` does not load the matrix layer
-    from .matrices import Mat, _code_closure, _code_tables
-
     identity = gens[0].identity_like()
-    matrices = all(type(g) is Mat for g in gens)
-    if matrices:
-        ordered = _code_closure(gens, identity, cap)
-    else:
-        ordered = _bfs_closure(gens, mul, identity, cap=cap, key=element_key)
-    G = FiniteGroup(ordered, mul, identity, inv=lambda a: a.inverse(),
-                    generators=gens, name=name, cap=cap)
-    if matrices:
-        G._make_tables = _code_tables
-    return G
+    encode, step, decode, order = _keying(mul, identity, gens)
+    ordered = _closure(encode([identity])[0], [step(g) for g in gens], cap, order)
+    return FiniteGroup(decode(ordered), mul, identity, inv=lambda a: a.inverse(),
+                       generators=gens, name=name, cap=cap)
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     """Subgroup of G generated by `gens`, ordered by BFS with parent-index ties."""
     gens = [g for g in gens if g != G.identity]
-    ordered = _bfs_closure(gens, G.op, G.identity, cap=G.cap, key=G.index_of)
-    return FiniteGroup(ordered, G.op, G.identity, inv=G.inv,
+    keys, index, step, decode = _keys_of(G, gens)
+    ordered = _closure(keys[G.index_of(G.identity)], [step(g) for g in gens],
+                       G.cap, index.__getitem__)
+    return FiniteGroup(decode(ordered), G.op, G.identity, inv=G.inv,
                        generators=gens, name=name, cap=G.cap)
 
 

@@ -107,16 +107,26 @@ def pamap_to_json(f: PAMap) -> dict:
     return {"ambient": f.ambient, "pieces": pieces}
 
 
+def _field(d, key: str, what: str):
+    """d[key]; WorkbenchError unless d is a JSON object with that key."""
+    if not isinstance(d, dict) or key not in d:
+        raise WorkbenchError(f"{what} must be a JSON object with the field {key!r}")
+    return d[key]
+
+
 def pamap_from_json(d: dict) -> PAMap:
-    ambient = int(d["ambient"])
-    pieces = []
-    for p in d["pieces"]:
-        block = block_from_json({"carrier": p["carrier"],
+    ambient = int(_field(d, "ambient", "a map"))
+    pieces = _field(d, "pieces", "a map")
+    if not isinstance(pieces, list):
+        raise WorkbenchError("a map's 'pieces' must be a JSON list")
+    out = []
+    for p in pieces:
+        block = block_from_json({"carrier": _field(p, "carrier", "a piece"),
                                  "holes": p.get("holes", [])})
-        affine = AffineMap.make(_rows_from_json(p["matrix"]),
-                                [rat_from_json(x) for x in p["offset"]])
-        pieces.append((block, affine))
-    return PAMap(ambient, pieces)
+        affine = AffineMap.make(_rows_from_json(_field(p, "matrix", "a piece")),
+                                [rat_from_json(x) for x in _field(p, "offset", "a piece")])
+        out.append((block, affine))
+    return PAMap(ambient, out)
 
 
 # classes and formal groups ----------------------------------------------------

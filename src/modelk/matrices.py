@@ -6,9 +6,10 @@ arithmetic runs in straight-line functions generated once per (ring, n), the
 way `dataclasses` generates `__init__`, that index the ring's add, mul and
 neg tables directly.
 
-Matrix groups run on a private integer form of a matrix, its code: the
-row-major entry tuple read as a base-q numeral, q the ring's size, so that
-numeric order of codes is lexicographic order of rows.  A row is a digit of
+Groups of matrices close and build their tables (see `groups._keying`) on
+a private integer form of a matrix, its code: the row-major entry tuple
+read as a base-q numeral, q the ring's size, so that numeric order of
+codes is lexicographic order of rows.  A row is a digit of
 the code in base Q = q^n.  Right multiplication by a generator g maps each
 row on its own, so for g there is a row-image table per row position i,
 taking a row code r to code(r * g) * Q^(n-1-i), and code(x * g) is the sum
@@ -18,12 +19,11 @@ matrices computes only the rows that occur, not all q^n.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
-from .errors import CapExceededError, WorkbenchError
+from .errors import WorkbenchError
 from .rings import MatRing
 
 
@@ -167,6 +167,19 @@ class _Kernels:
         return [_OnDemand(lambda r, scale=Q ** (n - 1 - i): last[r] * scale)
                 for i in range(n - 1)] + [last]
 
+    def code_keys(self):
+        """Codes as the keys of `groups._keying`: (encode, step, decode,
+        None), with encode taking Mats to codes and decode taking codes back
+        to Mats, and step(g) imaging codes under right multiplication by g."""
+        ring, encode, decode, image = self.ring, self.encode, self.decode, self.image
+
+        def step(g):
+            tables = self.row_images(g)
+            return lambda codes: image(codes, *tables)
+        return (lambda mats: encode([m.rows for m in mats]), step,
+                lambda codes: [_trusted(ring, rows, self) for rows in decode(codes)],
+                None)
+
 
 MAX_N = 10  # the det kernel of a 10 x 10 matrix has 5,120 product terms
 
@@ -289,49 +302,3 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.ring}, {self.rows})"
-
-
-def _invertible_matrices(ring: MatRing, n: int) -> list["Mat"]:
-    """Every invertible n x n matrix over the ring, in lexicographic order of
-    the row-major entry tuple."""
-    k = _kernels(ring, n)
-    det, units = k.det, set(ring.units())
-    return [_trusted(ring, rows, k)
-            for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n)
-            if det(rows) in units]
-
-
-def _code_closure(gens: list["Mat"], identity: "Mat", cap) -> list["Mat"]:
-    """The group the generators generate, in breadth-first levels from the
-    identity, each level sorted by code.  That is the order of
-    `groups._bfs_closure` under `groups.element_key`, whose key orders
-    matrices by their rows, found on codes one level at a time."""
-    for g in gens:
-        identity * g  # raises ValueError on a ring or size mismatch
-    k = identity._k
-    tables = [k.row_images(g) for g in gens]
-    level = k.encode([identity.rows])
-    ordered, seen = list(level), set(level)
-    while level:
-        fresh = set()
-        for t in tables:
-            fresh.update(k.image(level, *t))
-        fresh -= seen
-        if cap is not None and len(seen) + len(fresh) > cap:
-            raise CapExceededError(f"closure exceeded the element cap of {cap}")
-        level = sorted(fresh)
-        seen.update(level)
-        ordered += level
-    return [_trusted(identity.ring, rows, k) for rows in k.decode(ordered)]
-
-
-def _code_tables(group) -> list[array]:
-    """Generator tables of a group of Mats sharing one ring and size: entry
-    i of table j is the index of elements[i] * generators[j], found on
-    codes.  The group must be closed under right multiplication by its
-    generators."""
-    k = group.identity._k
-    codes = k.encode([m.rows for m in group.elements])
-    index = {c: i for i, c in enumerate(codes)}.__getitem__
-    return [array("l", map(index, k.image(codes, *k.row_images(g))))
-            for g in group.generators]

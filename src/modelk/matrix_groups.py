@@ -10,11 +10,11 @@ from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
                      abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat, _code_tables, _invertible_matrices
+from .matrices import Mat, _kernels, _trusted
 from .rings import MatRing, UnitSumWitness, unit_sum_witness
 
-# gl_group searches all n x n matrices over the ring for a unit det; this
-# limits that search, apart from the cap on the group's order
+# gl_group and special_linear search all n x n matrices over the ring for
+# their dets; this limits that search, apart from the cap on the group's order
 _CANDIDATE_LIMIT = 2 ** 21
 
 
@@ -39,49 +39,55 @@ def _designated_generators(n: int, ring: MatRing) -> list[Mat]:
                for u in ring.units() if u != ring.one])
 
 
-def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n over the ring: every matrix with a unit determinant.
+def _matrices_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[Mat]:
+    """Every n x n matrix over the ring with its det in `dets`, a set of
+    units, in lexicographic order of the row-major entry tuple.
 
-    Element order is lexicographic in the row-major entry tuple.  For fields
-    the order formula is checked before enumeration so that an over-cap
-    request fails fast.
+    Over a field each unit is the det of |GL_n| / (q - 1) matrices, so an
+    over-cap request fails before the scan.  CapExceededError names `name`.
     """
     if n < 1:
         raise WorkbenchError("need n >= 1")
     if ring.kind == "gf":
-        expected = gl_order_field(n, ring.size)
+        expected = gl_order_field(n, ring.size) // (ring.size - 1) * len(dets)
         if cap is not None and expected > cap:
-            raise CapExceededError(
-                f"GL_{n}({ring}) has order {expected}, cap is {cap}")
+            raise CapExceededError(f"{name} has order {expected}, cap is {cap}")
     if ring.size ** (n * n) > _CANDIDATE_LIMIT:
         raise CapExceededError(
-            f"GL_{n}({ring}) is searched for among {ring.size ** (n * n)} "
+            f"{name} is searched for among {ring.size ** (n * n)} "
             f"candidate matrices, over the limit of 2^21 candidate matrices; "
             f"--cap does not raise this limit")
-    elements = _invertible_matrices(ring, n)
+    k = _kernels(ring, n)
+    det = k.det
+    elements = [_trusted(ring, rows, k)
+                for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n)
+                if det(rows) in dets]
     if cap is not None and len(elements) > cap:
-        raise CapExceededError(f"GL_{n}({ring}) has order {len(elements)}, cap is {cap}")
+        raise CapExceededError(f"{name} has order {len(elements)}, cap is {cap}")
     if ring.kind == "gf":
         assert len(elements) == expected
-    G = FiniteGroup(elements, mul, Mat.identity(ring, n),
-                    inv=lambda a: a.inverse(),
-                    generators=_designated_generators(n, ring),
-                    name=f"GL_{n}({ring})", cap=cap)
-    G._make_tables = _code_tables
-    return G
+    return elements
+
+
+def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
+    """GL_n over the ring: every matrix with a unit determinant, in
+    lexicographic order of the row-major entry tuple."""
+    name = f"GL_{n}({ring})"
+    return FiniteGroup(_matrices_with_det(ring, n, set(ring.units()), name=name, cap=cap),
+                       mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
+                       generators=_designated_generators(n, ring), name=name, cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """Kernel of det inside gl_group; the comparison oracle for closures."""
-    G = gl_group(n, ring, cap=cap)
-    kernel = [m for m in G.elements if m.det() == ring.one]
+    """The matrices of det 1, in gl_group's order; the comparison oracle for
+    closures."""
+    name = f"SL_{n}({ring})"
     gens = [Mat.transvection(ring, n, i, j, c)
             for i in range(n) for j in range(n) if i != j
             for c in range(1, ring.size)]
-    S = FiniteGroup(kernel, G.op, G.identity, inv=G.inv, generators=gens,
-                    name=f"SL_{n}({ring})", cap=cap)
-    S._make_tables = _code_tables
-    return S
+    return FiniteGroup(_matrices_with_det(ring, n, {ring.one}, name=name, cap=cap),
+                       mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
+                       generators=gens, name=name, cap=cap)
 
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:

@@ -34,14 +34,6 @@ _MAX_SEMIDIRECT = 2000
 # ---------------------------------------------------------------------------
 # random semidirect actions
 
-def _unit_order(u: int, n: int) -> int:
-    o, x = 1, u % n
-    while x != 1:
-        x = x * u % n
-        o += 1
-    return o
-
-
 def _inversion_action(rng: random.Random) -> GroupAction:
     n = rng.choice([3, 4, 5, 6, 7, 8, 9, 10, 12])
     H, K = cyclic(n), cyclic(2)
@@ -56,7 +48,7 @@ def _unit_mult_action(rng: random.Random) -> GroupAction:
         if units:
             break
     u = rng.choice(units)
-    o = _unit_order(u, n)
+    o = len({pow(u, k, n) for k in range(n)})  # the order of u mod n
     H, K = cyclic(n), cyclic(o)
     act = lambda k, h: h * pow(u, k, n) % n
     return GroupAction(K, H, act, name=f"multiplication by {u} on Z_{n}")

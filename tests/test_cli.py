@@ -125,6 +125,18 @@ def test_aut_invalid_map(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("payload, problem", [
+    ("not json", "the map file is not JSON"),
+    ('{"ambient": 1}', "a map must be a JSON object with the field 'pieces'"),
+    ("[]", "a map must be a JSON object with the field 'ambient'"),
+])
+def test_aut_names_a_malformed_map(capsys, monkeypatch, payload, problem):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "aut", "validate", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {problem}")
+
+
 def test_aut_missing_file(capsys):
     code, _, err = run(capsys, "aut", "validate", "/no/such/file.json")
     assert code == 1 and err.startswith("error:")
@@ -196,6 +208,24 @@ def test_symbolic_json_matches_golden_files(capsys, spec):
         code, out, _ = run(capsys, "--json", *argv)
         assert code == 0
         assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
+GOLDEN_GROUP_COMMANDS = (
+    [["abelianize", "--group", g] for g in (
+        "gl:3:3", "sl:3:3", "sl:2:5", "aff:2:3", "gl:2:4", "wreath:sym:3:2",
+        "sl2:3", "q8", "dihedral:8", "sym:5")]
+    + [["verify", "--suite", s]
+       for s in ("gl", "ed", "perm", "wreath", "truncation", "semiab")])
+
+
+@pytest.mark.parametrize("argv", GOLDEN_GROUP_COMMANDS, ids=" ".join)
+def test_group_json_matches_golden_files(capsys, argv):
+    # the group commands' `--json` bytes: a change to how groups are closed
+    # or tabled must leave them alone
+    name = argv[0] + "-" + re.sub(r"[^A-Za-z0-9]+", "-", argv[2]).strip("-")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
 def test_omega_ab(capsys):

@@ -1,11 +1,12 @@
-"""Seeded property tests: composed generator tables against products.
+"""Seeded property tests: generator tables against products.
 
 Semidirect and wreath products and affine groups build their generator
-tables from their factors' tables, and matrix groups from integer codes of
-their elements.  Each must equal the table read off the group's own
-operation: entry i of table j is the index of elements[i] * generators[j].
-Matrix closures run on codes too; their element order must equal the
-closure on Mat values, kept here as the oracle.
+tables from their factors' tables, and groups of matrices under `mul` from
+integer codes of their elements.  Each must equal the table read off the
+group's own operation: entry i of table j is the index of
+elements[i] * generators[j].  Matrix closures run on codes too; their
+element order must equal that of the same closure loop fed steps that
+multiply Mat values, kept here as the oracle.
 """
 
 import random
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from modelk.catalogue import by_name, quaternion8, sl2
 from modelk.constructions import semidirect, wreath
-from modelk.errors import CapExceededError
-from modelk.groups import _bfs_closure, element_key, enumerate_group
+from modelk.errors import CapExceededError, WorkbenchError
+from modelk.groups import FiniteGroup, _closure, element_key, enumerate_group
 from modelk.matrices import Mat
 from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
                                   special_linear)
@@ -89,9 +90,9 @@ def _matrix_generators(draw):
 @given(_matrix_generators())
 def test_code_closure_order_matches_the_closure_on_matrices(gens):
     cap = 2000
+    steps = [lambda xs, g=g: [x * g for x in xs] for g in gens]
     try:
-        oracle = _bfs_closure(gens, mul, gens[0].identity_like(), cap=cap,
-                              key=element_key)
+        oracle = _closure(gens[0].identity_like(), steps, cap, element_key)
     except CapExceededError:
         with pytest.raises(CapExceededError):
             enumerate_group(gens, cap=cap)
@@ -99,6 +100,24 @@ def test_code_closure_order_matches_the_closure_on_matrices(gens):
     G = enumerate_group(gens, cap=cap)
     assert list(G.elements) == oracle
     _check_tables(G)
+
+
+def test_matrices_not_closed_under_mul_are_named():
+    F3 = GF(3)
+    t = Mat.transvection(F3, 2, 0, 1, 1)
+    G = FiniteGroup([Mat.identity(F3, 2), t], mul, Mat.identity(F3, 2),
+                    generators=[t], name="H")
+    with pytest.raises(WorkbenchError, match=r"H is not closed under its "
+                       r"operation: .* \* .* = .* is not one of its elements"):
+        G._generator_tables()
+
+
+def test_matrices_under_another_operation_take_the_product_route():
+    G = elementary_closure(2, GF(3))
+    opposite = FiniteGroup(G.elements, lambda a, b: b * a, G.identity,
+                           generators=G.generators, name="SL_2(F_3)^op")
+    _check_tables(opposite)
+    assert opposite._generator_tables() != G._generator_tables()
 
 
 def test_code_closure_names_the_cap():

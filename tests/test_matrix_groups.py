@@ -1,6 +1,6 @@
 import pytest
 
-from modelk.errors import WorkbenchError
+from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import abelianization
 from modelk.matrices import Mat
 from modelk.matrix_groups import (KNOWN_GL_AB_EXCEPTIONS, affine_group,
@@ -30,6 +30,13 @@ def test_special_linear_is_det_kernel():
         G = gl_group(n, ring)
         kernel = {m for m in G.elements if m.det() == ring.one}
         assert set(sl.elements) == kernel
+
+
+def test_special_linear_is_held_to_its_own_cap():
+    # |SL_2(F_5)| = 120 fits a cap that |GL_2(F_5)| = 480 does not
+    assert special_linear(2, GF(5), cap=200).order == 120
+    with pytest.raises(CapExceededError, match=r"SL_2\(F_5\) has order 120, cap is 100"):
+        special_linear(2, GF(5), cap=100)
 
 
 def test_elementary_closure_equals_special_linear():
