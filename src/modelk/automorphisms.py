@@ -11,36 +11,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .cosets import NEG_INF, AffineCoset
 from .defsets import (Block, DefinableSet, block_intersect, block_subtract,
                       k0_class, make_block)
 from .errors import WorkbenchError
-from .linalg import frac_rows, integer_affine, mat_inv, mat_mul, mat_vec
+from .linalg import _eliminate, integer_row, rank
 from .report import VerificationReport
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
+    """The invertible map x -> (P x + q) / d, stored as integers: `linear`
+    is P, `shift` is q and `denominator` is d > 0, with gcd(P, q, d) = 1.
+    The form is unique, so equal maps have equal fields.
+
+    Build maps with `make`; `compose` and `inverse` keep the form.  The
+    rational matrix P / d and offset q / d are views, built on first use and
+    kept, for printing and JSON.
+    """
+
+    linear: tuple[tuple[int, ...], ...]
+    shift: tuple[int, ...]
+    denominator: int
 
     @staticmethod
     def make(matrix, offset) -> "AffineMap":
-        rows = frac_rows(matrix)
+        rows = [list(row) for row in matrix]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise WorkbenchError("matrix must be square")
-        offset = tuple(Fraction(x) for x in offset)
+        offset = list(offset)
         if len(offset) != n:
             raise WorkbenchError("offset length mismatch")
-        mat_inv(rows)  # raises when singular
-        return AffineMap(tuple(tuple(r) for r in rows), offset)
+        # the primitive integer row [P | q | d] of the whole map
+        *flat, d = integer_row([x for row in rows for x in row] + offset + [1])
+        linear = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+        if rank(linear) != n:
+            raise WorkbenchError("matrix is singular over Q")
+        return AffineMap(linear, tuple(flat[n * n:]), d)
 
     @staticmethod
     def identity(n: int) -> "AffineMap":
-        return AffineMap.make(
-            [[int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+        return AffineMap.translation([0] * n)
 
     @staticmethod
     def translation(vector) -> "AffineMap":
@@ -50,79 +65,92 @@ class AffineMap:
 
     @property
     def ambient(self) -> int:
-        return len(self.offset)
+        return len(self.shift)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        d = self.denominator
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.linear)
+
+    @cached_property
+    def offset(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.shift)
 
     def apply(self, point):
-        moved = mat_vec([list(r) for r in self.matrix], list(point))
-        return tuple(a + b for a, b in zip(moved, self.offset))
+        if len(point) != self.ambient:
+            raise WorkbenchError(f"point of length {len(point)} is not in "
+                                 f"Q^{self.ambient}")
+        return tuple(Fraction(sum(map(mul, row, point)) + q, self.denominator)
+                     for row, q in zip(self.linear, self.shift))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner: x -> self(inner(x))."""
-        a = mat_mul([list(r) for r in self.matrix], [list(r) for r in inner.matrix])
-        b = [x + y for x, y in zip(
-            mat_vec([list(r) for r in self.matrix], list(inner.offset)),
-            self.offset)]
-        return AffineMap.make(a, b)
+        """self after inner: x -> self(inner(x)), that is
+        (P P' x + P q' + d' q) / (d d')."""
+        if self.ambient != inner.ambient:
+            raise WorkbenchError("ambient mismatch")
+        cols = list(zip(*inner.linear))
+        linear = [[sum(map(mul, row, col)) for col in cols]
+                  for row in self.linear]
+        shift = [sum(map(mul, row, inner.shift)) + inner.denominator * q
+                 for row, q in zip(self.linear, self.shift)]
+        return _reduced(linear, shift, self.denominator * inner.denominator)
 
     def inverse(self) -> "AffineMap":
-        inv = mat_inv([list(r) for r in self.matrix])
-        b = [-x for x in mat_vec(inv, list(self.offset))]
-        return AffineMap.make(inv, b)
+        """Computed once per map; the inverse's inverse is this map.
+
+        P x = d y - q is solved for x by one integer elimination of the
+        rows [P | d I | -q]: row i ends as c_i x_i = (its tail) . (y, 1)."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            n, d = self.ambient, self.denominator
+            m, _ = _eliminate([[*row, *(d * (i == j) for j in range(n)), -q]
+                               for i, (row, q) in enumerate(zip(self.linear,
+                                                                self.shift))])
+            den = lcm(*(abs(row[i]) for i, row in enumerate(m)))
+            tails = [[x * (den // row[i]) for x in row[n:]]
+                     for i, row in enumerate(m)]
+            inv = _reduced([t[:-1] for t in tails], [t[-1] for t in tails], den)
+            self.__dict__["_inverse"], inv.__dict__["_inverse"] = inv, self
+        return inv
 
     @property
     def is_identity(self) -> bool:
-        n = self.ambient
-        return (all(self.matrix[i][j] == (1 if i == j else 0)
-                    for i in range(n) for j in range(n))
-                and all(x == 0 for x in self.offset))
+        return self == AffineMap.identity(self.ambient)
 
     def fixed_coset(self) -> AffineCoset:
-        """Solutions of (A - I)x = -b."""
-        n = self.ambient
-        rows = []
-        for i in range(n):
-            row = [self.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-            rows.append(row + [-self.offset[i]])
-        return AffineCoset.from_rows(n, rows)
+        """Solutions of (P - d I) x = -q."""
+        d = self.denominator
+        return AffineCoset.from_rows(self.ambient, [
+            [x - d * (i == j) for j, x in enumerate(row)] + [-q]
+            for i, (row, q) in enumerate(zip(self.linear, self.shift))])
 
     def agreement_coset(self, other: "AffineMap") -> AffineCoset:
-        """Points where the two maps coincide."""
-        n = self.ambient
-        rows = []
-        for i in range(n):
-            row = [self.matrix[i][j] - other.matrix[i][j] for j in range(n)]
-            rows.append(row + [other.offset[i] - self.offset[i]])
-        return AffineCoset.from_rows(n, rows)
-
-    @cached_property
-    def _forward(self):
-        """This map as integers over a common denominator."""
-        return integer_affine(self.matrix, self.offset)
-
-    @cached_property
-    def _backward(self):
-        """The inverse map as integers over a common denominator."""
-        inv = mat_inv([list(r) for r in self.matrix])
-        return integer_affine(inv, [-x for x in mat_vec(inv, self.offset)])
+        """Points where the two maps coincide:
+        (d' P - d P') x = d q' - d' q."""
+        d, e = self.denominator, other.denominator
+        return AffineCoset.from_rows(self.ambient, [
+            [e * a - d * b for a, b in zip(r, s)] + [d * t - e * q]
+            for r, s, q, t in zip(self.linear, other.linear,
+                                  self.shift, other.shift)])
 
     def image_coset(self, coset: AffineCoset) -> AffineCoset:
-        return coset.pullback(self._backward)
+        return coset.pullback(self.inverse())
 
     def image_block(self, block: Block) -> Block:
-        return _pull_block(block, self._backward)
+        return self.inverse().preimage_block(block)
 
     def preimage_block(self, block: Block) -> Block:
-        return _pull_block(block, self._forward)
+        moved = make_block(block.carrier.pullback(self),
+                           [h.pullback(self) for h in block.holes])
+        assert moved is not None  # affine bijections preserve nonemptiness
+        return moved
 
-    def sort_key(self):
-        return (self.matrix, self.offset)
 
-
-def _pull_block(block: Block, form) -> Block:
-    moved = make_block(block.carrier.pullback(form),
-                       [h.pullback(form) for h in block.holes])
-    assert moved is not None  # affine bijections preserve nonemptiness
-    return moved
+def _reduced(linear, shift, d: int) -> AffineMap:
+    """The map x -> (P x + q) / d with its integers divided by their gcd."""
+    g = gcd(d, *shift, *(x for row in linear for x in row))
+    return AffineMap(tuple(tuple(x // g for x in row) for row in linear),
+                     tuple(x // g for x in shift), d // g)
 
 
 class PAMap:

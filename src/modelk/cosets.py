@@ -9,8 +9,10 @@ integers.  Every constructor ends in one canonicalizing step, mostly one
 elimination (`linalg._eliminate`) whose rows get their signs fixed.
 
 Intersection and the subset test reduce one coset's rows against the
-other's stored basis (`linalg.reduce_row`), and affine images and
-preimages are computed on integer rows, so none of them builds a Fraction.
+other's stored basis (`linalg.reduce_row`), and `pullback` takes the
+preimage under an affine map on integer rows, so none of them builds a
+Fraction.  An image is the preimage under the inverse map
+(`AffineMap.image_coset`).
 The rational RREF rows (`rows`) are derived when asked for, for sorting,
 printing and JSON, and are not stored.  The empty set is a distinguished
 value per ambient dimension.
@@ -23,9 +25,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import WorkbenchError
-from .linalg import (_eliminate, frac_rows, integer_affine, integer_row,
-                     mat_inv, mat_vec, null_space, primitive, rational_row,
-                     reduce_row)
+from .linalg import (_eliminate, frac_rows, integer_row, null_space, primitive,
+                     rational_row, reduce_row)
 
 NEG_INF = float("-inf")
 
@@ -64,12 +65,6 @@ class AffineCoset:
             if len(row) != ambient + 1:
                 raise WorkbenchError(f"row length {len(row)} != ambient {ambient} + 1")
         return _canonical(ambient, [integer_row(row) for row in rows])
-
-    @staticmethod
-    def from_equations(ambient: int, equations) -> "AffineCoset":
-        """equations: iterable of (coefficients, rhs)."""
-        return AffineCoset.from_rows(
-            ambient, [list(coeffs) + [rhs] for coeffs, rhs in equations])
 
     @staticmethod
     def full(ambient: int) -> "AffineCoset":
@@ -181,33 +176,17 @@ class AffineCoset:
                 [a * rhs.denominator for a in row[:-1]] + [rhs.numerator])))
         return AffineCoset(self.ambient, tuple(moved), False, self.pivots)
 
-    def pullback(self, form) -> "AffineCoset":
-        """Preimage under x -> (P x + q) / d, for form = (P, q, d) as
-        `linalg.integer_affine` gives it: a . (P x + q) / d = b becomes the
-        integer row (a P) x = d b - a . q."""
+    def pullback(self, mapping) -> "AffineCoset":
+        """Preimage under an `AffineMap` x -> (P x + q) / d: each row
+        a . (P x + q) / d = b becomes the integer row (a P) x = d b - a . q."""
         if self.empty:
             return self
-        matrix, offset, d = form
-        cols = list(zip(*matrix))
+        cols = list(zip(*mapping.linear))
+        d, shift = mapping.denominator, mapping.shift
         rows = [primitive([sum(map(mul, row, col)) for col in cols]
-                          + [d * row[-1] - sum(map(mul, row, offset))])
+                          + [d * row[-1] - sum(map(mul, row, shift))])
                 for row in self.basis]
         return _canonical(self.ambient, rows)
-
-    def affine_image(self, matrix, offset) -> "AffineCoset":
-        """Image under x -> Mx + c with M invertible: the preimage under
-        y -> M^-1 y - M^-1 c."""
-        if self.empty:
-            return self
-        minv = mat_inv(matrix)
-        shift = [-x for x in mat_vec(minv, _as_fraction_tuple(offset))]
-        return self.pullback(integer_affine(minv, shift))
-
-    def affine_preimage(self, matrix, offset) -> "AffineCoset":
-        """Preimage under x -> Mx + c (M invertible)."""
-        if self.empty:
-            return self
-        return self.pullback(integer_affine(matrix, offset))
 
     def project(self, keep: int) -> "AffineCoset":
         """Image under projection to the first `keep` coordinates."""
@@ -261,10 +240,6 @@ class AffineCoset:
             basis.append(tuple(row))
         return AffineCoset(ambient, tuple(basis), False,
                            self.pivots + tuple(range(self.ambient, ambient)))
-
-    def integer_rows(self) -> list[list[int]]:
-        """The stored rows: primitive, with a positive pivot entry."""
-        return [list(row) for row in self.basis]
 
     @property
     def sort_key(self):

@@ -77,8 +77,8 @@ def _leaf_rank_pattern_ok(system: LinearSystem, p: int) -> bool:
 def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
     """Condition (b), checked on the hole subsets of size <= ambient + 1."""
     for block in d.blocks:
-        base = block.carrier.integer_rows()
-        hole_rows = [h.integer_rows() for h in block.holes]
+        base = block.carrier.basis
+        hole_rows = [h.basis for h in block.holes]
         for size in range(min(len(hole_rows), d.ambient + 1) + 1):
             for subset in itertools.combinations(range(len(hole_rows)), size):
                 stacked = list(base)
@@ -155,8 +155,8 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     good = good and _lattice_ranks_ok(normal, p)
 
     holds = _compile(expr, p)
-    block_rows = [(_rows_mod_p(b.carrier.integer_rows(), p),
-                   [_rows_mod_p(h.integer_rows(), p) for h in b.holes])
+    block_rows = [(_rows_mod_p(b.carrier.basis, p),
+                   [_rows_mod_p(h.basis, p) for h in b.holes])
                   for b in normal.blocks]
 
     count = 0

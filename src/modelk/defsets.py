@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cosets import NEG_INF, AffineCoset, LinearSystem
 from .errors import CapExceededError, WorkbenchError
-from .linalg import mat_inv, mat_mul, mat_vec, rank
+from .linalg import rank
 
 _HOLE_LIMIT = 16
 
@@ -421,6 +421,8 @@ def shift_witness(d1: DefinableSet, d2: DefinableSet, m: int):
     result disjoint.  When ambients differ, both sets are first zero-padded
     into the larger space.
     """
+    from .automorphisms import AffineMap  # which imports this module
+
     if not (d1.dim > m and d2.dim > m):
         raise WorkbenchError(f"both sets must have dimension > {m}")
     n = max(d1.ambient, d2.ambient)
@@ -433,18 +435,13 @@ def shift_witness(d1: DefinableSet, d2: DefinableSet, m: int):
     u2 = top2.carrier.direction_basis()
     k = min(len(u1), len(u2))
 
-    source = _complete_basis(u2[:k], n)
-    target = _complete_basis(u1[:k], n)
-    # linear part L sends the i-th source basis vector to the i-th target
-    # basis vector: L = T * S^-1 with basis vectors as columns
-    s_cols = [list(col) for col in zip(*source)]
-    t_cols = [list(col) for col in zip(*target)]
-    linear = mat_mul(t_cols, mat_inv(s_cols))
-    offset = [a - b for a, b in zip(t1, mat_vec(linear, t2))]
-
-    moved = [make_block(b.carrier.affine_image(linear, offset),
-                        [h.affine_image(linear, offset) for h in b.holes])
-             for b in d2e.blocks]
+    # source and target send e_i to the witness point plus the i-th basis
+    # vector, so target o source^-1 sends t2 to t1 and the i-th direction of
+    # d2's top block to the i-th direction of d1's
+    source = AffineMap.make(zip(*_complete_basis(u2[:k], n)), t2)
+    target = AffineMap.make(zip(*_complete_basis(u1[:k], n)), t1)
+    align = target.compose(source.inverse())
+    moved = [align.image_block(b) for b in d2e.blocks]
     result = DefinableSet.from_blocks(n, moved)
     overlap_dim = definable_dim(d1e.intersect(result))
     note = (f"aligned a {top2.dim}-dim block of the second set with a "

@@ -35,10 +35,11 @@ def rat_to_json(x: Fraction):
 def rat_from_json(v) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise WorkbenchError(f"expected an exact rational, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (int, str)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise WorkbenchError(f"cannot read a rational from {v!r}")
 
 
@@ -50,8 +51,33 @@ def _rows_to_json(rows):
     return [_vec_to_json(r) for r in rows]
 
 
-def _rows_from_json(rows):
-    return [[rat_from_json(x) for x in row] for row in rows]
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise WorkbenchError(f"{what} must be a JSON list, got {v!r}")
+    return v
+
+
+def _vec_from_json(vec, what: str):
+    return [rat_from_json(x) for x in _list(vec, what)]
+
+
+def _rows_from_json(rows, what: str):
+    return [_vec_from_json(row, f"a row of {what}") for row in _list(rows, what)]
+
+
+def _field(d, key: str, what: str):
+    """d[key]; WorkbenchError unless d is a JSON object with that key."""
+    if not isinstance(d, dict) or key not in d:
+        raise WorkbenchError(f"{what} must be a JSON object with the field {key!r}")
+    return d[key]
+
+
+def _ambient(d, what: str) -> int:
+    n = _field(d, "ambient", what)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise WorkbenchError(f"{what}'s 'ambient' must be a natural number, "
+                             f"got {n!r}")
+    return n
 
 
 # cosets, blocks, sets --------------------------------------------------------
@@ -64,10 +90,11 @@ def coset_to_json(c: AffineCoset) -> dict:
 
 
 def coset_from_json(d: dict) -> AffineCoset:
-    ambient = int(d["ambient"])
+    ambient = _ambient(d, "a coset")
     if d.get("empty"):
         return AffineCoset.empty_set(ambient)
-    return AffineCoset.from_rows(ambient, _rows_from_json(d.get("rows", [])))
+    return AffineCoset.from_rows(
+        ambient, _rows_from_json(d.get("rows", []), "a coset's 'rows'"))
 
 
 def block_to_json(b: Block) -> dict:
@@ -76,8 +103,9 @@ def block_to_json(b: Block) -> dict:
 
 
 def block_from_json(d: dict) -> Block:
-    block = make_block(coset_from_json(d["carrier"]),
-                       [coset_from_json(h) for h in d.get("holes", [])])
+    block = make_block(coset_from_json(_field(d, "carrier", "a block")),
+                       [coset_from_json(h) for h in
+                        _list(d.get("holes", []), "a block's 'holes'")])
     if block is None:
         raise WorkbenchError("block in JSON input denotes the empty set")
     return block
@@ -89,7 +117,9 @@ def defset_to_json(s: DefinableSet) -> dict:
 
 def defset_from_json(d: dict) -> DefinableSet:
     return DefinableSet.from_blocks(
-        int(d["ambient"]), [block_from_json(b) for b in d.get("blocks", [])])
+        _ambient(d, "a definable set"),
+        [block_from_json(b) for b in
+         _list(d.get("blocks", []), "a definable set's 'blocks'")])
 
 
 # piecewise-affine maps --------------------------------------------------------
@@ -107,24 +137,15 @@ def pamap_to_json(f: PAMap) -> dict:
     return {"ambient": f.ambient, "pieces": pieces}
 
 
-def _field(d, key: str, what: str):
-    """d[key]; WorkbenchError unless d is a JSON object with that key."""
-    if not isinstance(d, dict) or key not in d:
-        raise WorkbenchError(f"{what} must be a JSON object with the field {key!r}")
-    return d[key]
-
-
 def pamap_from_json(d: dict) -> PAMap:
-    ambient = int(_field(d, "ambient", "a map"))
-    pieces = _field(d, "pieces", "a map")
-    if not isinstance(pieces, list):
-        raise WorkbenchError("a map's 'pieces' must be a JSON list")
+    ambient = _ambient(d, "a map")
     out = []
-    for p in pieces:
+    for p in _list(_field(d, "pieces", "a map"), "a map's 'pieces'"):
         block = block_from_json({"carrier": _field(p, "carrier", "a piece"),
                                  "holes": p.get("holes", [])})
-        affine = AffineMap.make(_rows_from_json(_field(p, "matrix", "a piece")),
-                                [rat_from_json(x) for x in _field(p, "offset", "a piece")])
+        affine = AffineMap.make(
+            _rows_from_json(_field(p, "matrix", "a piece"), "a piece's 'matrix'"),
+            _vec_from_json(_field(p, "offset", "a piece"), "a piece's 'offset'"))
         out.append((block, affine))
     return PAMap(ambient, out)
 

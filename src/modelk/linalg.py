@@ -9,9 +9,7 @@ reduced rows, so the cost is integer arithmetic rather than a gcd per
 Fraction operation.
 
 `cosets` keeps the eliminated rows themselves, sign-fixed so that each
-pivot entry is positive: `reduce_row` tests a row against such a basis, and
-`integer_affine` puts an affine map's data over one common denominator, so
-that a coset's preimage is computed on integers too.
+pivot entry is positive, and `reduce_row` tests a row against such a basis.
 """
 
 from __future__ import annotations
@@ -141,16 +139,6 @@ def null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def mat_vec(rows, vec):
-    return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in rows]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
-            for row in a]
-
-
 def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse by Gauss-Jordan; raises on a singular matrix."""
     n = len(rows)
@@ -160,17 +148,6 @@ def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots != list(range(n)):
         raise WorkbenchError("matrix is singular over Q")
     return [row[n:] for row in reduced]
-
-
-def integer_affine(matrix, offset):
-    """The map x -> M x + c as integers (P, q, d) with M = P / d and
-    c = q / d, d > 0 the lcm of every denominator."""
-    matrix = frac_rows(matrix)
-    offset = [Fraction(x) for x in offset]
-    d = lcm(*(x.denominator for row in matrix for x in row),
-            *(x.denominator for x in offset))
-    return ([[x.numerator * (d // x.denominator) for x in row] for row in matrix],
-            [x.numerator * (d // x.denominator) for x in offset], d)
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

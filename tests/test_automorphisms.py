@@ -7,7 +7,8 @@ from modelk.automorphisms import AffineMap, PAMap, conjugate, decompose_affine
 from modelk.cosets import NEG_INF, AffineCoset
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
-from modelk.suites import random_pamap
+from modelk.linalg import mat_inv
+from modelk.suites import random_affine_map, random_pamap
 
 
 def swap_map(ambient, a, b):
@@ -51,6 +52,44 @@ def test_affine_apply_compose_inverse():
     assert f.compose(g).apply(x) == f.apply(g.apply(x))
     assert f.compose(f.inverse()).is_identity
     assert f.inverse().apply(f.apply(x)) == x
+
+
+def test_affine_apply_needs_a_point_of_the_ambient_dimension():
+    f = AffineMap.make([[1, 0], [0, 1]], [0, 0])
+    for point in ((1,), (1, 2, 3)):
+        with pytest.raises(WorkbenchError):
+            f.apply(point)
+
+
+def test_affine_maps_hold_one_integer_form():
+    # x -> x/2 + 3/4 is (2x + 3) / 4 however it is built
+    half = AffineMap.make([[Fraction(1, 2)]], ["3/4"])
+    assert (half.linear, half.shift, half.denominator) == (((2,),), (3,), 4)
+    assert half == AffineMap.make([["1/4"]], ["3/4"]).compose(
+        AffineMap.make([[2]], [0]))
+    assert half.inverse() == AffineMap.make([[2]], ["-3/2"])
+    assert half.inverse().inverse() is half
+    assert half.matrix == ((Fraction(1, 2),),)
+    assert half.offset == (Fraction(3, 4),)
+
+
+def test_seeded_inverses_and_products_match_the_rational_formulas():
+    rng = random.Random(4410)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f, g = random_affine_map(rng, n), random_affine_map(rng, n)
+        minv = mat_inv(f.matrix)
+        assert f.inverse().matrix == tuple(map(tuple, minv))
+        assert f.inverse().offset == tuple(-_dot(row, f.offset) for row in minv)
+        fg = f.compose(g)
+        assert fg.matrix == tuple(tuple(_dot(row, col) for col in zip(*g.matrix))
+                                  for row in f.matrix)
+        assert fg.offset == tuple(_dot(row, g.offset) + c
+                                  for row, c in zip(f.matrix, f.offset))
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def test_fixed_and_agreement_cosets():

@@ -125,10 +125,27 @@ def test_aut_invalid_map(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def _one_piece_map(**fields):
+    """A one-piece map file on Q^1, with some piece fields replaced."""
+    piece = {"carrier": {"ambient": 1, "rows": []}, "matrix": [[1]],
+             "offset": [0]}
+    piece.update(fields)
+    return json.dumps({"ambient": 1, "pieces": [piece]})
+
+
 @pytest.mark.parametrize("payload, problem", [
     ("not json", "the map file is not JSON"),
     ('{"ambient": 1}', "a map must be a JSON object with the field 'pieces'"),
     ("[]", "a map must be a JSON object with the field 'ambient'"),
+    ('{"ambient": "a", "pieces": []}',
+     "a map's 'ambient' must be a natural number, got 'a'"),
+    (_one_piece_map(matrix=5), "a piece's 'matrix' must be a JSON list, got 5"),
+    (_one_piece_map(carrier=3),
+     "a coset must be a JSON object with the field 'ambient'"),
+    (_one_piece_map(offset=["x"]), "cannot read a rational from 'x'"),
+    (_one_piece_map(matrix=[["1/0"]]), "cannot read a rational from '1/0'"),
+    (_one_piece_map(offset="12"),
+     "a piece's 'offset' must be a JSON list, got '12'"),
 ])
 def test_aut_names_a_malformed_map(capsys, monkeypatch, payload, problem):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
@@ -226,6 +243,24 @@ def test_group_json_matches_golden_files(capsys, argv):
     code, out, _ = run(capsys, "--json", *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
+GOLDEN_MAPS = ["doubling-with-patch", "random-q1-seed0", "random-q1-seed5",
+               "random-q2-seed2", "random-q2-seed5", "random-q3-seed0",
+               "random-q3-seed7"]
+
+
+@pytest.mark.parametrize("action", ["validate", "support", "dim", "decompose"])
+@pytest.mark.parametrize("name", GOLDEN_MAPS)
+def test_aut_json_matches_golden_files(capsys, name, action):
+    # tests/golden/maps/ holds `doubling_with_patch` and seeded
+    # `suites.random_pamap` maps, and aut-<action>-<map>.json the `--json`
+    # bytes of `aut <action>` on them: a change to how affine maps are stored
+    # or applied must leave them alone
+    path = GOLDEN / "maps" / f"{name}.json"
+    code, out, _ = run(capsys, "--json", "aut", action, str(path))
+    assert code == 0
+    assert out == (GOLDEN / f"aut-{action}-{name}.json").read_text()
 
 
 def test_omega_ab(capsys):

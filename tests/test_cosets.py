@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from modelk.automorphisms import AffineMap
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
 from modelk.errors import WorkbenchError
 from modelk.suites import random_coset, random_point
@@ -86,16 +87,16 @@ def test_translate():
 
 def test_affine_image_and_preimage():
     c = line(2, (1, 0), 1)  # x1 = 1
-    double = [[F(2), F(0)], [F(0), F(2)]]
-    img = c.affine_image(double, (F(0), F(0)))
+    double = AffineMap.make([[2, 0], [0, 2]], [0, 0])
+    img = double.image_coset(c)
     assert img == line(2, (1, 0), 2)
-    back = img.affine_preimage(double, (F(0), F(0)))
+    back = img.pullback(double)
     assert back == c
 
 
 def test_affine_image_of_empty_stays_empty():
     e = AffineCoset.empty_set(2)
-    img = e.affine_image([[F(1), F(0)], [F(0), F(1)]], (F(1), F(1)))
+    img = AffineMap.translation([1, 1]).image_coset(e)
     assert img.empty
 
 
@@ -123,7 +124,7 @@ def test_product_and_embed():
 
 def test_integer_rows_clear_denominators():
     c = line(2, (F(1, 2), F(1, 3)), F(1, 6))
-    rows = c.integer_rows()
+    rows = c.basis
     for row in rows:
         assert all(isinstance(x, int) for x in row)
     assert rows[0][0] > 0

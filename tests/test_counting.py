@@ -133,7 +133,7 @@ def _holds_at(expr, point, p):
 
 def _in_rows(coset, point, p):
     return all((sum(a * x for a, x in zip(row, point)) - row[-1]) % p == 0
-               for row in coset.integer_rows())
+               for row in coset.basis)
 
 
 def _count_point_by_point(expr, p):

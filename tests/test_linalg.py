@@ -140,8 +140,8 @@ def test_rref_accepts_what_fraction_accepts():
 def _oracle_lattice_ranks_ok(d, p):
     """Condition (b) on every hole subset."""
     for block in d.blocks:
-        base = block.carrier.integer_rows()
-        hole_rows = [h.integer_rows() for h in block.holes]
+        base = list(block.carrier.basis)
+        hole_rows = [h.basis for h in block.holes]
         for size in range(len(hole_rows) + 1):
             for subset in itertools.combinations(hole_rows, size):
                 stacked = base + [row for rows in subset for row in rows]
