@@ -59,7 +59,8 @@ class AffineMap:
 
     @staticmethod
     def translation(vector) -> "AffineMap":
-        n = len(list(vector))
+        vector = list(vector)
+        n = len(vector)
         return AffineMap.make(
             [[int(i == j) for j in range(n)] for i in range(n)], vector)
 

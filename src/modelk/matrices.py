@@ -13,7 +13,8 @@ codes is lexicographic order of rows.  A row is a digit of
 the code in base Q = q^n.  Right multiplication by a generator g maps each
 row on its own, so for g there is a row-image table per row position i,
 taking a row code r to code(r * g) * Q^(n-1-i), and code(x * g) is the sum
-of n lookups.  The tables fill on first lookup, so a small group of large
+of n lookups.  Where q^n is small the tables are lists over every row;
+where it is large they fill on first lookup, so a small group of large
 matrices computes only the rows that occur, not all q^n.
 """
 
@@ -48,6 +49,10 @@ def _compile(name: str, args: str, body: list[str], ring: MatRing, **names):
     namespace = {"A": ring._add, "M": ring._mul, "N": ring._neg, **names}
     exec(source, namespace)
     return namespace[name]
+
+
+# row spaces up to this size get their row-image tables in full, up front
+_LISTED_ROWS = 1024
 
 
 class _OnDemand(dict):
@@ -158,12 +163,22 @@ class _Kernels:
         return _compile("image", "codes, " + ", ".join(tables),
                         [f"return [{code} for c in codes]"], self.ring)
 
-    def row_images(self, g: "Mat") -> list[_OnDemand]:
-        """Per row position i, the table r -> code(r * g) * Q^(n-1-i)."""
+    def row_images(self, g: "Mat") -> list:
+        """Per row position i, the table r -> code(r * g) * Q^(n-1-i): a list
+        over every row when Q <= _LISTED_ROWS, which CPython indexes faster
+        than a dict subclass, and otherwise a dict that fills on first
+        lookup."""
         n, Q = self.n, self.ring.size ** self.n
         columns = tuple(zip(*g.rows))
         apply, row_of, row_code = self.apply, self.row_of, self.row_code
-        last = _OnDemand(lambda r: row_code[apply(columns, row_of[r])])
+
+        def image(r):
+            return row_code[apply(columns, row_of[r])]
+        if Q <= _LISTED_ROWS:
+            last = [image(r) for r in range(Q)]
+            return [[x * Q ** (n - 1 - i) for x in last]
+                    for i in range(n - 1)] + [last]
+        last = _OnDemand(image)
         return [_OnDemand(lambda r, scale=Q ** (n - 1 - i): last[r] * scale)
                 for i in range(n - 1)] + [last]
 

@@ -11,7 +11,7 @@ from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
                      abelianization, enumerate_group, invariants_from_factors)
 from .matrices import Mat, _kernels, _trusted
-from .rings import MatRing, UnitSumWitness, unit_sum_witness
+from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
 # gl_group and special_linear search all n x n matrices over the ring for
 # their dets; this limits that search, apart from the cap on the group's order
@@ -26,17 +26,86 @@ def gl_order_field(n: int, q: int) -> int:
     return total
 
 
-def _designated_generators(n: int, ring: MatRing) -> list[Mat]:
-    """Transvections with c = 1 and diag(u, 1, ..., 1) for each unit u != 1.
+def _adjacent_transvections(n: int, ring: MatRing, coefficients) -> list[Mat]:
+    """e_(i,i+1)(c) and e_(i+1,i)(c) for each c in `coefficients`.
 
-    Over a field or Z_m they generate GL_n: conjugating the transvections by
-    the diagonals gives all of SL_n, and the diagonals reach every det.
+    They reach every e_ij(c): e_ij(a) e_ij(b) = e_ij(a + b), and the
+    commutator [e_ik(a), e_kj(b)] = e_ij(ab) for distinct i, k, j walks a
+    transvection one position along a row or a column.
+    """
+    return [Mat.transvection(ring, n, i, j, c)
+            for k in range(n - 1) for i, j in ((k, k + 1), (k + 1, k))
+            for c in coefficients]
+
+
+def _additive_basis(ring: MatRing) -> list[int]:
+    """A basis of the ring's additive group: {1} over Z_m and F_p, and the
+    digits 1, p, ..., p^(e-1), the powers of x, over F_(p^e)."""
+    basis = [ring.one]
+    while basis[-1] * ring.char < ring.size:
+        basis.append(basis[-1] * ring.char)
+    return basis
+
+
+def _primitive(order: int, units, power) -> int:
+    """The first of `units`, elements of a group of this order, that has
+    exact order `order`, with power(u, e) = u^e."""
+    primes = [p for p, _ in _prime_powers(order)]
+    return next(u for u in units if all(power(u, order // p) != 1 for p in primes))
+
+
+def _unit_generators(ring: MatRing) -> list[tuple[int, int]]:
+    """Units u, each with its order, such that R^x is the direct product of
+    the cyclic groups <u>, so that the orders give R^x's invariants.
+
+    Over F_q it is one primitive element, of order q - 1.  Over Z_m, by the
+    Chinese remainder theorem, R^x is the product over p^k || m of
+    (Z/p^k)^x, each lifted to the unit that is 1 modulo m / p^k.  For odd p
+    that factor is cyclic of order p^(k-1) (p-1), generated by a primitive
+    root; for p = 2 it is generated by -1 (order 2, when k >= 2) and 5
+    (order 2^(k-2), when k >= 3).
+    """
+    q = ring.size
+    if ring.kind == "gf":
+        if q == 2:
+            return []
+
+        def power(u, e):
+            x = ring.one
+            for _ in range(e):
+                x = ring.mul(x, u)
+            return x
+        return [(_primitive(q - 1, range(2, q), power), q - 1)]
+    gens = []
+    for p, k in _prime_powers(q):
+        pk = p ** k
+        rest = q // pk
+        if p == 2:
+            local = [(pk - 1, 2)] * (k >= 2) + [(5, 2 ** (k - 2))] * (k >= 3)
+        else:
+            order = pk // p * (p - 1)
+            local = [(_primitive(order, (u for u in range(2, pk) if u % p),
+                                 lambda u, e: pow(u, e, pk)), order)]
+        # the CRT lift: u mod p^k, 1 mod rest
+        gens += [(u + pk * ((1 - u) * pow(pk, -1, rest) % rest), order)
+                 for u, order in local]
+    return gens
+
+
+def _gl_generators(n: int, ring: MatRing) -> list[Mat]:
+    """The adjacent transvections with c = 1 and diag(u, 1, ..., 1) for each
+    u in `_unit_generators`.
+
+    Over a field or Z_m they generate GL_n.  Over Z_m the transvections with
+    c = 1 reach every e_ij(c), and these generate SL_n, since Z_m is
+    semilocal.  Over F_(p^e) conjugating e_12(1) and e_21(1) by the powers of
+    diag(u, 1, ..., 1) gives e_12(c) and e_21(c) for every c != 0, and so all
+    of SL_n.  The diagonals then reach every det.
     """
     one = Mat.identity(ring, n).rows
-    return ([Mat.transvection(ring, n, i, j, ring.one)
-             for i in range(n) for j in range(n) if i != j]
+    return (_adjacent_transvections(n, ring, [ring.one])
             + [Mat(ring, ((u,) + one[0][1:],) + one[1:])
-               for u in ring.units() if u != ring.one])
+               for u, _ in _unit_generators(ring)])
 
 
 def _matrices_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[Mat]:
@@ -71,52 +140,43 @@ def _matrices_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[M
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """GL_n over the ring: every matrix with a unit determinant, in
-    lexicographic order of the row-major entry tuple."""
+    lexicographic order of the row-major entry tuple.  Its generators are
+    the 2(n-1) adjacent transvections with c = 1 and one diagonal per
+    generator of R^x (see `_gl_generators`)."""
     name = f"GL_{n}({ring})"
     return FiniteGroup(_matrices_with_det(ring, n, set(ring.units()), name=name, cap=cap),
                        mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
-                       generators=_designated_generators(n, ring), name=name, cap=cap)
+                       generators=_gl_generators(n, ring), name=name, cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """The matrices of det 1, in gl_group's order; the comparison oracle for
-    closures."""
+    closures.  Its generators are elementary_closure's: the adjacent
+    transvections with c over an additive basis of the ring."""
     name = f"SL_{n}({ring})"
-    gens = [Mat.transvection(ring, n, i, j, c)
-            for i in range(n) for j in range(n) if i != j
-            for c in range(1, ring.size)]
+    gens = _adjacent_transvections(n, ring, _additive_basis(ring))
     return FiniteGroup(_matrices_with_det(ring, n, {ring.one}, name=name, cap=cap),
                        mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
                        generators=gens, name=name, cap=cap)
 
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """Closure of the transvections I + c*e_ij (i != j, c nonzero)."""
+    """The group generated by the transvections I + c*e_ij (i != j), closed
+    from the adjacent ones with c over an additive basis of the ring, which
+    generate the same group (see `_adjacent_transvections`)."""
     if n == 1:
         return FiniteGroup([Mat.identity(ring, 1)], mul,
                            Mat.identity(ring, 1), inv=lambda a: a.inverse(),
                            name=f"E_1({ring})", cap=cap)
-    gens = [Mat.transvection(ring, n, i, j, c)
-            for i in range(n) for j in range(n) if i != j
-            for c in range(1, ring.size)]
-    return enumerate_group(gens, cap=cap, name=f"E_{n}({ring})")
+    return enumerate_group(_adjacent_transvections(n, ring, _additive_basis(ring)),
+                           cap=cap, name=f"E_{n}({ring})")
 
 
 def _unit_group_invariants(ring: MatRing) -> AbInvariants:
-    """R^x from its closed form: Z_(q-1) over F_q.  Over Z_m it is, by the
-    Chinese remainder theorem, the product over p^k || m of (Z/p^k)^x, which
-    is Z_(p^(k-1) (p-1)) for odd p and for p^k in {2, 4}, and
-    Z_2 + Z_(2^(k-2)) for 2^k with k >= 3."""
-    if ring.kind == "gf":
-        return invariants_from_factors([ring.size - 1])
-    orders, rest = [], ring.size
-    for p in range(2, ring.size + 1):
-        k = 0
-        while rest % p == 0:
-            rest, k = rest // p, k + 1
-        if k:
-            orders += [2, 2 ** (k - 2)] if p == 2 and k >= 3 else [p ** (k - 1) * (p - 1)]
-    return invariants_from_factors(orders)
+    """R^x from the orders of `_unit_generators`: Z_(q-1) over F_q, and over
+    Z_m the product over p^k || m of Z_(p^(k-1) (p-1)) for odd p and for
+    p^k in {2, 4}, and Z_2 + Z_(2^(k-2)) for 2^k with k >= 3."""
+    return invariants_from_factors(order for _, order in _unit_generators(ring))
 
 
 # measured abelianizations that deliberately disagree with the unit-group

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 _new = object.__new__
 
@@ -102,7 +100,3 @@ def permute_tuple(p: Perm, values: tuple) -> tuple:
     for x, y in enumerate(p.images):
         result[y] = values[x]
     return tuple(result)
-
-
-def perm_product(perms) -> Perm:
-    return reduce(mul, perms)

@@ -26,21 +26,24 @@ _MODULUS = {
 _AXIOM_CHECK_LIMIT = 16
 
 
-def _factor_prime_power(q: int):
-    """(p, e) with q = p^e for a prime p, or None; trial division to sqrt(q)."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            return (p, e) if rest == 1 else None
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, k) for each p^k exactly dividing m, p ascending; trial division
+    to sqrt(m)."""
+    out, p = [], 2
+    while p * p <= m:
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if k:
+            out.append((p, k))
         p += 1
-    return q, 1
+    return out + [(m, 1)] * (m > 1)
+
+
+def _factor_prime_power(q: int):
+    """(p, e) with q = p^e for a prime p, or None."""
+    pe = _prime_powers(q)
+    return pe[0] if len(pe) == 1 else None
 
 
 @dataclass(frozen=True)

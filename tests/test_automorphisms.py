@@ -170,6 +170,12 @@ def test_translation_support_is_everything():
     assert not f.in_omega(1)
 
 
+def test_translation_reads_its_vector_once():
+    # an iterator is used up by its first read
+    assert AffineMap.translation(iter([1, 2])) == AffineMap.translation([1, 2])
+    assert AffineMap.translation(iter([1, 2])).shift == (1, 2)
+
+
 def test_swap_support_is_the_two_points():
     f = swap_map(1, (Fraction(0),), (Fraction(3),))
     assert f.support_dim() == 0

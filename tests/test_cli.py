@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,6 +331,20 @@ def test_abelianize_catalogue_and_extended_specs(capsys):
     assert doc["order"] == 8 and doc["abelianization"] == [2, 2]
     code, _, err = run(capsys, "abelianize", "--group", "mystery:7")
     assert code == 1 and "error:" in err
+
+
+def test_abelianize_gl2_f16_takes_the_short_generators(capsys):
+    # two transvections and one primitive diagonal; the sixteen generators
+    # of every e_ij(1) and every unit diagonal took about 3 s of CPU here
+    start = time.process_time()
+    code, out, _ = run(capsys, "--cap", "100000", "--json", "abelianize",
+                       "--group", "gl:2:16")
+    assert time.process_time() - start < 2.0
+    doc = json.loads(out)
+    assert code == 0 and doc["order"] == 61200 and doc["abelianization"] == [15]
+    code, out, _ = run(capsys, "--json", "abelianize", "--group", "sl:2:27")
+    doc = json.loads(out)
+    assert code == 0 and doc["order"] == 19656 and doc["abelianization"] == []
 
 
 def test_abelianize_rejects_malformed_matrix_group_integers(capsys):

@@ -148,3 +148,10 @@ def test_row_images_fill_only_the_rows_that_occur():
     k.image(k.encode([x.rows for x in G.elements]), *tables)
     assert [len(t) for t in tables] == [10] * 10
 
+
+def test_row_images_of_a_small_row_space_are_listed_in_full():
+    # 3^3 rows: each row position gets a list over all 27 of them
+    g = Mat.transvection(GF(3), 3, 0, 1, 1)
+    tables = g._k.row_images(g)
+    assert [type(t) for t in tables] == [list] * 3
+    assert [len(t) for t in tables] == [27] * 3
