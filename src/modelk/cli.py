@@ -27,37 +27,51 @@ from .groups import DEFAULT_CAP
 SUITE_NAMES = ("ed", "gl", "lift", "perm", "semiab", "truncation", "wreath")
 
 
+def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
+    """--seed, --cap and --json with these defaults, as a parent parser."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=seed,
+                       help="seed for randomized suites (default 0)")
+    flags.add_argument("--cap", type=int, default=cap,
+                       help=f"group enumeration cap (default {DEFAULT_CAP})")
+    flags.add_argument("--json", action="store_true", default=emit_json,
+                       help="emit machine-readable JSON")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The common flags go before or after the subcommand.  After it they
+    have no defaults, so that one left out there keeps its value from before
+    the subcommand."""
     parser = argparse.ArgumentParser(
         prog="modelk",
-        description="Definable-set geometry and symbolic K1 over free modules.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (default 0)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help=f"group enumeration cap (default {DEFAULT_CAP})")
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
+        description="Definable-set geometry and symbolic K1 over free modules.",
+        parents=[_common_flags(0, DEFAULT_CAP, False)])
+    after = _common_flags(*[argparse.SUPPRESS] * 3)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("k0", help="class of a definable set in the dimension ring")
+    p = sub.add_parser("k0", parents=[after],
+                       help="class of a definable set in the dimension ring")
     p.add_argument("formula", help='e.g. "ambient 2; pp(x1 = 0) | pp(x2 = 0)"')
 
-    p = sub.add_parser("iso", help="definable isomorphism test for two formulas")
+    p = sub.add_parser("iso", parents=[after],
+                       help="definable isomorphism test for two formulas")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("dim", help="dimension of a definable set")
+    p = sub.add_parser("dim", parents=[after], help="dimension of a definable set")
     p.add_argument("formula")
 
-    p = sub.add_parser("count", help="point count of a formula modulo a prime")
+    p = sub.add_parser("count", parents=[after],
+                       help="point count of a formula modulo a prime")
     p.add_argument("formula")
     p.add_argument("--prime", type=int, required=True)
 
-    p = sub.add_parser("aut", help="piecewise-affine map operations")
+    p = sub.add_parser("aut", parents=[after], help="piecewise-affine map operations")
     p.add_argument("action", choices=["validate", "support", "dim", "decompose"])
     p.add_argument("mapfile", help="path to a PAMap JSON file, or - for stdin")
 
-    p = sub.add_parser("k1", help="closed form of K1 for a free module")
+    p = sub.add_parser("k1", parents=[after], help="closed form of K1 for a free module")
     p.add_argument("--ring", required=True,
                    help="fq:<q> | z | poly-char0 | field:<tag> | ed:<tag>")
     p.add_argument("--unit-sum", action="store_true",
@@ -71,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free-rank", type=int, default=None,
                    help="finite free rank (integers only; default 1 there)")
 
-    p = sub.add_parser("omega-ab",
+    p = sub.add_parser("omega-ab", parents=[after],
                        help="abelianized automorphism truncation at level n")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -80,12 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cofinal-even", action="store_true")
     p.add_argument("--cofinal-odd", action="store_true")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", parents=[after], help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
     p.add_argument("--cases", type=int, default=None,
                    help="randomized case count, where the suite takes one")
 
-    p = sub.add_parser("abelianize", help="abelianization of a catalogue group")
+    p = sub.add_parser("abelianize", parents=[after],
+                       help="abelianization of a catalogue group")
     p.add_argument("--group", required=True,
                    help="sym:k | cyclic:n | dihedral:m | sl2:q | klein | q8 "
                         "| gl:n:q | sl:n:q | aff:n:q | wreath:<base>:<k>")

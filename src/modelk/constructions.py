@@ -3,7 +3,9 @@
 Pair conventions follow the usual semidirect multiplication
 (h, k)(h', k') = (h * act(k, h'), k k'), and the wreath product K wr Sym(k)
 is realized concretely as the index-permutation semidirect product, so both
-constructions share one source of truth.
+constructions share one source of truth.  A semidirect product's generator
+tables come from its factors' tables and the action's index table, not from
+products of pairs.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def _semidirect_tables(action: GroupAction) -> list[array]:
     and the checked action's index table, on pair indices i * |K| + j for
     (H.elements[i], K.elements[j]).  Right multiplication by (h', 1) takes
     (h, k) to (h * act(k, h'), k), one right-multiplication table in H per
-    distinct act(k, h'); by (1, k') it takes (h, k) to (h, k k')."""
+    distinct act(k, h'), composed from H's generator tables; by (1, k') it
+    takes (h, k) to (h, k k').  No element of H or K is multiplied."""
     H, K, rows = action.target, action.acting, action._table
     size, n = K.order, H.order * K.order
     tables = []

@@ -5,19 +5,23 @@ each group carries its own operation.  Enumerations are deterministic: BFS
 from the identity, the new elements of each level sorted by a structural
 key, so every downstream tie-break is reproducible.
 
-One loop closes generators into a group (`_closure`) and one builder makes
-a group's generator tables (`_product_tables`).  Both run on keys that
-`_keying` picks: integer codes for matrices under `mul` that share a ring
-and size, and the elements themselves otherwise.
+A group holds its elements as keys, which `_keying` picks once, when the
+group is made: integer codes for matrices under `mul` that share a ring and
+size (see `matrices`), and the elements themselves otherwise.  One loop
+closes generators into a group (`_closure`) and one builder makes a group's
+generator tables (`_product_tables`), both on keys.  Any other right
+multiplication table is composed from the generator tables along a word
+for the element.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .errors import CapExceededError, InvalidActionError, WorkbenchError
 
@@ -45,6 +49,12 @@ def element_key(x):
 class FiniteGroup:
     """A finite group on an explicit, ordered element tuple.
 
+    The group holds its elements as the keys that `_keying` picks for them,
+    with one key -> index dict.  `elements` and the element -> index map are
+    built from the keys on first use, so a group of matrices decodes its
+    Mats only when a caller asks for them.  The constructor encodes the
+    elements it is given; `_from_keys` takes keys directly.
+
     Its generator tables, built on first use, hold for each generator g the
     array whose entry i is the index of elements[i] * g.  They are the
     Cayley graph that the generation check and abelianization walk.
@@ -53,24 +63,41 @@ class FiniteGroup:
     def __init__(self, elements, op, identity, inv=None, generators=(),
                  name="", cap=DEFAULT_CAP):
         elements = tuple(elements)
-        if cap is not None and len(elements) > cap:
+        keying = _keying(op, identity, elements)
+        self._setup(keying.encode(elements), keying, op, identity, inv,
+                    generators, name, cap)
+
+    @classmethod
+    def _from_keys(cls, keys, keying, op, identity, *, inv, generators=(),
+                   name="", cap=DEFAULT_CAP) -> "FiniteGroup":
+        """The group whose elements have these `_keying` keys, in order."""
+        G = cls.__new__(cls)
+        G._setup(keys, keying, op, identity, inv, generators, name, cap)
+        return G
+
+    def _setup(self, keys, keying, op, identity, inv, generators, name, cap):
+        keys = tuple(keys)
+        if cap is not None and len(keys) > cap:
             raise CapExceededError(
-                f"group {name or '<anonymous>'} has {len(elements)} elements, cap is {cap}")
-        self.elements = elements
+                f"group {name or '<anonymous>'} has {len(keys)} elements, cap is {cap}")
+        self._keys = keys
+        self._keying = keying
+        self._key_index = dict(zip(keys, range(len(keys))))
+        if len(self._key_index) != len(keys):
+            raise WorkbenchError("duplicate elements in enumeration")
+        start = self._key_index.get(keying.encode([identity])[0])
+        if start is None:
+            raise WorkbenchError("identity missing from enumeration")
+        self._start = start
         self.op = op
         self.identity = identity
         self._inv = inv
         self.name = name
         self.cap = cap
-        self._index = {e: i for i, e in enumerate(elements)}
-        if len(self._index) != len(elements):
-            raise WorkbenchError("duplicate elements in enumeration")
-        if identity not in self._index:
-            raise WorkbenchError("identity missing from enumeration")
         self._inv_cache = {}
         self._abelian = None
         self._tables = None
-        self._right_tables = {}
+        self._right_tables = None
         self._tree = None
         # a group always carries a generating set, and a short one keeps the
         # relator rows of abelianization short
@@ -78,19 +105,33 @@ class FiniteGroup:
 
     def _pick_generators(self) -> tuple:
         """Each element, in order, that the earlier picks do not generate."""
-        picks, span = (), {self.identity}
-        for x in self.elements:
-            if x not in span:
-                picks += (x,)
-                span = set(generated_subgroup(self, picks).elements)
-        return picks or (self.identity,)
+        decode = self._keying.decode
+        picks, span = [], {self._keys[self._start]}
+        for key in self._keys:
+            if key not in span:
+                picks += decode([key])
+                span = set(generated_subgroup(self, picks)._keys)
+        return tuple(picks) or (self.identity,)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self._keying.decode(self._keys))
+
+    @cached_property
+    def _index(self) -> dict:
+        """Element -> index: the key index where the elements are their own
+        keys."""
+        elements = self.elements
+        if elements is self._keys:
+            return self._key_index
+        return dict(zip(elements, range(len(elements))))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __iter__(self):
         return iter(self.elements)
@@ -139,12 +180,27 @@ class FiniteGroup:
         return self._tables
 
     def _right_table(self, j: int) -> array:
-        """The array whose entry i is the index of elements[i] * elements[j]."""
-        table = self._right_tables.get(j)
-        if table is None:
-            table = _product_tables(self, (self.elements[j],))[0]
-            self._right_tables[j] = table
-        return table
+        """The array whose entry i is the index of elements[i] * elements[j].
+
+        The spanning tree reaches elements[j] along a word g_1 ... g_r in
+        the generators, which must generate the group (WorkbenchError
+        otherwise), so the table is the generator tables composed along that
+        word.  Every table on the way is kept.
+        """
+        tables = self._right_tables
+        if tables is None:
+            _check_generation(self)
+            tables = self._right_tables = {self._start: array("l", range(self.order))}
+        if j not in tables:
+            _, parent, via = self._spanning_tree()
+            steps = self._generator_tables()
+            path, y = [], j
+            while y not in tables:
+                path.append(y)
+                y = parent[y]
+            for y in reversed(path):
+                tables[y] = array("l", map(steps[via[y]].__getitem__, tables[parent[y]]))
+        return tables[j]
 
     def _spanning_tree(self):
         """Breadth-first search over the generator tables from the identity.
@@ -155,8 +211,8 @@ class FiniteGroup:
         """
         if self._tree is None:
             steps = list(enumerate(self._generator_tables()))
-            start = self._index[self.identity]
-            parent, via = [-1] * len(self.elements), [0] * len(self.elements)
+            start = self._start
+            parent, via = [-1] * self.order, [0] * self.order
             parent[start] = start
             reached = [start]
             for x in reached:
@@ -180,23 +236,30 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-def _keying(op, identity, *values):
-    """How the closure loop and the table builder see the elements of a group
-    with this operation and identity, given every element they will meet in
-    `values`: a tuple (encode, step, decode, order).  Matrices under `mul`
-    that all share the identity's kernels, hence one ring and size, ride
-    integer codes (see `matrices`); any other elements are their own keys.
-    encode maps a list of elements to their keys and decode maps keys back;
-    step(g) maps a list of keys to the keys of their products with g on the
-    right; `order` is the sort key that orders keys as `element_key` orders
-    their elements, None for codes, whose numeric order is that order."""
+class _Keys(NamedTuple):
+    """How a group holds its elements as keys.  encode maps a list of
+    elements to their keys and decode maps keys back; step(g) maps a list of
+    keys to the keys of their products with g on the right; `order` is the
+    sort key that orders keys as `element_key` orders their elements, None
+    for codes, whose numeric order is that order."""
+
+    encode: Callable
+    step: Callable
+    decode: Callable
+    order: Callable | None
+
+
+def _keying(op, identity, elements) -> _Keys:
+    """How a group with this operation and identity holds `elements`.
+    Matrices under `mul` that all share the identity's kernels, hence one
+    ring and size, are held as integer codes (see `matrices`); any other
+    elements are their own keys."""
     # only a Mat carries kernels, so this needs no import of the matrix layer
     k = getattr(identity, "_k", None)
-    if op is mul and k is not None and all(
-            getattr(x, "_k", None) is k for x in chain.from_iterable(values)):
-        return k.code_keys()
-    # tuple() returns a tuple unchanged, so G's elements are their own keys
-    return tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key
+    if op is mul and k is not None and all(getattr(x, "_k", None) is k for x in elements):
+        return _Keys(*k.code_keys())
+    # tuple() returns a tuple unchanged, so a tuple of elements is its own keys
+    return _Keys(tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key)
 
 
 def _closure(start, steps, cap, key):
@@ -216,19 +279,10 @@ def _closure(start, steps, cap, key):
     return ordered
 
 
-def _keys_of(G: FiniteGroup, gens):
-    """G's elements as `_keying` keys for loops that multiply them by gens:
-    (keys, index of each key in G, step, decode)."""
-    encode, step, decode, _ = _keying(G.op, G.identity, G.elements, gens)
-    keys = encode(G.elements)
-    index = G._index if keys is G.elements else dict(zip(keys, range(G.order)))
-    return keys, index, step, decode
-
-
 def _product_tables(G: FiniteGroup, gens) -> list[array]:
     """Entry i of table j is the index of elements[i] * gens[j].  Raises
     WorkbenchError when a product leaves G."""
-    keys, index, step, _ = _keys_of(G, gens)
+    keys, index, step = G._keys, G._key_index, G._keying.step
     tables = []
     for g in gens:
         images = step(g)(keys)
@@ -255,20 +309,21 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     for g in gens:
         g.inverse()  # raises for a non-invertible generator
     identity = gens[0].identity_like()
-    encode, step, decode, order = _keying(mul, identity, gens)
-    ordered = _closure(encode([identity])[0], [step(g) for g in gens], cap, order)
-    return FiniteGroup(decode(ordered), mul, identity, inv=lambda a: a.inverse(),
-                       generators=gens, name=name, cap=cap)
+    keying = _keying(mul, identity, gens)
+    ordered = _closure(keying.encode([identity])[0], [keying.step(g) for g in gens],
+                       cap, keying.order)
+    return FiniteGroup._from_keys(ordered, keying, mul, identity,
+                                  inv=lambda a: a.inverse(), generators=gens,
+                                  name=name, cap=cap)
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     """Subgroup of G generated by `gens`, ordered by BFS with parent-index ties."""
     gens = [g for g in gens if g != G.identity]
-    keys, index, step, decode = _keys_of(G, gens)
-    ordered = _closure(keys[G.index_of(G.identity)], [step(g) for g in gens],
-                       G.cap, index.__getitem__)
-    return FiniteGroup(decode(ordered), G.op, G.identity, inv=G.inv,
-                       generators=gens, name=name, cap=G.cap)
+    ordered = _closure(G._keys[G._start], [G._keying.step(g) for g in gens], G.cap,
+                       G._key_index.__getitem__)
+    return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity, inv=G.inv,
+                                  generators=gens, name=name, cap=G.cap)
 
 
 def _check_generation(G: FiniteGroup) -> None:
@@ -420,16 +475,22 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     skipped, so at most m^k relators are reduced at modulus m.
 
     The search and the edges run on G's generator tables, with each vector
-    packed into one int of k digits of s bits; a relator's coordinates lie
-    in [-n, n], n = |G|, so with n added to each digit they fit in s bits,
-    and only the distinct relators are unpacked.
+    packed into one int of k digits of s bits.  Each v(x) has coordinates in
+    [0, D], D the depth of the search tree, taken at least 1, so a relator's
+    coordinates lie in [-D, D + 1]; with D added to each digit they fit in
+    s = (2D + 1).bit_length() bits.  Only the distinct relators are
+    unpacked.
     Raises WorkbenchError when the generators do not generate G.
     """
     _check_generation(G)
     tables = G._generator_tables()
     reached, parent, via = G._spanning_tree()
     k, n = len(tables), G.order
-    s = (2 * n).bit_length()
+    # the last element reached lies deepest in the tree
+    depth, y = 1, parent[reached[-1]]
+    while y != reached[0]:
+        depth, y = depth + 1, parent[y]
+    s = (2 * depth + 1).bit_length()
     units = [1 << (s * i) for i in range(k)]
     packed = [0] * n
     for y in reached[1:]:
@@ -443,14 +504,14 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
         for g in action.acting.generators:
             relators.update([packed[G.index_of(action.act(g, h))] - unit
                              for unit, h in zip(units, G.generators)])
-    offset, mask = sum(n * unit for unit in units), (1 << s) - 1
+    offset, mask = sum(depth * unit for unit in units), (1 << s) - 1
     shifts = [s * i for i in range(k)]
     m = n
     basis = _scaled_identity(k, m)
     seen = {(0,) * k}
     for r in relators:
         r += offset
-        row = tuple([((r >> shift & mask) - n) % m for shift in shifts])
+        row = tuple([((r >> shift & mask) - depth) % m for shift in shifts])
         if row in seen:
             continue
         seen.add(row)
@@ -517,7 +578,9 @@ class GroupAction:
         automorphism of H, and r is a homomorphism from G into maps of H
         whose values are products of automorphisms; r(e) is then the
         identity, since r(g) = r(e) o r(g) with r(g) bijective.  Conversely
-        an action by automorphisms passes every check.
+        an action by automorphisms passes every check.  The right
+        multiplications by r(g)(h) are H's composed tables (see
+        `FiniteGroup._right_table`), so the check multiplies no elements.
         """
         if self._checked:
             return

@@ -6,16 +6,18 @@ arithmetic runs in straight-line functions generated once per (ring, n), the
 way `dataclasses` generates `__init__`, that index the ring's add, mul and
 neg tables directly.
 
-Groups of matrices close and build their tables (see `groups._keying`) on
-a private integer form of a matrix, its code: the row-major entry tuple
-read as a base-q numeral, q the ring's size, so that numeric order of
-codes is lexicographic order of rows.  A row is a digit of
-the code in base Q = q^n.  Right multiplication by a generator g maps each
-row on its own, so for g there is a row-image table per row position i,
-taking a row code r to code(r * g) * Q^(n-1-i), and code(x * g) is the sum
-of n lookups.  Where q^n is small the tables are lists over every row;
-where it is large they fill on first lookup, so a small group of large
-matrices computes only the rows that occur, not all q^n.
+Groups of matrices hold their elements (see `groups._keying`) as a private
+integer form of a matrix, its code: the row-major entry tuple read as a
+base-q numeral, q the ring's size, so that numeric order of codes is
+lexicographic order of rows.  They close, build their tables and are
+enumerated by determinant on codes, and decode Mats only when asked for
+their elements.  A row is a digit of the code in base Q = q^n.  Right
+multiplication by a generator g maps each row on its own, so for g there is
+a row-image table per row position i, taking a row code r to
+code(r * g) * Q^(n-1-i), and code(x * g) is the sum of n lookups.  Where
+q^n is small the tables are lists over every row; where it is large they
+fill on first lookup, so a small group of large matrices computes only the
+rows that occur, not all q^n.
 """
 
 from __future__ import annotations
@@ -185,10 +187,15 @@ class _Kernels:
     def code_keys(self):
         """Codes as the keys of `groups._keying`: (encode, step, decode,
         None), with encode taking Mats to codes and decode taking codes back
-        to Mats, and step(g) imaging codes under right multiplication by g."""
+        to Mats, and step(g) imaging codes under right multiplication by g.
+        A g over another ring or of another size raises ValueError, as its
+        product would."""
         ring, encode, decode, image = self.ring, self.encode, self.decode, self.image
 
         def step(g):
+            if getattr(g, "_k", None) is not self:
+                raise ValueError(f"cannot multiply {self.n}x{self.n} matrices "
+                                 f"over {ring} by {g!r}")
             tables = self.row_images(g)
             return lambda codes: image(codes, *tables)
         return (lambda mats: encode([m.rows for m in mats]), step,

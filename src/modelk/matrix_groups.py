@@ -1,16 +1,22 @@
-"""General linear groups over small rings, and their abelianization checks."""
+"""General linear groups over small rings, and their abelianization checks.
+
+`gl_group` and `special_linear` enumerate their elements by determinant on
+matrix codes (see `matrices`), and declare short generating sets: e_12 over
+an additive basis of the ring, one signed n-cycle, and for GL one diagonal
+per generator of the unit group.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from operator import mul
 
 from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
-from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
+from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction, _keying,
                      abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat, _kernels, _trusted
+from .matrices import Mat, _kernels
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
 # gl_group and special_linear search all n x n matrices over the ring for
@@ -26,16 +32,32 @@ def gl_order_field(n: int, q: int) -> int:
     return total
 
 
-def _adjacent_transvections(n: int, ring: MatRing, coefficients) -> list[Mat]:
-    """e_(i,i+1)(c) and e_(i+1,i)(c) for each c in `coefficients`.
+def _signed_cycle(n: int, ring: MatRing) -> Mat:
+    """C = w_12 w_23 ... w_(n-1)n, with w_ij = e_ij(1) e_ji(-1) e_ij(1): the
+    signed permutation matrix with 1 at (1, n) and -1 at (i, i - 1) for
+    1 < i <= n.  It has det 1, and lies in E_n as a product of
+    transvections."""
+    one, zero, minus_one = ring.one, ring.zero, ring.neg(ring.one)
+    return Mat(ring, tuple(tuple(one if (i, j) == (0, n - 1) else
+                                 minus_one if j == i - 1 else zero
+                                 for j in range(n)) for i in range(n)))
 
-    They reach every e_ij(c): e_ij(a) e_ij(b) = e_ij(a + b), and the
-    commutator [e_ik(a), e_kj(b)] = e_ij(ab) for distinct i, k, j walks a
-    transvection one position along a row or a column.
+
+def _elementary_generators(n: int, ring: MatRing, coefficients) -> list[Mat]:
+    """e_12(c) for each c in `coefficients`, and the signed n-cycle C; none
+    for n = 1.
+
+    With coefficients that span the ring additively they generate E_n:
+    e_12(a) e_12(b) = e_12(a + b) gives every e_12(c); conjugating e_12(c)
+    by the powers of C reaches every e_(i,i+1)(c) and e_(n,1)(c), up to
+    sign (for n = 2, conjugating by C = w_12 gives e_21(-c)); and for n >= 3
+    the commutator [e_ik(a), e_kj(b)] = e_ij(ab) of distinct i, k, j walks
+    these around the cycle 1 -> 2 -> ... -> n -> 1 to every e_ij(c).
     """
-    return [Mat.transvection(ring, n, i, j, c)
-            for k in range(n - 1) for i, j in ((k, k + 1), (k + 1, k))
-            for c in coefficients]
+    if n < 2:
+        return []
+    return ([Mat.transvection(ring, n, 0, 1, c) for c in coefficients]
+            + [_signed_cycle(n, ring)])
 
 
 def _additive_basis(ring: MatRing) -> list[int]:
@@ -93,24 +115,33 @@ def _unit_generators(ring: MatRing) -> list[tuple[int, int]]:
 
 
 def _gl_generators(n: int, ring: MatRing) -> list[Mat]:
-    """The adjacent transvections with c = 1 and diag(u, 1, ..., 1) for each
-    u in `_unit_generators`.
+    """e_12(1), the signed n-cycle C and diag(u, 1, ..., 1) for each u in
+    `_unit_generators`.
 
-    Over a field or Z_m they generate GL_n.  Over Z_m the transvections with
-    c = 1 reach every e_ij(c), and these generate SL_n, since Z_m is
-    semilocal.  Over F_(p^e) conjugating e_12(1) and e_21(1) by the powers of
-    diag(u, 1, ..., 1) gives e_12(c) and e_21(c) for every c != 0, and so all
-    of SL_n.  The diagonals then reach every det.
+    Over a field or Z_m they generate GL_n.  Over Z_m and F_p, c = 1 spans
+    the ring, so e_12(1) and C generate E_n (see `_elementary_generators`).
+    Over F_(p^e), conjugating e_12(1) by the powers of diag(u, 1, ..., 1)
+    gives e_12(u^k), and these span F_q, so the generators reach E_n there
+    too.  E_n = SL_n over a field, and over Z_m, since Z_m is semilocal.
+    The diagonals then reach every det.
     """
     one = Mat.identity(ring, n).rows
-    return (_adjacent_transvections(n, ring, [ring.one])
+    return (_elementary_generators(n, ring, [ring.one])
             + [Mat(ring, ((u,) + one[0][1:],) + one[1:])
                for u, _ in _unit_generators(ring)])
 
 
-def _matrices_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[Mat]:
-    """Every n x n matrix over the ring with its det in `dets`, a set of
-    units, in lexicographic order of the row-major entry tuple.
+def _codes_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[int]:
+    """The code (see `matrices`) of every n x n matrix over the ring with its
+    det in `dets`, a set of units, in increasing order, which is
+    lexicographic order of the row-major entry tuple.
+
+    Expanding along the last row, det(a) = sum_j c_j a_(n-1)j, where the
+    signed cofactors c_j come from the (n-1) x (n-1) det kernel on the
+    first n - 1 rows.  So for each (n-1)-row prefix, in row order, the last
+    rows are those whose dot product with c lies in `dets`, read off a table
+    of that linear form over all q^n rows, built once per distinct c.  No
+    n x n det and no Mat is built per candidate.
 
     Over a field each unit is the det of |GL_n| / (q - 1) matrices, so an
     over-cap request fails before the scan.  CapExceededError names `name`.
@@ -126,50 +157,87 @@ def _matrices_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[M
             f"{name} is searched for among {ring.size ** (n * n)} "
             f"candidate matrices, over the limit of 2^21 candidate matrices; "
             f"--cap does not raise this limit")
-    k = _kernels(ring, n)
-    det = k.det
-    elements = [_trusted(ring, rows, k)
-                for rows in product(tuple(product(ring.elements, repeat=n)), repeat=n)
-                if det(rows) in dets]
-    if cap is not None and len(elements) > cap:
-        raise CapExceededError(f"{name} has order {len(elements)}, cap is {cap}")
+    add, times, neg = ring._add, ring._mul, ring._neg
+    wanted = [x in dets for x in ring.elements]
+    Q = ring.size ** n
+    rows = list(range(Q))  # shared, so that the memo holds no copies
+
+    def last_rows(c):
+        values = times[c[0]]
+        for x in c[1:]:
+            products = times[x]
+            values = [add[v][y] for v in values for y in products]
+        return list(compress(rows, map(wanted.__getitem__, values)))
+
+    if n == 1:
+        def cofactors(prefix):
+            return (ring.one,)
+    else:
+        # a det is unchanged by transposing, so the minor without column j
+        # is the det of the other columns, read as rows
+        minor, odd = _kernels(ring, n - 1).det, [(n - 1 + j) % 2 for j in range(n)]
+
+        def cofactors(prefix):
+            columns = tuple(zip(*prefix))
+            minors = [minor(columns[:j] + columns[j + 1:]) for j in range(n)]
+            return tuple([neg[d] if s else d for d, s in zip(minors, odd)])
+    memo, codes = {}, []
+    prefixes = product(tuple(product(ring.elements, repeat=n)), repeat=n - 1)
+    for p, prefix in enumerate(prefixes):
+        c = cofactors(prefix)
+        last = memo.get(c)
+        if last is None:
+            last = memo[c] = last_rows(c)
+        base = p * Q
+        codes += [base + r for r in last]
+    if cap is not None and len(codes) > cap:
+        raise CapExceededError(f"{name} has order {len(codes)}, cap is {cap}")
     if ring.kind == "gf":
-        assert len(elements) == expected
-    return elements
+        assert len(codes) == expected
+    return codes
+
+
+def _sl_generators(n: int, ring: MatRing) -> list[Mat]:
+    """e_12(c) with c over an additive basis of the ring, and the signed
+    n-cycle: generators of E_n (see `_elementary_generators`)."""
+    return _elementary_generators(n, ring, _additive_basis(ring))
+
+
+def _linear_group(n: int, ring: MatRing, dets, generators, *, name: str,
+                  cap) -> FiniteGroup:
+    """The matrices with det in `dets`, held as codes in increasing order,
+    with generators(n, ring) as generators."""
+    codes = _codes_with_det(ring, n, dets, name=name, cap=cap)
+    identity = Mat.identity(ring, n)
+    return FiniteGroup._from_keys(codes, _keying(mul, identity, [identity]), mul,
+                                  identity, inv=lambda a: a.inverse(),
+                                  generators=generators(n, ring), name=name, cap=cap)
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """GL_n over the ring: every matrix with a unit determinant, in
     lexicographic order of the row-major entry tuple.  Its generators are
-    the 2(n-1) adjacent transvections with c = 1 and one diagonal per
-    generator of R^x (see `_gl_generators`)."""
-    name = f"GL_{n}({ring})"
-    return FiniteGroup(_matrices_with_det(ring, n, set(ring.units()), name=name, cap=cap),
-                       mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
-                       generators=_gl_generators(n, ring), name=name, cap=cap)
+    e_12(1), the signed n-cycle and one diagonal per generator of R^x (see
+    `_gl_generators`)."""
+    return _linear_group(n, ring, set(ring.units()), _gl_generators,
+                         name=f"GL_{n}({ring})", cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """The matrices of det 1, in gl_group's order; the comparison oracle for
-    closures.  Its generators are elementary_closure's: the adjacent
-    transvections with c over an additive basis of the ring."""
-    name = f"SL_{n}({ring})"
-    gens = _adjacent_transvections(n, ring, _additive_basis(ring))
-    return FiniteGroup(_matrices_with_det(ring, n, {ring.one}, name=name, cap=cap),
-                       mul, Mat.identity(ring, n), inv=lambda a: a.inverse(),
-                       generators=gens, name=name, cap=cap)
+    closures.  Its generators are elementary_closure's (`_sl_generators`)."""
+    return _linear_group(n, ring, {ring.one}, _sl_generators,
+                         name=f"SL_{n}({ring})", cap=cap)
 
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """The group generated by the transvections I + c*e_ij (i != j), closed
-    from the adjacent ones with c over an additive basis of the ring, which
-    generate the same group (see `_adjacent_transvections`)."""
+    from `_sl_generators`, which generate the same group."""
     if n == 1:
         return FiniteGroup([Mat.identity(ring, 1)], mul,
                            Mat.identity(ring, 1), inv=lambda a: a.inverse(),
                            name=f"E_1({ring})", cap=cap)
-    return enumerate_group(_adjacent_transvections(n, ring, _additive_basis(ring)),
-                           cap=cap, name=f"E_{n}({ring})")
+    return enumerate_group(_sl_generators(n, ring), cap=cap, name=f"E_{n}({ring})")
 
 
 def _unit_group_invariants(ring: MatRing) -> AbInvariants:

@@ -334,8 +334,9 @@ def test_abelianize_catalogue_and_extended_specs(capsys):
 
 
 def test_abelianize_gl2_f16_takes_the_short_generators(capsys):
-    # two transvections and one primitive diagonal; the sixteen generators
-    # of every e_ij(1) and every unit diagonal took about 3 s of CPU here
+    # e_12(1), the signed 2-cycle and one primitive diagonal; the sixteen
+    # generators of every e_ij(1) and every unit diagonal took about 3 s of
+    # CPU here
     start = time.process_time()
     code, out, _ = run(capsys, "--cap", "100000", "--json", "abelianize",
                        "--group", "gl:2:16")
@@ -380,6 +381,19 @@ def test_json_output_is_byte_stable(capsys):
 # --- the package and its entry point ------------------------------------------------
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("command", [["abelianize", "--group", "gl:2:16"],
+                                     ["verify", "--suite", "semiab", "--cases", "3"]],
+                         ids=" ".join)
+def test_common_flags_go_before_or_after_the_subcommand(capsys, command):
+    # GL_2(F_16) has 61,200 elements, so a --cap reset to its default fails
+    flags = ["--cap", "100000", "--seed", "3", "--json"]
+    before = run(capsys, *flags, *command)
+    after = run(capsys, *command, *flags)
+    split = run(capsys, *flags[:2], *command, *flags[2:])
+    assert before[0] == 0 and before[1].startswith("{")
+    assert before == after == split
 
 
 def _python(*args, **kwargs):

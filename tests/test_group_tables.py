@@ -6,7 +6,10 @@ integer codes of their elements.  Each must equal the table read off the
 group's own operation: entry i of table j is the index of
 elements[i] * generators[j].  Matrix closures run on codes too; their
 element order must equal that of the same closure loop fed steps that
-multiply Mat values, kept here as the oracle.
+multiply Mat values, kept here as the oracle.  A right-multiplication table
+is composed from the generator tables; the oracle is `_product_tables`, which
+images every element under the group's operation.  A group held on codes
+must answer membership and indices as a group held on its Mats does.
 """
 
 import random
@@ -17,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.catalogue import by_name, quaternion8, sl2
-from modelk.constructions import semidirect, wreath
+from modelk.constructions import direct_power, semidirect, wreath
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import FiniteGroup, _closure, element_key, enumerate_group
+from modelk.groups import (FiniteGroup, _closure, _product_tables, element_key,
+                           enumerate_group, generated_subgroup)
 from modelk.matrices import Mat
 from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
                                   special_linear)
+from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
 
@@ -134,6 +139,16 @@ def test_code_closure_rejects_mixed_rings_and_sizes():
                          Mat.transvection(GF(3), 3, 0, 1, 1)])
 
 
+def test_groups_on_codes_refuse_a_generator_over_another_ring():
+    # Z_4 and F_4 have the same size, so the codes would mix silently
+    G = gl_group(2, GF(4))
+    with pytest.raises(ValueError, match="cannot multiply 2x2 matrices over F_4"):
+        generated_subgroup(G, [Mat.transvection(Zmod(4), 2, 0, 1, 1)])
+    with pytest.raises(ValueError, match="cannot multiply 2x2 matrices over F_4"):
+        FiniteGroup(G.elements, mul, G.identity,
+                    generators=[Mat.transvection(GF(4), 3, 0, 1, 1)])._generator_tables()
+
+
 def test_row_images_fill_only_the_rows_that_occur():
     # the rows of a 10 x 10 permutation matrix are 10 unit vectors, where a
     # table of every row would hold 3^10 rows per row position
@@ -155,3 +170,100 @@ def test_row_images_of_a_small_row_space_are_listed_in_full():
     tables = g._k.row_images(g)
     assert [type(t) for t in tables] == [list] * 3
     assert [len(t) for t in tables] == [27] * 3
+
+
+def _check_right_tables(G):
+    for j in range(G.order):
+        assert G._right_table(j) == _product_tables(G, (G.elements[j],))[0], (G.name, j)
+
+
+@st.composite
+def _permutations(draw):
+    """One to three permutations of a common degree up to 5."""
+    k = draw(st.integers(1, 5))
+    perm = st.permutations(range(k)).map(lambda images: Perm(tuple(images)))
+    return draw(st.lists(perm, min_size=1, max_size=3))
+
+
+@settings(max_examples=30)
+@given(_permutations())
+def test_right_tables_of_seeded_permutation_groups(gens):
+    _check_right_tables(enumerate_group(gens))
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(("cyclic:3", "cyclic:4", "sym:3", "klein", "q8")),
+       st.integers(1, 2))
+def test_right_tables_of_direct_powers(base, k):
+    _check_right_tables(direct_power(by_name(base), k))
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2 ** 32))
+def test_right_tables_of_seeded_semidirect_products(seed):
+    _check_right_tables(semidirect(random_semidirect_action(random.Random(seed))))
+
+
+@settings(max_examples=30)
+@given(_matrix_generators())
+def test_right_tables_of_seeded_matrix_groups(gens):
+    try:
+        G = enumerate_group(gens, cap=500)
+    except CapExceededError:
+        return
+    _check_right_tables(G)
+
+
+@pytest.mark.parametrize("G", [gl_group(2, Zmod(4)), special_linear(2, GF(4)),
+                               gl_group(3, GF(2))], ids=repr)
+def test_right_tables_of_linear_groups(G):
+    _check_right_tables(G)
+
+
+def test_right_tables_need_generators_that_generate():
+    G = gl_group(2, GF(3))
+    short = FiniteGroup(G.elements, G.op, G.identity, generators=G.generators[:1],
+                        name="GL_2(F_3)")
+    with pytest.raises(WorkbenchError, match="reach 3 of its 48 elements"):
+        short._right_table(1)
+
+
+def _other_ring(R):
+    """A ring of R's size other than R, or None where there is none here."""
+    if R.kind == "gf":
+        return Zmod(R.size)
+    try:
+        return GF(R.size)
+    except WorkbenchError:
+        return None
+
+
+@settings(max_examples=len(MATRIX_CASES))
+@given(st.sampled_from(MATRIX_CASES))
+def test_groups_on_codes_answer_like_groups_on_mats(case):
+    n, R = case
+    for G in (gl_group(n, R), elementary_closure(n, R)):
+        # a group under another operation holds its Mats as its keys
+        eager = FiniteGroup(G.elements, lambda a, b: a * b, G.identity,
+                            generators=G.generators, cap=None)
+        assert G.order == eager.order and G.elements == eager.elements
+        for x in eager.elements:
+            fresh = Mat(R, x.rows)
+            assert fresh in G and G.index_of(fresh) == eager.index_of(x)
+        public = FiniteGroup(G.elements, mul, G.identity, generators=G.generators,
+                             cap=None)
+        assert public._keys == G._keys and public.elements == G.elements
+        # a code, and a Mat over another ring or of another size whose code
+        # is a member's, are not members
+        code = G._keys[-1]
+        size = n + 1
+        digits = [code // R.size ** e % R.size for e in reversed(range(size * size))]
+        bigger = Mat(R, tuple(tuple(digits[i * size:(i + 1) * size])
+                              for i in range(size)))
+        others = [code, bigger]
+        if _other_ring(R) is not None:
+            others.append(Mat(_other_ring(R), G.elements[-1].rows))
+        for x in others:
+            assert x not in G and x not in eager
+            with pytest.raises(KeyError):
+                G.index_of(x)

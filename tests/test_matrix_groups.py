@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from modelk.errors import CapExceededError, WorkbenchError
@@ -30,6 +32,21 @@ def test_special_linear_is_det_kernel():
         G = gl_group(n, ring)
         kernel = {m for m in G.elements if m.det() == ring.one}
         assert set(sl.elements) == kernel
+
+
+def _det_filter(n, ring, dets):
+    """Every n x n matrix over the ring with its det in `dets`, in row order."""
+    candidates = (Mat(ring, rows) for rows in
+                  product(tuple(product(ring.elements, repeat=n)), repeat=n))
+    return [m for m in candidates if m.det() in dets]
+
+
+@pytest.mark.parametrize("n, ring", [(2, GF(q)) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(3, GF(2)), (3, GF(3))]
+                         + [(2, Zmod(m)) for m in range(2, 13)])
+def test_gl_and_sl_element_lists_are_the_det_filter(n, ring):
+    assert list(gl_group(n, ring).elements) == _det_filter(n, ring, set(ring.units()))
+    assert list(special_linear(n, ring).elements) == _det_filter(n, ring, {ring.one})
 
 
 def test_special_linear_is_held_to_its_own_cap():

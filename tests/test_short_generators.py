@@ -1,10 +1,10 @@
 """Seeded property tests: the short generating sets of GL_n, SL_n and E_n.
 
-`gl_group` declares the adjacent transvections with c = 1 and one diagonal
-per generator of R^x; `special_linear` and `elementary_closure` use the
-adjacent transvections with c over an additive basis of R.  The oracles are
-the long sets: every e_ij(1) with diag(u, 1, ..., 1) for every unit u != 1,
-and every e_ij(c) with c != 0.
+`gl_group` declares e_12(1), the signed n-cycle and one diagonal per
+generator of R^x; `special_linear` and `elementary_closure` use e_12(c) with
+c over an additive basis of R, and the signed n-cycle.  The oracles are the
+long sets: every e_ij(1) with diag(u, 1, ..., 1) for every unit u != 1, and
+every e_ij(c) with c != 0.
 """
 
 from math import prod
@@ -17,8 +17,8 @@ from modelk.errors import WorkbenchError
 from modelk.groups import (FiniteGroup, _check_generation, abelianization,
                            enumerate_group)
 from modelk.matrices import Mat
-from modelk.matrix_groups import (_unit_generators, elementary_closure,
-                                  gl_group, special_linear)
+from modelk.matrix_groups import (_signed_cycle, _unit_generators,
+                                  elementary_closure, gl_group, special_linear)
 from modelk.rings import GF, Zmod
 
 
@@ -93,12 +93,24 @@ def test_special_linear_and_elementary_closure_short_generators(nq):
     E = elementary_closure(n, ring, cap=100000)
     full = _all_transvections(n, ring)
     e = {4: 2, 8: 3, 9: 2}.get(q, 1)  # q = p^e
-    assert len(E.generators) == len(S.generators) == 2 * (n - 1) * e
+    # e_12(c) over an additive basis, and the signed n-cycle
+    assert len(E.generators) == len(S.generators) == e + 1
     assert set(E.elements) == set(enumerate_group(full, cap=100000).elements)
     if S.order <= 20000:
         _check_against_long_set(S, full)
     else:
         _check_generation(S)
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(4), Zmod(6), GF(9)], ids=str)
+def test_the_signed_cycle_is_the_product_of_the_w_ij(ring):
+    one, minus_one = ring.one, ring.neg(ring.one)
+    for n in range(2, 6):
+        product = Mat.identity(ring, n)
+        for i in range(n - 1):
+            e = Mat.transvection(ring, n, i, i + 1, one)
+            product = product * e * Mat.transvection(ring, n, i + 1, i, minus_one) * e
+        assert _signed_cycle(n, ring) == product, (n, ring)
 
 
 def test_a_set_that_does_not_generate_raises():
