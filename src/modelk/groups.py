@@ -55,6 +55,10 @@ class FiniteGroup:
     Mats only when a caller asks for them.  The constructor encodes the
     elements it is given; `_from_keys` takes keys directly.
 
+    Every group of more than one element declares its generators (a short
+    list keeps abelianization's relator rows short); the trivial group's
+    default to (identity,).
+
     Its generator tables, built on first use, hold for each generator g the
     array whose entry i is the index of elements[i] * g.  They are the
     Cayley graph that the generation check and abelianization walk.
@@ -99,19 +103,11 @@ class FiniteGroup:
         self._tables = None
         self._right_tables = None
         self._tree = None
-        # a group always carries a generating set, and a short one keeps the
-        # relator rows of abelianization short
-        self.generators = tuple(generators) or self._pick_generators()
-
-    def _pick_generators(self) -> tuple:
-        """Each element, in order, that the earlier picks do not generate."""
-        decode = self._keying.decode
-        picks, span = [], {self._keys[self._start]}
-        for key in self._keys:
-            if key not in span:
-                picks += decode([key])
-                span = set(generated_subgroup(self, picks)._keys)
-        return tuple(picks) or (self.identity,)
+        generators = tuple(generators)
+        if not generators and len(keys) > 1:
+            raise WorkbenchError(f"{name or 'a group'} of {len(keys)} elements was "
+                                 f"given no generators; pass `generators`")
+        self.generators = generators or (identity,)
 
     @cached_property
     def elements(self) -> tuple:
@@ -262,9 +258,9 @@ def _keying(op, identity, elements) -> _Keys:
     return _Keys(tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key)
 
 
-def _closure(start, steps, cap, key):
+def _closure(start, steps, cap, key, name=""):
     """Breadth-first closure of [start] under the steps, in levels, each
-    level's new keys sorted by `key`."""
+    level's new keys sorted by `key`.  CapExceededError names `name`."""
     ordered, seen, level = [start], {start}, [start]
     while level:
         fresh = set()
@@ -272,7 +268,9 @@ def _closure(start, steps, cap, key):
             fresh.update(step(level))
         fresh -= seen
         if cap is not None and len(seen) + len(fresh) > cap:
-            raise CapExceededError(f"closure exceeded the element cap of {cap}")
+            raise CapExceededError(
+                f"{name or 'the group'}: closure exceeded the element cap of {cap}; "
+                f"pass a larger cap= (--cap on the command line) to raise it")
         level = sorted(fresh, key=key)
         seen.update(level)
         ordered += level
@@ -311,7 +309,7 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     identity = gens[0].identity_like()
     keying = _keying(mul, identity, gens)
     ordered = _closure(keying.encode([identity])[0], [keying.step(g) for g in gens],
-                       cap, keying.order)
+                       cap, keying.order, name)
     return FiniteGroup._from_keys(ordered, keying, mul, identity,
                                   inv=lambda a: a.inverse(), generators=gens,
                                   name=name, cap=cap)
@@ -321,7 +319,7 @@ def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     """Subgroup of G generated by `gens`, ordered by BFS with parent-index ties."""
     gens = [g for g in gens if g != G.identity]
     ordered = _closure(G._keys[G._start], [G._keying.step(g) for g in gens], G.cap,
-                       G._key_index.__getitem__)
+                       G._key_index.__getitem__, name)
     return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity, inv=G.inv,
                                   generators=gens, name=name, cap=G.cap)
 
@@ -338,7 +336,8 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     """The subgroup generated by all commutators [a, b] = a^-1 b^-1 a b.
 
     It is the normal closure of the commutators of G's generators, which must
-    generate G (WorkbenchError otherwise).
+    generate G (WorkbenchError otherwise).  Conjugates of its generators
+    that fall outside it join them until none do (see `is_normal`).
     """
     _check_generation(G)
     name = f"[{G.name or 'G'},{G.name or 'G'}]"
@@ -346,21 +345,21 @@ def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     seeds.discard(G.identity)
     while True:
         H = generated_subgroup(G, sorted(seeds, key=G.index_of), name=name)
-        new = set()
-        for x in H.elements:
-            for g in G.generators:
-                y = G.conjugate(g, x)
-                if y not in H:
-                    new.add(y)
+        new = {y for x in seeds for g in G.generators
+               if (y := G.conjugate(g, x)) not in H}
         if not new:
             return H
-        seeds.update(new)
+        seeds |= new
 
 
 def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Whether the subgroup H (sharing G's operation) is normal in G."""
+    """Whether the subgroup H (sharing G's operation) is normal in G = <T>:
+    whether t s t^-1 lies in H = <S> for all t in T and s in S, since then
+    t H t^-1 lies in H and, being finite of the same order, equals it.
+    Both sets must generate their groups (WorkbenchError otherwise)."""
     _check_generation(G)
-    return all(G.conjugate(g, h) in H for g in G.generators for h in H.elements)
+    _check_generation(H)
+    return all(G.conjugate(t, s) in H for t in G.generators for s in H.generators)
 
 
 def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
@@ -386,6 +385,7 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
         return coset_of[G.inv(reps[c])]
 
     return FiniteGroup(cosets, op, coset_of[G.identity], inv=inv,
+                       generators=dict.fromkeys(coset_of[g] for g in G.generators),
                        name=f"{G.name or 'G'}/{N.name or 'N'}", cap=G.cap)
 
 

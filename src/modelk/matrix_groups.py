@@ -1,9 +1,9 @@
-"""General linear groups over small rings, and their abelianization checks.
+"""Linear and affine groups over small rings, all held on matrix codes (see
+`matrices`), and their abelianization checks.
 
-`gl_group` and `special_linear` enumerate their elements by determinant on
-matrix codes (see `matrices`), and declare short generating sets: e_12 over
-an additive basis of the ring, one signed n-cycle, and for GL one diagonal
-per generator of the unit group.
+`gl_group` and `special_linear` enumerate their elements by determinant, and
+declare short generating sets: e_12 over an additive basis of the ring, one
+signed n-cycle, and for GL one diagonal per generator of the unit group.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from itertools import compress, product
 from operator import mul
 
-from .constructions import semidirect
 from .errors import CapExceededError, WorkbenchError
-from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction, _keying,
-                     abelianization, enumerate_group, invariants_from_factors)
-from .matrices import Mat, _kernels
+from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, _keying, abelianization,
+                     enumerate_group, invariants_from_factors)
+from .matrices import MAX_N, Mat, _kernels
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
 # gl_group and special_linear search all n x n matrices over the ring for
@@ -233,11 +232,8 @@ def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """The group generated by the transvections I + c*e_ij (i != j), closed
     from `_sl_generators`, which generate the same group."""
-    if n == 1:
-        return FiniteGroup([Mat.identity(ring, 1)], mul,
-                           Mat.identity(ring, 1), inv=lambda a: a.inverse(),
-                           name=f"E_1({ring})", cap=cap)
-    return enumerate_group(_sl_generators(n, ring), cap=cap, name=f"E_{n}({ring})")
+    return enumerate_group(_sl_generators(n, ring) or [Mat.identity(ring, n)],
+                           cap=cap, name=f"E_{n}({ring})")
 
 
 def _unit_group_invariants(ring: MatRing) -> AbInvariants:
@@ -308,41 +304,36 @@ def check_gl_ab(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> GLAbReport:
                       known_exception, passed)
 
 
-def module_group(ring: MatRing, length: int) -> FiniteGroup:
-    """The additive group of ring^length on coordinate tuples.
-
-    FiniteGroup picks its generators: over F_(p^e) with e > 1 the unit
-    vectors alone do not generate it.
-    """
-    zero = (ring.zero,) * length
-
-    def op(a, b):
-        return tuple(ring.add(x, y) for x, y in zip(a, b))
-
-    def inv(a):
-        return tuple(ring.neg(x) for x in a)
-
-    elements = list(product(ring.elements, repeat=length))
-    return FiniteGroup(elements, op, zero, inv=inv,
-                       name=f"({ring})^{length}", cap=max(DEFAULT_CAP, len(elements)))
-
-
 def affine_group(n: int, ring: MatRing, copies: int = 1, *,
                  cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n acting diagonally on `copies` column blocks of ring^n."""
+    """GL_n acting diagonally on `copies` column blocks of R^n, as the
+    (n + copies)-square block matrices [[A, V], [0, I]], A in GL_n.
+
+    It is closed from gl_group's generators, embedded as diag(A, I), and the
+    translations e_(1, n+j)(1), j = 1..copies.  Conjugating by diag(A, I)
+    takes column v of block j to A v; GL_n is transitive on the unimodular
+    vectors, which span R^n, so the closure holds every translation, hence
+    is all of Aff.  It lies in Aff, so its order, checked to be
+    |R|^(n copies) |GL_n|, confirms this; WorkbenchError otherwise, and when
+    n + copies > MAX_N, before anything is built.
+    """
     if copies < 1:
         raise WorkbenchError("need at least one copy")
+    name, size = f"Aff_{n}({ring})^{copies}", n + copies
+    if size > MAX_N:
+        raise WorkbenchError(f"{name} needs {size}x{size} matrices: n + copies = "
+                             f"{n} + {copies} is over the limit of {MAX_N}")
     G = gl_group(n, ring, cap=cap)
-    V = module_group(ring, n * copies)
-
-    def act(m: Mat, vec):
-        out = []
-        for c in range(copies):
-            out.extend(m.apply(vec[c * n:(c + 1) * n]))
-        return tuple(out)
-
-    action = GroupAction(G, V, act, name=f"matrix action on {V.name}")
-    return semidirect(action, name=f"Aff_{n}({ring})^{copies}", cap=cap)
+    tail = (ring.zero,) * copies
+    corner = Mat.identity(ring, size).rows[n:]
+    gens = ([Mat(ring, tuple(row + tail for row in g.rows) + corner)
+             for g in G.generators]
+            + [Mat.transvection(ring, size, 0, n + j, ring.one) for j in range(copies)])
+    A = enumerate_group(gens, cap=cap, name=name)
+    order = ring.size ** (n * copies) * G.order
+    if A.order != order:
+        raise WorkbenchError(f"{name}'s generators reach {A.order} of {order} elements")
+    return A
 
 
 def det_class(m: Mat) -> int:

@@ -316,6 +316,14 @@ def test_verify_cap_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_closure_cap_errors_name_the_group_and_the_flag(capsys):
+    # Aff_2(F_7) has 98,784 elements; its closure stops at the default cap
+    code, _, err = run(capsys, "abelianize", "--group", "aff:2:7")
+    assert code == 1
+    assert err.startswith("error: Aff_2(F_7)^1: closure exceeded the element cap of "
+                          "20000; pass a larger cap= (--cap on the command line)")
+
+
 # --- group helpers ------------------------------------------------------------------
 
 def test_abelianize_catalogue_and_extended_specs(capsys):
@@ -409,6 +417,15 @@ def test_bare_package_import_loads_no_layer():
     names = _python("-c", "import modelk; "
                     "print(all(getattr(modelk, n) is not None for n in modelk.__all__))")
     assert names.stdout.strip() == "True"
+
+
+def test_matrix_groups_load_no_construction_layer():
+    loaded = _python("-c", "import modelk.matrix_groups, sys; "
+                     "print(*(m for m in sys.modules if m.startswith('modelk.')))")
+    assert loaded.returncode == 0
+    modules = set(loaded.stdout.split())
+    assert "modelk.matrix_groups" in modules
+    assert not modules & {"modelk.constructions", "modelk.perms"}
 
 
 def test_public_names_come_from_their_layers():

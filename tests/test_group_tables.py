@@ -1,8 +1,8 @@
 """Seeded property tests: generator tables against products.
 
-Semidirect and wreath products and affine groups build their generator
-tables from their factors' tables, and groups of matrices under `mul` from
-integer codes of their elements.  Each must equal the table read off the
+Semidirect and wreath products build their generator tables from their
+factors' tables, and groups of matrices under `mul`, affine groups among
+them, from integer codes of their elements.  Each must equal the table read off the
 group's own operation: entry i of table j is the index of
 elements[i] * generators[j].  Matrix closures run on codes too; their
 element order must equal that of the same closure loop fed steps that

@@ -39,6 +39,26 @@ def test_cap_is_enforced():
         enumerate_group([r], cap=3)
 
 
+def test_groups_of_two_or_more_elements_declare_generators():
+    with pytest.raises(WorkbenchError, match=r"Z_2 of 2 elements was given no "
+                       r"generators; pass `generators`"):
+        FiniteGroup(range(2), lambda a, b: (a + b) % 2, 0, name="Z_2")
+    trivial = FiniteGroup([0], lambda a, b: 0, 0)
+    assert trivial.generators == (0,)
+    assert abelianization(trivial).is_trivial
+
+
+def test_quotient_generators_are_the_cosets_of_the_generators():
+    G = by_name("sym:4")
+    Q = quotient_group(G, commutator_subgroup(G))
+    coset_of = {g: c for c in Q.elements for g in c}
+    assert Q.generators == tuple(dict.fromkeys(coset_of[g] for g in G.generators))
+    assert Q.order == 2 and abelianization(Q).factors == (2,)
+    Z = FiniteGroup(range(12), lambda a, b: (a + b) % 12, 0, generators=[5], name="Z_12")
+    sixes = generated_subgroup(Z, [6])
+    assert quotient_group(Z, sixes).generators == (frozenset({5, 11}),)
+
+
 def test_duplicate_elements_rejected():
     with pytest.raises(WorkbenchError):
         FiniteGroup([0, 0], lambda a, b: 0, 0)
@@ -111,6 +131,20 @@ def test_quotient_and_abelianization():
     assert abelianization(by_name("sym:4")).factors == (2,)
     assert abelianization(cyclic(12)).factors == (12,)
     assert abelianization(sl2(3)).factors == (3,)
+
+
+def test_normality_on_generators_agrees_with_every_element():
+    rng = random.Random(13)
+    for spec in ("sym:4", "dihedral:8", "q8", "dihedral:12", "sl2:3"):
+        G = by_name(spec)
+        for _ in range(12):
+            H = generated_subgroup(G, rng.sample(G.elements, rng.randint(1, 2)))
+            every = all(G.conjugate(g, h) in H for g in G.elements for h in H.elements)
+            assert is_normal(G, H) == every, (spec, H.order)
+    S = by_name("sym:3")
+    short = FiniteGroup(S.elements, S.op, S.identity, generators=[Perm((1, 2, 0))])
+    with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
+        is_normal(S, short)
 
 
 def test_quotient_rejects_non_normal_subgroup():

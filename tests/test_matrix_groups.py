@@ -2,13 +2,13 @@ from itertools import product
 
 import pytest
 
+from modelk.constructions import semidirect
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import abelianization
+from modelk.groups import DEFAULT_CAP, FiniteGroup, GroupAction, abelianization
 from modelk.matrices import Mat
 from modelk.matrix_groups import (KNOWN_GL_AB_EXCEPTIONS, affine_group,
                                   check_gl_ab, det_class, elementary_closure,
-                                  gl_group, gl_order_field, module_group,
-                                  special_linear)
+                                  gl_group, gl_order_field, special_linear)
 from modelk.rings import GF, Zmod
 
 
@@ -100,14 +100,6 @@ def test_check_gl_ab_over_zmod_with_noncyclic_units():
         assert rep.matches_units and rep.commutator_is_sl and rep.passed, m
 
 
-def test_module_group_is_elementary_abelian():
-    V = module_group(GF(3), 2)
-    assert V.order == 9
-    assert abelianization(V).factors == (3, 3)
-    # the unit vectors alone span only F_2^2 inside F_4^2
-    assert abelianization(module_group(GF(4), 2)).factors == (2, 2, 2, 2)
-
-
 def test_affine_group_structure():
     A = affine_group(1, GF(5))
     assert A.order == 20
@@ -120,6 +112,75 @@ def test_affine_group_structure():
 def test_affine_multiple_copies():
     A = affine_group(1, GF(3), copies=2)
     assert A.order == 2 * 9
+
+
+def _additive_generators(ring):
+    """Each element, in order, outside the additive span of the earlier picks."""
+    picks, span = [], {ring.zero}
+    for x in ring.elements:
+        if x not in span:
+            picks.append(x)
+            while True:
+                more = {ring.add(y, x) for y in span} - span
+                if not more:
+                    break
+                span |= more
+    return picks
+
+
+def _semidirect_affine(n, ring, copies):
+    """Aff_n(R)^copies as the pairs (v, A) of a semidirect product, v a
+    tuple in R^(n copies) on which A acts block by block through Mat.apply:
+    the route before affine groups were block matrices."""
+    length = n * copies
+    zero = (ring.zero,) * length
+    gens = [zero[:i] + (c,) + zero[i + 1:]
+            for i in range(length) for c in _additive_generators(ring)]
+    V = FiniteGroup(product(ring.elements, repeat=length),
+                    lambda a, b: tuple(map(ring.add, a, b)), zero,
+                    inv=lambda a: tuple(map(ring.neg, a)), generators=gens,
+                    name=f"({ring})^{length}", cap=None)
+
+    def act(m, vec):
+        return sum((m.apply(vec[c * n:(c + 1) * n]) for c in range(copies)), ())
+
+    return V, semidirect(GroupAction(gl_group(n, ring), V, act), cap=None)
+
+
+def _block(ring, vec, m, copies):
+    """The block matrix [[m, V], [0, I]] whose column n + c is block c of vec."""
+    n = m.n
+    rows = tuple(row + tuple(vec[c * n + i] for c in range(copies))
+                 for i, row in enumerate(m.rows))
+    return Mat(ring, rows + Mat.identity(ring, n + copies).rows[n:])
+
+
+# Aff_n(R)^copies, n <= 2 and copies <= 2, over F_2..F_9, Z_4, Z_6, Z_8 and
+# Z_9, where its order fits the default cap
+AFFINE_ORACLE_CASES = [
+    (n, R, copies) for R in [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [Zmod(m) for m in (4, 6, 8, 9)] for n in (1, 2) for copies in (1, 2)
+    if R.size ** (n * copies) * gl_group(n, R, cap=None).order <= DEFAULT_CAP]
+
+
+@pytest.mark.parametrize("n, ring, copies", AFFINE_ORACLE_CASES, ids=str)
+def test_affine_groups_match_the_semidirect_route(n, ring, copies):
+    V, old = _semidirect_affine(n, ring, copies)
+    # over F_4, F_8 and F_9 the unit vectors alone span only a prime field's
+    # vectors; the additive generators reach the elementary abelian group
+    rank = len(_additive_generators(ring)) * n * copies
+    assert abelianization(V).factors == (ring.char,) * rank
+    A = affine_group(n, ring, copies)
+    assert A.order == old.order
+    assert abelianization(A).factors == abelianization(old).factors
+    assert set(A.elements) == {_block(ring, v, m, copies) for v, m in old.elements}
+
+
+def test_affine_groups_past_the_matrix_size_limit_are_refused():
+    with pytest.raises(WorkbenchError, match=r"Aff_1\(F_2\)\^10 needs 11x11 matrices: "
+                       r"n \+ copies = 1 \+ 10 is over the limit of 10"):
+        affine_group(1, GF(2), copies=10)
+    assert affine_group(1, GF(2), copies=9).order == 2 ** 9
 
 
 def test_det_class():
