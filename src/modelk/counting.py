@@ -1,9 +1,11 @@
 """Finite-field point counts for boolean combinations with integer data.
 
-This is an oracle that is independent of the rational block calculus: points
-of F_p^n are enumerated and each leaf system is decided by a mod-p linear
-solve, existential variables included.  The good-prime flag certifies that
-the count provably equals the Grothendieck class evaluated at p:
+The count is an oracle that is independent of the rational block calculus:
+the formula's boolean tree is evaluated at each point of F_p^n, with each
+leaf system decided by a mod-p linear solve, existential variables
+included.  The points that satisfy it form the raw set, one byte per point.
+The good-prime flag certifies that the count provably equals the
+Grothendieck class evaluated at p:
 
   (a) every leaf system keeps its rank pattern mod p (coefficient block,
       augmented matrix, and bound-variable block), so projections behave;
@@ -17,20 +19,29 @@ the count provably equals the Grothendieck class evaluated at p:
       stacked with those holes keeps its rank mod p, the full stack has
       rank mod p at least that, which is its own rank over Q, so the two
       agree; the same goes for the coefficient block.  So no subset fails
-      unless a small one does;
-  (c) observed mod-p membership agrees pointwise: the reduced blocks stay
-      pairwise disjoint and their union is exactly the reduced raw set.
+      unless a small one does.  The subsets are walked depth first, each
+      child eliminating its parent's rows plus one hole's, and a subtree is
+      left out once its ranks agree at the maximum (n, n + 1)
+      (`_lattice_ranks_ok` gives the proof);
+  (c) the normal form's blocks, reduced mod p, partition the raw set.  Each
+      carrier and hole is an F_p point set listed from its mod-p echelon
+      form (p^dim points per coset), a block is its carrier's points minus
+      its holes', and the blocks must be pairwise disjoint with union the
+      raw set.
+
+The conditions are checked in that order and only while the flag holds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .cosets import LinearSystem
 from .defsets import And, DefinableSet, Leaf, Not, Or, boolean_normalize, expr_leaves, k0_class
 from .errors import WorkbenchError
-from .linalg import rank, rank_mod_p, solvable_mod_p
+from .linalg import _eliminate, rank, rank_mod_p, solvable_mod_p
 
 _POINT_LIMIT = 10 ** 6
 
@@ -74,21 +85,53 @@ def _leaf_rank_pattern_ok(system: LinearSystem, p: int) -> bool:
             and rank_mod_p(ybl, p) == rank(ybl))
 
 
+def _mod_p(rows, p: int) -> list[list[int]]:
+    return [[a % p for a in row] for row in rows]
+
+
+def _ranks(rows, n: int, p: int | None = None):
+    """Eliminated rows (over Q, or over F_p for a prime p) and their ranks:
+    (pivots in the n coefficient columns, all pivots), that is the rank of
+    the coefficient block and of the augmented matrix."""
+    m, pivots = _eliminate(rows, p)
+    return m, (sum(c < n for c in pivots), len(pivots))
+
+
 def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
-    """Condition (b), checked on the hole subsets of size <= ambient + 1."""
+    """Condition (b) for every block, by a depth-first walk over the hole
+    subsets of size <= n + 1 (see the module docstring).
+
+    A subset grows by one hole of larger index at a time.  A node keeps its
+    stack eliminated over Q and over F_p; a child eliminates its parent's
+    rows plus one hole's rows, once in each field.  Ranks are pairs
+    (coefficient block, augmented matrix), compared entrywise.
+
+    The walk leaves out the subtree of a node whose ranks agree and reach
+    (n, n + 1).  For the stack S' of any superset of the node's subset S:
+    (n, n + 1) = rank_p(S) <= rank_p(S') <= rank_Q(S') <= (n, n + 1), since
+    rank mod p never drops when rows are added, rank mod p <= rank over Q
+    for an integer matrix, and no stack in Q^n has larger ranks.  So every
+    stack below the node has the ranks (n, n + 1) in both fields."""
+    n = d.ambient
+    full = (n, n + 1)
     for block in d.blocks:
-        base = block.carrier.basis
-        hole_rows = [h.basis for h in block.holes]
-        for size in range(min(len(hole_rows), d.ambient + 1) + 1):
-            for subset in itertools.combinations(range(len(hole_rows)), size):
-                stacked = list(base)
-                for i in subset:
-                    stacked += hole_rows[i]
-                coeff = [row[:-1] for row in stacked]
-                if rank_mod_p(coeff, p) != rank(coeff):
+        holes = [(list(h.basis), _mod_p(h.basis, p)) for h in block.holes]
+        q_rows, q_ranks = _ranks(block.carrier.basis, n)
+        p_rows, p_ranks = _ranks(_mod_p(block.carrier.basis, p), n, p)
+        if p_ranks != q_ranks:
+            return False
+        # (largest hole index in the subset, subset size, Q rows, F_p rows)
+        stack = [(-1, 0, q_rows, p_rows)]
+        while stack:
+            last, size, q_rows, p_rows = stack.pop()
+            for i in range(last + 1, len(holes)):
+                q_hole, p_hole = holes[i]
+                q_child, q_ranks = _ranks(q_rows + q_hole, n)
+                p_child, p_ranks = _ranks(p_rows + p_hole, n, p)
+                if p_ranks != q_ranks:
                     return False
-                if rank_mod_p(stacked, p) != rank(stacked):
-                    return False
+                if size < n and p_ranks != full:
+                    stack.append((i, size + 1, q_child, p_child))
     return True
 
 
@@ -129,13 +172,50 @@ def _compile(expr, p: int):
     raise WorkbenchError(f"not a boolean expression node: {expr!r}")
 
 
-def _rows_mod_p(int_rows, p: int):
-    return [([a % p for a in row[:-1]], row[-1] % p) for row in int_rows]
+def _point_mask(rows, n: int, p: int) -> int:
+    """The F_p points of an integer augmented system, one byte per point of
+    F_p^n in `itertools.product` order (byte k of the int is 1 exactly when
+    point k solves the rows).
+
+    The rows are eliminated mod p once; each pivot row then gives its pivot
+    coordinate from the free ones, so the p^dim points are listed directly."""
+    m, pivots = _eliminate(_mod_p(rows, p), p)
+    if pivots and pivots[-1] == n:  # a row 0 = b with b != 0
+        return 0
+    size = p ** n
+    if not pivots:
+        return int.from_bytes(b"\1" * size, "little")
+    weight = [p ** (n - 1 - j) for j in range(n)]
+    free = [j for j in range(n) if j not in pivots]
+    # x_c = b - sum_f a_f x_f over the free coordinates f, for pivot column c
+    solved = []
+    for row, c in zip(m, pivots):
+        inv = pow(row[c], -1, p)
+        solved.append((weight[c], row[n] * inv % p,
+                       [-row[f] * inv % p for f in free]))
+    free_weight = [weight[f] for f in free]
+    points = bytearray(size)
+    for xs in itertools.product(range(p), repeat=len(free)):
+        k = sum(map(mul, xs, free_weight))
+        for w, b, coeffs in solved:
+            k += w * ((b + sum(map(mul, coeffs, xs))) % p)
+        points[k] = 1
+    return int.from_bytes(points, "little")
 
 
-def _point_in_rows(rows_mod_p, point, p: int) -> bool:
-    return all(sum(a * x for a, x in zip(coeffs, point)) % p == c
-               for coeffs, c in rows_mod_p)
+def _blocks_partition(d: DefinableSet, raw: int, p: int) -> bool:
+    """Condition (c): the blocks' point sets mod p are pairwise disjoint
+    and their union is the raw point set (both as `_point_mask` ints).
+    Only a carrier, the union so far and one hole are held at a time."""
+    union = 0
+    for block in d.blocks:
+        points = _point_mask(block.carrier.basis, d.ambient, p)
+        for hole in block.holes:
+            points &= ~_point_mask(hole.basis, d.ambient, p)
+        if points & union:
+            return False
+        union |= points
+    return union == raw
 
 
 def count_points_mod_p(expr, p: int) -> CountReport:
@@ -151,25 +231,10 @@ def count_points_mod_p(expr, p: int) -> CountReport:
         raise WorkbenchError(f"{p}^{ambient} points is too many to enumerate")
 
     normal = boolean_normalize(expr, ambient)
-    good = all(_leaf_rank_pattern_ok(s, p) for s in systems)
-    good = good and _lattice_ranks_ok(normal, p)
-
-    holds = _compile(expr, p)
-    block_rows = [(_rows_mod_p(b.carrier.basis, p),
-                   [_rows_mod_p(h.basis, p) for h in b.holes])
-                  for b in normal.blocks]
-
-    count = 0
-    for point in itertools.product(range(p), repeat=ambient):
-        raw = holds(point)
-        if raw:
-            count += 1
-        hits = 0
-        for carrier_rows, holes_rows in block_rows:
-            if _point_in_rows(carrier_rows, point, p) and not any(
-                    _point_in_rows(rows, point, p) for rows in holes_rows):
-                hits += 1
-        if hits > 1 or (hits == 1) != raw:
-            good = False
-
-    return CountReport(p, ambient, count, good, k0_class(normal).evaluate(p))
+    raw = bytes(map(_compile(expr, p),
+                    itertools.product(range(p), repeat=ambient)))
+    good = (all(_leaf_rank_pattern_ok(s, p) for s in systems)
+            and _lattice_ranks_ok(normal, p)
+            and _blocks_partition(normal, int.from_bytes(raw, "little"), p))
+    return CountReport(p, ambient, raw.count(1), good,
+                       k0_class(normal).evaluate(p))

@@ -305,7 +305,10 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     if not gens:
         raise WorkbenchError("need at least one generator")
     for g in gens:
-        g.inverse()  # raises for a non-invertible generator
+        # a matrix needs a unit det, and Mat.inverse raises naming it; a
+        # permutation is a bijection by construction
+        if not getattr(g, "is_invertible", lambda: True)():
+            g.inverse()
     identity = gens[0].identity_like()
     keying = _keying(mul, identity, gens)
     ordered = _closure(keying.encode([identity])[0], [keying.step(g) for g in gens],

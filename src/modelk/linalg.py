@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import WorkbenchError
-
 
 def frac_rows(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
@@ -137,17 +135,6 @@ def null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             v[p] = -row[f]
         basis.append(v)
     return basis
-
-
-def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse by Gauss-Jordan; raises on a singular matrix."""
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise WorkbenchError("matrix is singular over Q")
-    return [row[n:] for row in reduced]
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -7,8 +7,8 @@ from modelk.automorphisms import AffineMap, PAMap, conjugate, decompose_affine
 from modelk.cosets import NEG_INF, AffineCoset
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
-from modelk.linalg import mat_inv
 from modelk.suites import random_affine_map, random_pamap
+from rational_oracles import mat_inv
 
 
 def swap_map(ambient, a, b):

@@ -246,6 +246,42 @@ def test_group_json_matches_golden_files(capsys, argv):
     assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
+GOLDEN_COUNTS = {
+    # name: (formula, prime), with the condition that clears the flag
+    "count-cross-q2-p5": (CROSS, 5),  # none: a good prime
+    "count-scaled-point-q1-p5": ("ambient 1; pp(5*x1 = 1)", 5),  # (a)
+    "count-concurrent-lines-q2-p5": (  # (b): the three lines meet at 0 mod 5
+        "ambient 2; pp(x1 = 0) | pp(x2 = 0) | pp(x1 + x2 = 5)", 5),
+    "count-empty-meet-q2-p3": (  # (c): empty over Q, one point mod 3
+        "ambient 2; pp(-x1 + 3*x2 = -1) & pp(-3*x1 + 2*x2 = -1 & -x1 + 2*x2 = -2)",
+        3),
+    "count-even-line-q2-p2": (  # (a) and (c): E y1 loses the odd x1 mod 2
+        "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1)", 2),
+    "count-even-line-q2-p3": (
+        "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1)", 3),
+    "count-two-points-q1-p3": (  # (a) and (c)
+        "ambient 1; pp(x1 = 0) | pp(x1 = 3) | !pp(E y1 : x1 = 3*y1)", 3),
+    "count-two-points-q1-p7": (
+        "ambient 1; pp(x1 = 0) | pp(x1 = 3) | !pp(E y1 : x1 = 3*y1)", 7),
+    "count-four-planes-q3-p7": (
+        "ambient 3; !(pp(x1 = 0) | pp(x2 = 0) | pp(x3 = 0) | pp(x1 + x2 + x3 = 1))",
+        7),
+    "count-merging-planes-q3-p5": (  # (b): the planes t = 0 and t = 5 agree mod 5
+        "ambient 3; !(pp(x1 = 0) | pp(x1 + x2 + x3 = 1) | pp(x1 + 2*x2 + 4*x3 = 8)"
+        " | pp(x1 + 5*x2 + 25*x3 = 125))", 5),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTS)
+def test_count_json_matches_golden_files(capsys, name):
+    # the count, the good-prime flag and the class value under `--json`: a
+    # change to how points are counted or the flag certified must leave them
+    formula, prime = GOLDEN_COUNTS[name]
+    code, out, _ = run(capsys, "--json", "count", formula, "--prime", str(prime))
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
 GOLDEN_MAPS = ["doubling-with-patch", "random-q1-seed0", "random-q1-seed5",
                "random-q2-seed2", "random-q2-seed5", "random-q3-seed0",
                "random-q3-seed7"]

@@ -168,3 +168,18 @@ def test_compiled_tree_matches_a_walk_of_the_tree():
             assert (rep.count, rep.good_prime) == _count_point_by_point(expr, p)
             flags.add(rep.good_prime)
     assert flags == {True, False}
+
+
+def test_compiled_tree_matches_a_walk_of_the_tree_at_larger_primes():
+    # at p = 7 and 11 the reduced blocks' point sets are larger than at
+    # p <= 5, and Q^3 has up to 1,331 points; a seeded subset keeps it short
+    rng = random.Random(4546)
+    flags = set()
+    for _ in range(40):
+        ambient = rng.randint(1, 3)
+        expr = random_expression(rng, ambient)
+        for p in (7, 11):
+            rep = count_points_mod_p(expr, p)
+            assert (rep.count, rep.good_prime) == _count_point_by_point(expr, p)
+            flags.add(rep.good_prime)
+    assert flags == {True, False}

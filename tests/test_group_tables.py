@@ -139,6 +139,13 @@ def test_code_closure_rejects_mixed_rings_and_sizes():
                          Mat.transvection(GF(3), 3, 0, 1, 1)])
 
 
+def test_enumerate_group_rejects_a_singular_generator():
+    F3 = GF(3)
+    singular = Mat(F3, ((1, 2), (2, 1)))  # det = -3
+    with pytest.raises(WorkbenchError, match=r"^matrix is singular over F_3: det = 0$"):
+        enumerate_group([Mat.transvection(F3, 2, 0, 1, 1), singular])
+
+
 def test_groups_on_codes_refuse_a_generator_over_another_ring():
     # Z_4 and F_4 have the same size, so the codes would mix silently
     G = gl_group(2, GF(4))

@@ -8,16 +8,19 @@ ambient + 1, is held against a check of every hole subset.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from modelk.cosets import AffineCoset
+from modelk import counting
 from modelk.counting import _lattice_ranks_ok
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
-from modelk.linalg import mat_inv, null_space, rank, rank_mod_p, rref, solvable_mod_p
+from modelk.linalg import null_space, rank, rank_mod_p, rref, solvable_mod_p
+from rational_oracles import mat_inv
 
 PRIMES = (2, 3, 5, 7)
 
@@ -195,3 +198,25 @@ def test_lattice_certificate_takes_both_values():
             assert flag == (len({t % p for t in ts}) == len(ts)), (n, ts, p)
             flags.add(flag)
     assert flags == {True, False}
+
+
+def test_lattice_walk_prunes_stacks_of_full_rank(monkeypatch):
+    # Q^3 minus five moment-curve planes and two points off them: a point and
+    # any other hole already stack to ranks (3, 4), so the walk eliminates no
+    # superset of such a pair.  (Planes alone reach (3, 4) only at n + 1 = 4
+    # holes, where the walk stops anyway.)
+    holes = [_hyperplane(3, t) for t in range(5)]
+    holes += [AffineCoset.single_point((s, s * s, -s)) for s in (-3, 2)]
+    block = make_block(AffineCoset.full(3), holes)
+    d = DefinableSet.from_blocks(3, [block])
+    assert len(block.holes) == 7
+    unpruned = 2 * sum(comb(7, k) for k in range(5))  # Q and F_p, <= 4 holes
+    stacks = []
+    ranks = counting._ranks
+    monkeypatch.setattr(counting, "_ranks",
+                        lambda *args: stacks.append(args) or ranks(*args))
+    for p, good in ((7, True), (11, True), (5, False), (13, False)):
+        stacks.clear()
+        assert _lattice_ranks_ok(d, p) == _oracle_lattice_ranks_ok(d, p) == good
+        if good:
+            assert len(stacks) < unpruned
