@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[after],
                        help="point count of a formula modulo a prime")
     p.add_argument("formula")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=int, required=True,
+                   help="a prime p; counts the points of F_p^n")
 
     p = sub.add_parser("aut", parents=[after], help="piecewise-affine map operations")
     p.add_argument("action", choices=["validate", "support", "dim", "decompose"])

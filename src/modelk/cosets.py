@@ -12,7 +12,8 @@ Intersection and the subset test reduce one coset's rows against the
 other's stored basis (`linalg.reduce_row`), and `pullback` takes the
 preimage under an affine map on integer rows, so none of them builds a
 Fraction.  An image is the preimage under the inverse map
-(`AffineMap.image_coset`).
+(`AffineMap.image_coset`), and a projection keeps the rows that
+`linalg.project_rows` leaves once the dropped coordinates are eliminated.
 The rational RREF rows (`rows`) are derived when asked for, for sorting,
 printing and JSON, and are not stored.  The empty set is a distinguished
 value per ambient dimension.
@@ -26,7 +27,7 @@ from operator import mul
 
 from .errors import WorkbenchError
 from .linalg import (_eliminate, frac_rows, integer_row, null_space, primitive,
-                     rational_row, reduce_row)
+                     project_rows, rational_row, reduce_row)
 
 NEG_INF = float("-inf")
 
@@ -194,17 +195,7 @@ class AffineCoset:
             raise WorkbenchError(f"cannot keep {keep} of {self.ambient} coordinates")
         if self.empty:
             return AffineCoset.empty_set(keep)
-        rows = list(self.basis)
-        for col in range(self.ambient - 1, keep - 1, -1):
-            pivot = next((i for i, row in enumerate(rows) if row[col]), None)
-            if pivot is None:
-                continue
-            prow = rows.pop(pivot)
-            pv = prow[col]
-            rows = [[pv * a - row[col] * b for a, b in zip(row, prow)]
-                    if row[col] else row for row in rows]
-        return _canonical(keep, [primitive([*row[:keep], row[-1]])
-                                 for row in rows])
+        return _canonical(keep, project_rows(self.basis, keep))
 
     def product(self, other: "AffineCoset") -> "AffineCoset":
         """The rows of both factors, padded, are already canonical."""

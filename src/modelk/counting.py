@@ -1,11 +1,14 @@
 """Finite-field point counts for boolean combinations with integer data.
 
-The count is an oracle that is independent of the rational block calculus:
-the formula's boolean tree is evaluated at each point of F_p^n, with each
-leaf system decided by a mod-p linear solve, existential variables
-included.  The points that satisfy it form the raw set, one byte per point.
-The good-prime flag certifies that the count provably equals the
-Grothendieck class evaluated at p:
+The count is an oracle that is independent of the rational block calculus.
+Every F_p point set is held in one form, a mask: an int with one byte per
+point of F_p^n (1 in the set, 0 outside).  Each leaf system is projected
+mod p onto its n free coordinates (`linalg.project_rows`, so existential
+variables are eliminated exactly over F_p), and its mask is listed from the
+projected echelon form.  The boolean tree is then evaluated on the masks,
+Not, And and Or as bitwise operations, and its mask is the raw set.  The
+good-prime flag certifies that the count provably equals the Grothendieck
+class evaluated at p:
 
   (a) every leaf system keeps its rank pattern mod p (coefficient block,
       augmented matrix, and bound-variable block), so projections behave;
@@ -36,12 +39,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 from operator import mul
 
 from .cosets import LinearSystem
-from .defsets import And, DefinableSet, Leaf, Not, Or, boolean_normalize, expr_leaves, k0_class
+from .defsets import And, DefinableSet, Leaf, Not, boolean_normalize, expr_leaves, k0_class
 from .errors import WorkbenchError
-from .linalg import _eliminate, rank, rank_mod_p, solvable_mod_p
+from .linalg import _eliminate, project_rows, rank, rank_mod_p
 
 _POINT_LIMIT = 10 ** 6
 
@@ -135,43 +139,6 @@ def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
     return True
 
 
-def _leaf_mod_p(system: LinearSystem, p: int):
-    """A leaf's x-block, y-block and right-hand side as integers mod p."""
-    n, b = system.ambient, system.bound
-    xbl = [[int(a) % p for a in row[:n]] for row in system.rows]
-    ybl = [[int(v) % p for v in row[n:n + b]] for row in system.rows]
-    rhs = [int(row[-1]) % p for row in system.rows]
-    return xbl, ybl if b else None, rhs
-
-
-def _leaf_holds(leaf_mod_p, point, p: int) -> bool:
-    xbl, ybl, rhs = leaf_mod_p
-    shifted = [(c - sum(a * x for a, x in zip(row, point))) % p
-               for row, c in zip(xbl, rhs)]
-    if ybl is None:
-        return not any(shifted)
-    return solvable_mod_p(ybl, shifted, p)
-
-
-def _compile(expr, p: int):
-    """The boolean tree as one function of a point of F_p^n, built once per
-    count.  Each leaf is reduced mod p here, and And and Or evaluate their
-    right side only when the left does not decide."""
-    if isinstance(expr, Leaf):
-        leaf = _leaf_mod_p(expr.payload, p)
-        return lambda point: _leaf_holds(leaf, point, p)
-    if isinstance(expr, Not):
-        child = _compile(expr.child, p)
-        return lambda point: not child(point)
-    if isinstance(expr, And):
-        left, right = _compile(expr.left, p), _compile(expr.right, p)
-        return lambda point: left(point) and right(point)
-    if isinstance(expr, Or):
-        left, right = _compile(expr.left, p), _compile(expr.right, p)
-        return lambda point: left(point) or right(point)
-    raise WorkbenchError(f"not a boolean expression node: {expr!r}")
-
-
 def _point_mask(rows, n: int, p: int) -> int:
     """The F_p points of an integer augmented system, one byte per point of
     F_p^n in `itertools.product` order (byte k of the int is 1 exactly when
@@ -218,6 +185,19 @@ def _blocks_partition(d: DefinableSet, raw: int, p: int) -> bool:
     return union == raw
 
 
+def _tree_mask(expr, n: int, p: int, full: int) -> int:
+    """The raw set of the boolean tree, whose nodes `expr_leaves` has
+    checked, as a `_point_mask` int; `full` is the mask of all of F_p^n."""
+    if isinstance(expr, Leaf):
+        rows = [[int(a) % p for a in row] for row in expr.payload.rows]
+        return _point_mask(project_rows(rows, n, p), n, p)
+    if isinstance(expr, Not):
+        return full ^ _tree_mask(expr.child, n, p, full)
+    left = _tree_mask(expr.left, n, p, full)
+    right = _tree_mask(expr.right, n, p, full)
+    return left & right if isinstance(expr, And) else left | right
+
+
 def count_points_mod_p(expr, p: int) -> CountReport:
     """Count F_p points of the combination; flag when the count is certified
     to equal the class polynomial at p."""
@@ -227,14 +207,19 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     ambient = systems[0].ambient
     if any(s.ambient != ambient for s in systems):
         raise WorkbenchError("leaf ambient mismatch")
-    if p ** ambient > _POINT_LIMIT:
-        raise WorkbenchError(f"{p}^{ambient} points is too many to enumerate")
+    if p >= 2 and p ** ambient > _POINT_LIMIT:
+        raise WorkbenchError(
+            f"{p}^{ambient} points is more than _POINT_LIMIT = 10^6 points "
+            "to enumerate; no flag raises it")
+    # trial division, up to 1,000 once p^n <= 10^6
+    if p < 2 or not all(p % d for d in range(2, isqrt(p) + 1)):
+        raise WorkbenchError(f"the modulus p = {p} is not a prime")
 
     normal = boolean_normalize(expr, ambient)
-    raw = bytes(map(_compile(expr, p),
-                    itertools.product(range(p), repeat=ambient)))
+    raw = _tree_mask(expr, ambient, p,
+                     int.from_bytes(b"\1" * p ** ambient, "little"))
     good = (all(_leaf_rank_pattern_ok(s, p) for s in systems)
             and _lattice_ranks_ok(normal, p)
-            and _blocks_partition(normal, int.from_bytes(raw, "little"), p))
-    return CountReport(p, ambient, raw.count(1), good,
+            and _blocks_partition(normal, raw, p))
+    return CountReport(p, ambient, raw.bit_count(), good,
                        k0_class(normal).evaluate(p))

@@ -10,6 +10,8 @@ Fraction operation.
 
 `cosets` keeps the eliminated rows themselves, sign-fixed so that each
 pivot entry is positive, and `reduce_row` tests a row against such a basis.
+`project_rows` is the one projection, over Q for cosets and over F_p for
+the point counts.
 """
 
 from __future__ import annotations
@@ -83,6 +85,26 @@ def _eliminate(rows: list[list[int]], p: int | None = None):
     return m[:r], pivots
 
 
+def project_rows(rows: list[list[int]], keep: int,
+                 p: int | None = None) -> list[list[int]]:
+    """The integer rows of the projection of an augmented system onto its
+    first `keep` coordinates, over Q (p None) or over F_p (entries reduced
+    mod p, p prime).
+
+    The columns are reordered so that the dropped ones come first, and
+    `_eliminate` runs once.  A row whose pivot is a dropped column can be
+    solved for that coordinate whatever the kept coordinates are: the
+    other pivot columns are zero in it, and the remaining dropped columns
+    are free.  So the projection is cut out by the other rows, which are
+    zero in every dropped column and are returned without them (a row
+    0 = b with b != 0 among them makes it empty).  Primitive rows over Q
+    stay primitive."""
+    drop = len(rows[0]) - 1 - keep if rows else 0
+    m, pivots = _eliminate([row[keep:-1] + row[:keep] + row[-1:]
+                            for row in rows], p)
+    return [row[drop:] for row, c in zip(m, pivots) if c >= drop]
+
+
 def reduce_row(row, basis, pivots) -> list[int] | None:
     """The primitive residue of an integer row against an echelon basis, or
     None when the row lies in the basis's span.
@@ -140,9 +162,3 @@ def null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over F_p (p prime)."""
     return len(_eliminate([[x % p for x in row] for row in rows], p)[1])
-
-
-def solvable_mod_p(coeff: list[list[int]], rhs: list[int], p: int) -> bool:
-    """Whether coeff * x = rhs has a solution over F_p."""
-    aug = [row + [b] for row, b in zip(coeff, rhs)]
-    return rank_mod_p(aug, p) == rank_mod_p(coeff, p)

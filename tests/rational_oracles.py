@@ -1,4 +1,4 @@
-"""Rational oracles shared by the tests: textbook Fraction arithmetic, with
+"""Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
 no modelk elimination underneath."""
 
 from fractions import Fraction
@@ -23,3 +23,24 @@ def mat_inv(rows) -> list[list[Fraction]]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def solvable_mod_p(coeff: list[list[int]], rhs: list[int], p: int) -> bool:
+    """Whether coeff * x = rhs has a solution over F_p (p prime), by
+    Gauss-Jordan on the augmented rows with inverses mod p: it has none
+    exactly when a row 0 = b with b != 0 is left."""
+    m = [[a % p for a in row] + [b % p] for row, b in zip(coeff, rhs)]
+    r = 0
+    for c in range(len(m[0]) - 1 if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return not any(row[-1] for row in m[r:])

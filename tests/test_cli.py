@@ -78,6 +78,25 @@ def test_count(capsys):
     assert out.strip() == "0 points mod 5; class predicts 1; prime is bad"
 
 
+def test_count_refuses_a_modulus_that_is_not_a_prime(capsys):
+    for modulus in ("0", "1", "-3", "4", "6", "9"):
+        code, out, err = run(capsys, "count", CROSS, "--prime", modulus)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"p = {modulus} " in err
+
+
+def test_count_names_the_point_limit(capsys):
+    code, out, err = run(capsys, "count", "ambient 3; pp(x1 = 0)",
+                         "--prime", "101")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "_POINT_LIMIT = 10^6 points" in err and "no flag raises it" in err
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--help"])
+    assert info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--prime PRIME a prime p; counts the points of F_p^n" in help_text
+
+
 def test_formula_errors_exit_1(capsys):
     code, out, err = run(capsys, "k0", "ambient 2; pp(x3 = 0)")
     assert code == 1 and out == "" and err.startswith("error:")
@@ -462,6 +481,15 @@ def test_matrix_groups_load_no_construction_layer():
     modules = set(loaded.stdout.split())
     assert "modelk.matrix_groups" in modules
     assert not modules & {"modelk.constructions", "modelk.perms"}
+
+
+def test_counting_loads_only_the_sets_layers():
+    loaded = _python("-c", "import modelk.counting, sys; "
+                     "print(*(m for m in sys.modules if m.startswith('modelk.')))")
+    assert loaded.returncode == 0
+    assert set(loaded.stdout.split()) == {
+        "modelk.errors", "modelk.linalg", "modelk.cosets", "modelk.defsets",
+        "modelk.counting"}
 
 
 def test_public_names_come_from_their_layers():

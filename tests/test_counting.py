@@ -8,8 +8,10 @@ from modelk.counting import count_points_mod_p
 from modelk.cosets import AffineCoset, LinearSystem
 from modelk.defsets import And, Leaf, Not, Or, boolean_normalize, expr_leaves
 from modelk.errors import WorkbenchError
-from modelk.linalg import solvable_mod_p
+from modelk.linalg import rank, rank_mod_p
 from modelk.suites import random_expression
+from rational_oracles import solvable_mod_p
+from test_coset_routes import _project_by_fractions
 
 
 def leaf(ambient, bound, rows):
@@ -89,6 +91,13 @@ def test_point_limit():
     expr = leaf(3, 0, [[1, 0, 0, 0]])
     with pytest.raises(WorkbenchError):
         count_points_mod_p(expr, 101)
+
+
+def test_a_modulus_that_is_not_a_prime_is_refused():
+    expr = Or(leaf(2, 0, [[1, 0, 0]]), leaf(2, 0, [[0, 1, 0]]))
+    for modulus in (0, 1, -3, 4, 6, 9, 25):
+        with pytest.raises(WorkbenchError, match=f"p = {modulus} "):
+            count_points_mod_p(expr, modulus)
 
 
 def test_report_json_shape():
@@ -183,3 +192,37 @@ def test_compiled_tree_matches_a_walk_of_the_tree_at_larger_primes():
             assert (rep.count, rep.good_prime) == _count_point_by_point(expr, p)
             flags.add(rep.good_prime)
     assert flags == {True, False}
+
+
+def _systems_with_several_bound_variables(rng):
+    """Seeded systems in Q^1..Q^3 with 2 or 3 bound variables.  The
+    y-coefficients are often even or multiples of 3, so the y-block's rank
+    drops mod 2 or mod 3 (x1 = 2 y1 + 4 y2 is all of Q but only the even
+    residues mod 2)."""
+    for _ in range(80):
+        n, b = rng.randint(1, 3), rng.randint(2, 3)
+        rows = []
+        for _ in range(rng.randint(1, n + b)):
+            scale = rng.choice((1, 2, 3))
+            rows.append([rng.randint(-2, 2) for _ in range(n)]
+                        + [scale * rng.choice((0, 1, -1, 2)) for _ in range(b)]
+                        + [rng.randint(-3, 3)])
+        yield LinearSystem.make(n, b, rows)
+
+
+def test_leaves_with_several_bound_variables_project_exactly():
+    rng = random.Random(4747)
+    drops = 0
+    for system in _systems_with_several_bound_variables(rng):
+        n = system.ambient
+        joint = system.joint_coset()
+        assert joint.project(n) == _project_by_fractions(joint, n)
+        ybl = [[int(v) for v in row[n:-1]] for row in system.rows]
+        for p in (2, 3, 5):
+            drops += rank_mod_p(ybl, p) < rank(ybl)
+            full = int.from_bytes(b"\1" * p ** n, "little")
+            got = counting._tree_mask(Leaf(system), n, p, full)
+            walked = bytes(_holds_at(Leaf(system), point, p)
+                           for point in itertools.product(range(p), repeat=n))
+            assert got == int.from_bytes(walked, "little"), (system, p)
+    assert drops > 20

@@ -19,8 +19,8 @@ from modelk import counting
 from modelk.counting import _lattice_ranks_ok
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
-from modelk.linalg import null_space, rank, rank_mod_p, rref, solvable_mod_p
-from rational_oracles import mat_inv
+from modelk.linalg import null_space, rank, rank_mod_p, rref
+from rational_oracles import mat_inv, solvable_mod_p
 
 PRIMES = (2, 3, 5, 7)
 
