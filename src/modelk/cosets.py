@@ -14,9 +14,11 @@ preimage under an affine map on integer rows, so none of them builds a
 Fraction.  An image is the preimage under the inverse map
 (`AffineMap.image_coset`), and a projection keeps the rows that
 `linalg.project_rows` leaves once the dropped coordinates are eliminated.
-The rational RREF rows (`rows`) are derived when asked for, for sorting,
-printing and JSON, and are not stored.  The empty set is a distinguished
-value per ambient dimension.
+The rational RREF rows (`rows`) are derived when asked for, for printing
+and JSON, and are not stored.  Sorting uses `sort_key`, which holds them:
+it is built on a coset's first sort and kept in a slot that equality,
+hashing and `repr` ignore, so each coset builds its rows for sorting at
+most once.  The empty set is a distinguished value per ambient dimension.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class AffineCoset:
     basis: tuple[tuple[int, ...], ...] = ()
     empty: bool = False
     pivots: tuple[int, ...] = field(default=(), compare=False)
+    # `sort_key`, built on first use; init=False keeps `replace` from
+    # copying it onto another coset
+    _sort_key: tuple | None = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     @staticmethod
     def from_rows(ambient: int, rows) -> "AffineCoset":
@@ -234,7 +240,16 @@ class AffineCoset:
 
     @property
     def sort_key(self):
-        return (self.ambient, 1 if self.empty else 0, len(self.basis), self.rows)
+        """(ambient, empty, number of equations, rational RREF rows): a
+        total order on the cosets of one ambient, in which fewer equations
+        (larger dimension) come first.  Built on first use and kept, since
+        a coset is frozen."""
+        key = self._sort_key
+        if key is None:
+            key = (self.ambient, 1 if self.empty else 0, len(self.basis),
+                   self.rows)
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
     def pretty(self) -> str:
         if self.empty:

@@ -6,7 +6,8 @@ proper subcosets, so a block with nonempty carrier is nonempty; this fact
 underpins both the normal form and the witness-point construction.
 
 The Grothendieck class of a definable set is an integer polynomial: a coset
-of dimension d contributes X^d and holes are handled by inclusion-exclusion.
+of dimension d contributes X^d and holes are handled by inclusion-exclusion,
+walked so that terms that cancel in pairs are never visited (`block_class`).
 Two definable sets are definably isomorphic exactly when their classes agree.
 """
 
@@ -17,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import NEG_INF, AffineCoset, LinearSystem
-from .errors import CapExceededError, WorkbenchError
+from .errors import WorkbenchError
 from .linalg import rank
-
-_HOLE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,13 @@ def make_block(carrier: AffineCoset, holes=()) -> Block | None:
         clipped.append(h)
     maximal = []
     for h in clipped:
-        if any(h != g and h.is_subset(g) for g in clipped):
+        # a nonempty coset lies strictly inside another only when it has
+        # more equations, that is a smaller dimension
+        n = len(h.basis)
+        if h in maximal or any(len(g.basis) < n and h.is_subset(g)
+                               for g in clipped):
             continue
-        if h not in maximal:
-            maximal.append(h)
+        maximal.append(h)
     maximal.sort(key=lambda c: c.sort_key)
     return Block(carrier, tuple(maximal))
 
@@ -300,25 +302,38 @@ class K0Class:
 
 
 def block_class(block: Block) -> K0Class:
-    """Inclusion-exclusion over the nonempty intersections of the carrier
-    with subsets of holes: a subset of size k adds (-1)^k X^dim.  Subsets
-    are grown by one larger index at a time, and only from nonempty
-    intersections, since every superset of an empty one is empty.  The walk
-    is depth first and adds each term as its subset is reached, so it holds
-    only the intersections along one chain of subsets and their siblings."""
+    """Inclusion-exclusion over the intersections of the carrier with
+    subsets of holes: a subset of size k adds (-1)^k X^dim.
+
+    Subsets are grown depth first by one larger index at a time, and only
+    from nonempty intersections, since every superset of an empty one is
+    empty.  A subset S with intersection F and largest index `last` is
+    dropped with its whole subtree when some later hole H_j (j > last)
+    contains F, that is when F meet H_j keeps the dimension of F: the
+    subsets S u T and S u (T symmetric-difference {j}), for T over the
+    indices after `last`, meet in the same coset with opposite signs, so
+    the subtree sums to zero.  The walk computes F meet H_j for every
+    j > last anyway, so the test costs nothing.  Along every path that
+    survives the dimension drops at each step, so a carrier of dimension d
+    with h holes has at most sum over k <= d of C(h, k) nodes, whatever the
+    arrangement.  Without the test a pencil of h planes through one line
+    would reach all 2^h subsets."""
     holes = block.holes
-    if len(holes) > _HOLE_LIMIT:
-        raise CapExceededError(f"more than {_HOLE_LIMIT} holes in one block")
     coeffs = [0] * (block.ambient + 1)
     # (largest hole index in the subset, intersection, (-1)^size)
     stack = [] if block.carrier.empty else [(-1, block.carrier, 1)]
     while stack:
         last, coset, sign = stack.pop()
-        coeffs[coset.dim] += sign
+        children = []
         for i in range(last + 1, len(holes)):
             meet = coset.intersect(holes[i])
+            if meet.dim == coset.dim:  # hole i contains the intersection
+                break
             if not meet.empty:
-                stack.append((i, meet, -sign))
+                children.append((i, meet, -sign))
+        else:
+            coeffs[coset.dim] += sign
+            stack += children
     return K0Class.make(coeffs)
 
 

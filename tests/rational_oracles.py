@@ -1,8 +1,10 @@
 """Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
-no modelk elimination underneath."""
+no modelk elimination underneath, and the plain all-pairs form of
+`make_block`."""
 
 from fractions import Fraction
 
+from modelk.defsets import Block
 from modelk.errors import WorkbenchError
 
 
@@ -44,3 +46,33 @@ def solvable_mod_p(coeff: list[list[int]], rhs: list[int], p: int) -> bool:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1
     return not any(row[-1] for row in m[r:])
+
+
+def fresh_sort_key(coset):
+    """`AffineCoset.sort_key` built anew from the rational rows."""
+    return (coset.ambient, 1 if coset.empty else 0, len(coset.basis),
+            coset.rows)
+
+
+def make_block_all_pairs(carrier, holes=()):
+    """`make_block` by the plain quadratic route: every clipped hole is
+    tested against every other one, duplicates are dropped by equality and
+    the maximal holes are sorted by keys built anew."""
+    if carrier.empty:
+        return None
+    clipped = []
+    for h in holes:
+        h = h.intersect(carrier)
+        if h.empty:
+            continue
+        if h == carrier:
+            return None
+        clipped.append(h)
+    maximal = []
+    for h in clipped:
+        if any(h != g and h.is_subset(g) for g in clipped):
+            continue
+        if h not in maximal:
+            maximal.append(h)
+    maximal.sort(key=fresh_sort_key)
+    return Block(carrier, tuple(maximal))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from modelk.automorphisms import AffineMap
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
 from modelk.errors import WorkbenchError
 from modelk.suites import random_coset, random_point
+from rational_oracles import fresh_sort_key
 
 F = Fraction
 
@@ -135,6 +137,27 @@ def test_sort_key_total_order():
     keys = [c.sort_key for c in cs]
     assert len(set(keys)) == len(keys)
     sorted(cs, key=lambda c: c.sort_key)
+
+
+def test_sort_key_is_built_once_and_ignored_by_equality():
+    rng = random.Random(33)
+    rows = [[[rng.randint(-3, 3) for _ in range(4)]
+             for _ in range(rng.randint(0, 3))] for _ in range(30)]
+    filled = [AffineCoset.from_rows(3, r) for r in rows]
+    keys = [c.sort_key for c in filled]
+    fresh = [AffineCoset.from_rows(3, r) for r in rows]
+    for c, key, other in zip(filled, keys, fresh):
+        assert key == fresh_sort_key(c)
+        assert c.sort_key is key
+        assert c == other and hash(c) == hash(other)
+        assert repr(c) == repr(other)
+    order = sorted(range(30), key=lambda i: fresh[i].sort_key)
+    assert order == sorted(range(30), key=lambda i: keys[i])
+    assert order == sorted(range(30), key=lambda i: fresh_sort_key(filled[i]))
+    # `replace` builds the key of the coset it returns, not of its source
+    moved = replace(filled[0], basis=fresh[1].basis, empty=fresh[1].empty,
+                    pivots=fresh[1].pivots)
+    assert moved.sort_key == fresh_sort_key(fresh[1])
 
 
 def test_row_width_validation():

@@ -166,7 +166,7 @@ def _count_point_by_point(expr, p):
     return count, good
 
 
-def test_compiled_tree_matches_a_walk_of_the_tree():
+def test_tree_mask_matches_a_walk_of_the_tree():
     rng = random.Random(4343)
     flags = set()
     for _ in range(60):
@@ -179,7 +179,7 @@ def test_compiled_tree_matches_a_walk_of_the_tree():
     assert flags == {True, False}
 
 
-def test_compiled_tree_matches_a_walk_of_the_tree_at_larger_primes():
+def test_tree_mask_matches_a_walk_of_the_tree_at_larger_primes():
     # at p = 7 and 11 the reduced blocks' point sets are larger than at
     # p <= 5, and Q^3 has up to 1,331 points; a seeded subset keeps it short
     rng = random.Random(4546)

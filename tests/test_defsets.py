@@ -1,16 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
 from modelk.defsets import (And, DefinableSet, K0Class, Leaf, Not, Or,
                             block_class, boolean_normalize, definable_dim,
                             definably_isomorphic, k0_class, make_block,
                             shift_witness, witness_point)
-from modelk.errors import CapExceededError, WorkbenchError
+from modelk.errors import WorkbenchError
 from modelk.suites import random_coset, random_expression, random_point
+from rational_oracles import fresh_sort_key, make_block_all_pairs
 
 F = Fraction
 
@@ -173,13 +177,102 @@ def test_block_class_matches_every_subset():
     assert block_class(blocks[0]) == K0Class.make([0, 6, -7, 1])
 
 
-def test_block_class_keeps_the_hole_cap():
-    lines = [AffineCoset.from_rows(2, [[1, t, t * t]]) for t in range(17)]
-    with pytest.raises(CapExceededError, match="more than 16 holes"):
-        block_class(make_block(AffineCoset.full(2), lines))
-    # general position: each pair meets in its own point, no three meet
-    assert block_class(make_block(AffineCoset.full(2), lines[:16])).coeffs == (
-        120, -16, 1)
+def _hyperplanes(ambient, ts):
+    """x1 + t x2 + ... + t^(n-1) xn = t^n, one per t: distinct t put them
+    in general position (a Vandermonde system)."""
+    return [AffineCoset.from_rows(
+        ambient, [[t ** i for i in range(ambient + 1)]]) for t in ts]
+
+
+def test_block_class_of_general_position_past_sixteen_holes():
+    # each k <= n of the h hyperplanes meet in their own (n - k)-coset, so
+    # the class is sum over k <= n of (-1)^k C(h, k) X^(n - k)
+    for ambient in (2, 3):
+        for h in range(16, 25):
+            b = make_block(AffineCoset.full(ambient),
+                           _hyperplanes(ambient, range(h)))
+            assert len(b.holes) == h
+            assert block_class(b) == K0Class.make(
+                [(-1) ** (ambient - d) * math.comb(h, ambient - d)
+                 for d in range(ambient + 1)])
+
+
+def test_block_class_of_pencils():
+    # h planes through one line: X^3 - h X^2 + (h - 1) X, however large h
+    for h in (1, 2, 7, 16, 17, 20, 40, 60):
+        pencil = [AffineCoset.from_rows(3, [[1, t, 0, 0]]) for t in range(h)]
+        b = make_block(AffineCoset.full(3), pencil)
+        assert block_class(b) == K0Class.make([0, h - 1, -h, 1])
+
+
+def test_block_class_matches_every_subset_up_to_twelve_holes():
+    rng = random.Random(4545)
+    pencil = [AffineCoset.from_rows(3, [[1, t, 0, 0]]) for t in range(6)]
+    through_origin = [AffineCoset.from_rows(2, [[1, t, 0]]) for t in range(8)]
+    blocks = [make_block(AffineCoset.full(3),
+                         pencil + _hyperplanes(3, range(1, 7))),
+              make_block(AffineCoset.full(2),
+                         through_origin + _hyperplanes(2, range(1, 5))),
+              make_block(_hyperplanes(3, [9])[0],
+                         pencil + _hyperplanes(3, range(6)))]
+    for _ in range(6):
+        ambient = rng.randint(2, 3)
+        holes = [random_coset(rng, ambient) for _ in range(rng.randint(9, 12))]
+        blocks.append(make_block(AffineCoset.full(ambient),
+                                 [h for h in holes if not h.is_full]))
+    for b in blocks:
+        assert len(b.holes) <= 12
+        assert block_class(b) == _class_over_all_subsets(b)
+    assert max(len(b.holes) for b in blocks) == 12
+
+
+@st.composite
+def _carrier_and_holes(draw):
+    """A carrier in Q^1..Q^4 and up to 8 holes: fresh cosets, cosets nested
+    in earlier holes, earlier holes written with other rows, and, in about
+    half the draws, one hole that contains the carrier."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1)
+    carrier = draw(st.lists(row, max_size=n - 1))
+    holes = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "nested", "same")))
+        if kind == "fresh" or not holes:
+            holes.append(draw(st.lists(row, min_size=1, max_size=n)))
+        elif kind == "nested":
+            holes.append(draw(st.sampled_from(holes))
+                         + draw(st.lists(row, min_size=1, max_size=2)))
+        else:
+            holes.append([[2 * x for x in r]
+                          for r in reversed(draw(st.sampled_from(holes)))])
+    if draw(st.booleans()):
+        swallow = draw(st.lists(st.sampled_from(carrier), max_size=n)
+                       if carrier else st.just([]))
+        holes.insert(draw(st.integers(0, len(holes))), swallow)
+    return (AffineCoset.from_rows(n, carrier),
+            [AffineCoset.from_rows(n, rows) for rows in holes])
+
+
+@settings(max_examples=300)
+@given(_carrier_and_holes())
+def test_make_block_matches_the_all_pairs_antichain(case):
+    carrier, holes = case
+    b = make_block(carrier, holes)
+    assert b == make_block_all_pairs(carrier, holes)
+    if b is not None:
+        assert [fresh_sort_key(h) for h in b.holes] == sorted(
+            fresh_sort_key(h) for h in b.holes)
+
+
+def test_block_and_set_order_follow_fresh_keys():
+    rng = random.Random(4646)
+    for _ in range(20):
+        ambient = rng.randint(1, 3)
+        d = _random_set(rng, ambient).union(_random_set(rng, ambient))
+        keys = [(fresh_sort_key(b.carrier),
+                 tuple(fresh_sort_key(h) for h in b.holes)) for b in d.blocks]
+        assert keys == sorted(keys)
+        assert [b.sort_key() for b in d.blocks] == keys
 
 
 def test_class_is_presentation_invariant():
