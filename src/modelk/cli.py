@@ -39,6 +39,20 @@ def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
     return flags
 
 
+def _theory_flags() -> argparse.ArgumentParser:
+    """The ring and theory flags of k1 and omega-ab, as a parent parser."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--unit-sum", action="store_true",
+                       help="declare 1 = u + v for units (abstract domains)")
+    flags.add_argument("--t-closed", action="store_true",
+                       help="the module theory is closed under products")
+    flags.add_argument("--cofinal-even", action="store_true",
+                       help="index-finite subgroups of even index are cofinal")
+    flags.add_argument("--cofinal-odd", action="store_true",
+                       help="negation of --cofinal-even")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The common flags go before or after the subcommand.  After it they
     have no defaults, so that one left out there keeps its value from before
@@ -48,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Definable-set geometry and symbolic K1 over free modules.",
         parents=[_common_flags(0, DEFAULT_CAP, False)])
     after = _common_flags(*[argparse.SUPPRESS] * 3)
+    theory = _theory_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("k0", parents=[after],
@@ -72,28 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["validate", "support", "dim", "decompose"])
     p.add_argument("mapfile", help="path to a PAMap JSON file, or - for stdin")
 
-    p = sub.add_parser("k1", parents=[after], help="closed form of K1 for a free module")
+    p = sub.add_parser("k1", parents=[after, theory],
+                       help="closed form of K1 for a free module")
     p.add_argument("--ring", required=True,
                    help="fq:<q> | z | poly-char0 | field:<tag> | ed:<tag>")
-    p.add_argument("--unit-sum", action="store_true",
-                   help="declare 1 = u + v for units (abstract domains)")
-    p.add_argument("--t-closed", action="store_true",
-                   help="the module theory is closed under products")
-    p.add_argument("--cofinal-even", action="store_true",
-                   help="index-finite subgroups of even index are cofinal")
-    p.add_argument("--cofinal-odd", action="store_true",
-                   help="negation of --cofinal-even")
     p.add_argument("--free-rank", type=int, default=None,
                    help="finite free rank (integers only; default 1 there)")
 
-    p = sub.add_parser("omega-ab", parents=[after],
+    p = sub.add_parser("omega-ab", parents=[after, theory],
                        help="abelianized automorphism truncation at level n")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--unit-sum", action="store_true")
-    p.add_argument("--t-closed", action="store_true")
-    p.add_argument("--cofinal-even", action="store_true")
-    p.add_argument("--cofinal-odd", action="store_true")
 
     p = sub.add_parser("verify", parents=[after], help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))

@@ -2,13 +2,13 @@
 
 The count is an oracle that is independent of the rational block calculus.
 Every F_p point set is held in one form, a mask: an int with one byte per
-point of F_p^n (1 in the set, 0 outside).  Each leaf system is projected
-mod p onto its n free coordinates (`linalg.project_rows`, so existential
-variables are eliminated exactly over F_p), and its mask is listed from the
-projected echelon form.  The boolean tree is then evaluated on the masks,
-Not, And and Or as bitwise operations, and its mask is the raw set.  The
-good-prime flag certifies that the count provably equals the Grothendieck
-class evaluated at p:
+point of F_p^n (1 in the set, 0 outside).  The tree's leaves are
+`LinearSystem`s; each is projected mod p onto its n free coordinates
+(`linalg.project_rows`, so existential variables are eliminated exactly
+over F_p), and its mask is listed from the projected echelon form.  The
+tree is then evaluated on the masks, Not, And and Or as bitwise
+operations, and its mask is the raw set.  The good-prime flag certifies
+that the count provably equals the Grothendieck class evaluated at p:
 
   (a) every leaf system keeps its rank pattern mod p (coefficient block,
       augmented matrix, and bound-variable block), so projections behave;
@@ -43,7 +43,7 @@ from math import isqrt
 from operator import mul
 
 from .cosets import LinearSystem
-from .defsets import And, DefinableSet, Leaf, Not, boolean_normalize, expr_leaves, k0_class
+from .defsets import And, DefinableSet, Not, boolean_normalize, expr_leaves, k0_class
 from .errors import WorkbenchError
 from .linalg import _eliminate, project_rows, rank, rank_mod_p
 
@@ -66,17 +66,6 @@ class CountReport:
             "good_prime": self.good_prime,
             "class_value": self.predicted,
         }
-
-
-def _leaf_systems(expr) -> list[LinearSystem]:
-    systems = []
-    for leaf in expr_leaves(expr):
-        if not isinstance(leaf.payload, LinearSystem):
-            raise WorkbenchError("counting needs raw linear systems as leaves")
-        if not leaf.payload.is_integral():
-            raise WorkbenchError("leaf coefficients must be integers")
-        systems.append(leaf.payload)
-    return systems
 
 
 def _leaf_rank_pattern_ok(system: LinearSystem, p: int) -> bool:
@@ -188,8 +177,8 @@ def _blocks_partition(d: DefinableSet, raw: int, p: int) -> bool:
 def _tree_mask(expr, n: int, p: int, full: int) -> int:
     """The raw set of the boolean tree, whose nodes `expr_leaves` has
     checked, as a `_point_mask` int; `full` is the mask of all of F_p^n."""
-    if isinstance(expr, Leaf):
-        rows = [[int(a) % p for a in row] for row in expr.payload.rows]
+    if isinstance(expr, LinearSystem):
+        rows = [[int(a) % p for a in row] for row in expr.rows]
         return _point_mask(project_rows(rows, n, p), n, p)
     if isinstance(expr, Not):
         return full ^ _tree_mask(expr.child, n, p, full)
@@ -201,9 +190,9 @@ def _tree_mask(expr, n: int, p: int, full: int) -> int:
 def count_points_mod_p(expr, p: int) -> CountReport:
     """Count F_p points of the combination; flag when the count is certified
     to equal the class polynomial at p."""
-    systems = _leaf_systems(expr)
-    if not systems:
-        raise WorkbenchError("expression has no leaves")
+    systems = expr_leaves(expr)  # a tree has at least one leaf
+    if not all(s.is_integral() for s in systems):
+        raise WorkbenchError("leaf coefficients must be integers")
     ambient = systems[0].ambient
     if any(s.ambient != ambient for s in systems):
         raise WorkbenchError("leaf ambient mismatch")

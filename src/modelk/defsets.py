@@ -9,6 +9,9 @@ The Grothendieck class of a definable set is an integer polynomial: a coset
 of dimension d contributes X^d and holes are handled by inclusion-exclusion,
 walked so that terms that cancel in pairs are never visited (`block_class`).
 Two definable sets are definably isomorphic exactly when their classes agree.
+
+A boolean tree is built from `Not`, binary `And` and `Or`, and leaves that
+are `LinearSystem`s; `boolean_normalize` turns one into the normal form.
 """
 
 from __future__ import annotations
@@ -357,16 +360,6 @@ def definably_isomorphic(d1: DefinableSet, d2: DefinableSet) -> bool:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    payload: object  # AffineCoset or LinearSystem
-
-    def coset(self) -> AffineCoset:
-        if isinstance(self.payload, LinearSystem):
-            return self.payload.coset()
-        return self.payload
-
-
-@dataclass(frozen=True)
 class Not:
     child: object
 
@@ -384,8 +377,8 @@ class Or:
 
 
 def boolean_normalize(expr, ambient: int) -> DefinableSet:
-    """Disjoint-block normal form of a boolean combination of cosets."""
-    if isinstance(expr, Leaf):
+    """Disjoint-block normal form of a boolean tree."""
+    if isinstance(expr, LinearSystem):
         coset = expr.coset()
         if coset.ambient != ambient:
             raise WorkbenchError("leaf ambient mismatch")
@@ -401,8 +394,8 @@ def boolean_normalize(expr, ambient: int) -> DefinableSet:
     raise WorkbenchError(f"not a boolean expression node: {expr!r}")
 
 
-def expr_leaves(expr) -> list[Leaf]:
-    if isinstance(expr, Leaf):
+def expr_leaves(expr) -> list[LinearSystem]:
+    if isinstance(expr, LinearSystem):
         return [expr]
     if isinstance(expr, Not):
         return expr_leaves(expr.child)

@@ -10,10 +10,12 @@ existential block `E y1 .. ym :` binding auxiliary variables.  Atoms
 combine with ! & | and parentheses, with the usual precedence
 (! binds tightest, then &, then |).
 
-Parsing produces a small AST whose atoms store canonical coefficient
-rows; `format_formula` prints it back in the same syntax, and
-`elaborate` turns it into the boolean tree over raw linear systems
-that the geometry and counting layers consume.
+Numbers and variable indices are ASCII digits.  Parsing builds the
+`defsets` boolean tree that normalization and counting take: a pp atom
+becomes a `LinearSystem` (rows of x coefficients, then y coefficients,
+then the right side), `!` a `Not`, and chains of `&` or `|` fold from
+the left into binary `And` or `Or`.  `format_formula` prints a tree back
+in the same syntax, so that `parse_formula(format_formula(f)) == f`.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import LinearSystem
-from .defsets import And, Leaf, Not, Or
+from .defsets import And, Not, Or
 from .errors import FormulaError
 
 _KEYWORDS = {"ambient", "pp", "E"}
 _SYMBOLS = ";:&|!()=+-*"
+# str.isdigit also accepts characters such as '²', which int() refuses
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,9 @@ def tokenize(text: str) -> list[Token]:
             col, i = col + 1, i + 1
             continue
         start_col = start = None
-        if c.isdigit():
+        if c in _DIGITS:
             start, start_col = i, col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i, col = i + 1, col + 1
             toks.append(Token("int", text[start:i], line, start_col))
             continue
@@ -66,7 +70,8 @@ def tokenize(text: str) -> list[Token]:
             word = text[start:i]
             if word in _KEYWORDS:
                 toks.append(Token("keyword", word, line, start_col))
-            elif word[0] in "xy" and word[1:].isdigit() and int(word[1:]) >= 1:
+            elif (word[0] in "xy" and word[1:].isascii() and word[1:].isdigit()
+                  and int(word[1:]) >= 1):
                 toks.append(Token("var", word, line, start_col))
             else:
                 raise FormulaError(f"unknown name {word!r}", line, start_col)
@@ -80,36 +85,11 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-# AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PPAtom:
-    """Conjunction of linear equations; rows are x coefficients, then y
-    coefficients for `bound` existential variables, then the right side."""
-
-    ambient: int
-    bound: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class FNot:
-    sub: object
-
-
-@dataclass(frozen=True)
-class FAnd:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class FOr:
-    parts: tuple
-
-
 @dataclass(frozen=True)
 class Formula:
+    """`root` is a `defsets` boolean tree: `Not`, binary `And` and `Or`,
+    and `LinearSystem` leaves."""
+
     ambient: int
     root: object
 
@@ -156,23 +136,23 @@ class _Parser:
         return Formula(ambient, root)
 
     def or_expr(self):
-        parts = [self.and_expr()]
+        expr = self.and_expr()
         while self.at_symbol("|"):
             self.next()
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else FOr(tuple(parts))
+            expr = Or(expr, self.and_expr())
+        return expr
 
     def and_expr(self):
-        parts = [self.not_expr()]
+        expr = self.not_expr()
         while self.at_symbol("&"):
             self.next()
-            parts.append(self.not_expr())
-        return parts[0] if len(parts) == 1 else FAnd(tuple(parts))
+            expr = And(expr, self.not_expr())
+        return expr
 
     def not_expr(self):
         if self.at_symbol("!"):
             self.next()
-            return FNot(self.not_expr())
+            return Not(self.not_expr())
         return self.primary()
 
     def primary(self):
@@ -187,7 +167,7 @@ class _Parser:
         _fail(f"expected a pp atom or '(', found {tok.text or 'end of input'!r}",
               tok)
 
-    def pp_atom(self) -> PPAtom:
+    def pp_atom(self) -> LinearSystem:
         self.expect("keyword", "pp")
         self.expect("symbol", "(")
         bound = 0
@@ -213,7 +193,7 @@ class _Parser:
             self.next()
             rows.append(self.equation(bound))
         self.expect("symbol", ")")
-        return PPAtom(self.ambient, bound, tuple(rows))
+        return LinearSystem(self.ambient, bound, tuple(rows))
 
     def equation(self, bound: int) -> tuple:
         lhs_coeffs, lhs_const = self.linear_sum(bound)
@@ -287,10 +267,6 @@ def parse_formula(text: str) -> Formula:
 # printing ------------------------------------------------------------------
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _row_str(row, ambient: int) -> str:
     names = [f"x{i + 1}" for i in range(ambient)]
     names += [f"y{j + 1}" for j in range(len(row) - 1 - ambient)]
@@ -299,7 +275,7 @@ def _row_str(row, ambient: int) -> str:
         if c == 0:
             continue
         mag = abs(c)
-        body = name if mag == 1 else f"{_frac_str(mag)}*{name}"
+        body = name if mag == 1 else f"{mag}*{name}"
         terms.append(("-" if c < 0 else "+", body))
     if not terms:
         lhs = "0"
@@ -310,57 +286,42 @@ def _row_str(row, ambient: int) -> str:
             lhs += f" {sign} {body}"
     rhs = row[-1]
     if rhs < 0:
-        return f"{lhs} = -{_frac_str(-rhs)}"
-    return f"{lhs} = {_frac_str(rhs)}"
+        return f"{lhs} = -{-rhs}"
+    return f"{lhs} = {rhs}"
 
 
-def _atom_str(atom: PPAtom) -> str:
+def _atom_str(system: LinearSystem) -> str:
     prefix = ""
-    if atom.bound:
-        names = " ".join(f"y{j + 1}" for j in range(atom.bound))
+    if system.bound:
+        names = " ".join(f"y{j + 1}" for j in range(system.bound))
         prefix = f"E {names} : "
-    eqs = " & ".join(_row_str(row, atom.ambient) for row in atom.rows)
+    eqs = " & ".join(_row_str(row, system.ambient) for row in system.rows)
     return f"pp({prefix}{eqs})"
 
 
-def _node_str(node, parent: str) -> str:
-    if isinstance(node, PPAtom):
-        return _atom_str(node)
-    if isinstance(node, FNot):
-        return "!" + _node_str(node.sub, "not")
-    if isinstance(node, FAnd):
-        body = " & ".join(_node_str(p, "and") for p in node.parts)
-        return f"({body})" if parent in ("not", "and") else body
-    body = " | ".join(_node_str(p, "or") for p in node.parts)
-    return f"({body})" if parent in ("not", "and", "or") else body
+def _node_str(node) -> str:
+    """Parentheses only where the parser needs them: around a weaker
+    operator, and around a right operand of the same operator, since the
+    parser folds chains to the left."""
+    if isinstance(node, Not):
+        return "!" + _wrapped(node.child, (And, Or))
+    if isinstance(node, And):
+        return _wrapped(node.left, Or) + " & " + _wrapped(node.right, (And, Or))
+    if isinstance(node, Or):
+        return _node_str(node.left) + " | " + _wrapped(node.right, Or)
+    return _atom_str(node)
+
+
+def _wrapped(node, types) -> str:
+    body = _node_str(node)
+    return f"({body})" if isinstance(node, types) else body
 
 
 def format_formula(formula: Formula) -> str:
-    return f"ambient {formula.ambient}; " + _node_str(formula.root, "top")
-
-
-# elaboration ---------------------------------------------------------------
-
-
-def _elaborate_node(node):
-    if isinstance(node, PPAtom):
-        return Leaf(LinearSystem.make(node.ambient, node.bound,
-                                      [list(r) for r in node.rows]))
-    if isinstance(node, FNot):
-        return Not(_elaborate_node(node.sub))
-    if isinstance(node, FAnd):
-        parts = [_elaborate_node(p) for p in node.parts]
-        expr = parts[0]
-        for p in parts[1:]:
-            expr = And(expr, p)
-        return expr
-    parts = [_elaborate_node(p) for p in node.parts]
-    expr = parts[0]
-    for p in parts[1:]:
-        expr = Or(expr, p)
-    return expr
+    return f"ambient {formula.ambient}; " + _node_str(formula.root)
 
 
 def elaborate(formula: Formula):
-    """Boolean tree over raw linear systems, ready for normalization."""
-    return _elaborate_node(formula.root)
+    """The boolean tree that normalization and counting take, which the
+    parser has already built."""
+    return formula.root

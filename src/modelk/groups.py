@@ -546,19 +546,16 @@ def abelianization(G: FiniteGroup) -> AbInvariants:
 class GroupAction:
     """A group G acting on a group H by automorphisms.
 
-    `mapping(g, h)` evaluates the action.  `check()` validates it.
+    `act(g, h)` evaluates the action.  `check()` validates it.
     """
 
-    def __init__(self, acting: FiniteGroup, target: FiniteGroup, mapping, name=""):
+    def __init__(self, acting: FiniteGroup, target: FiniteGroup, act, name=""):
         self.acting = acting
         self.target = target
-        self.mapping = mapping
+        self.act = act
         self.name = name
         self._checked = False
         self._table = None
-
-    def act(self, g, h):
-        return self.mapping(g, h)
 
     def check(self) -> None:
         """Raise InvalidActionError unless the mapping is an action by
@@ -587,7 +584,7 @@ class GroupAction:
         """
         if self._checked:
             return
-        G, H, act = self.acting, self.target, self.mapping
+        G, H, act = self.acting, self.target, self.act
         for group in (G, H):
             _check_generation(group)
         index, targets = H._index, H.elements

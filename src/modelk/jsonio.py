@@ -161,10 +161,6 @@ def k0_from_json(d: dict) -> K0Class:
     return K0Class.make([int(x) for x in d.get("coeffs", [])])
 
 
-def abgroup_to_json(g: FormalAbGroup) -> dict:
-    return g.to_json()
-
-
 def _atom_from_json(d: dict) -> Atom:
     from .symbolic import UNDETERMINED, glab, units_of, zmod
 

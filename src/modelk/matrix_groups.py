@@ -263,18 +263,6 @@ class GLAbReport:
     known_exception: bool
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "group": f"GL_{self.n}({self.ring})",
-            "abelianization": list(self.ab.factors),
-            "units": list(self.units_invariants.factors),
-            "matches_units": self.matches_units,
-            "commutator_is_sl": self.commutator_is_sl,
-            "hypotheses_hold": self.hypotheses_hold,
-            "known_exception": self.known_exception,
-            "passed": self.passed,
-        }
-
 
 def check_gl_ab(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> GLAbReport:
     """Measure GL_n^ab against the determinant/unit-group prediction.

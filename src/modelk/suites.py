@@ -18,7 +18,7 @@ from .constructions import (check_semidirect_ab, check_wreath_ab,
                             index_permutation_action, lift_permutation,
                             lifts_are_even, symmetric_group, wreath)
 from .cosets import AffineCoset, LinearSystem
-from .defsets import And, Leaf, Not, Or, make_block
+from .defsets import And, Not, Or, make_block
 from .errors import WorkbenchError
 from .groups import DEFAULT_CAP, FiniteGroup, GroupAction, abelianization
 from .matrix_groups import (affine_group, check_gl_ab, elementary_closure,
@@ -127,7 +127,7 @@ def _random_system(rng: random.Random, ambient: int) -> LinearSystem:
 def random_expression(rng: random.Random, ambient: int, depth: int = 2):
     """A random boolean tree over integer linear systems."""
     if depth <= 0 or rng.random() < 0.4:
-        return Leaf(_random_system(rng, ambient))
+        return _random_system(rng, ambient)
     shape = rng.choice(["not", "and", "or"])
     if shape == "not":
         return Not(random_expression(rng, ambient, depth - 1))

@@ -104,6 +104,17 @@ def test_formula_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("formula", [
+    "ambient \u00b2; pp(x1 = 0)",
+    "ambient 1; pp(x\u00b2 = 0)",
+    "ambient 1; pp(x1 = \u00b3)",
+])
+def test_non_ascii_digits_are_formula_errors(capsys, formula):
+    code, out, err = run(capsys, "k0", formula)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, col") and "Traceback" not in err
+
+
 # --- piecewise-affine map commands ----------------------------------------------
 
 def test_aut_validate_and_queries(tmp_path, capsys):

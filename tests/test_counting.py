@@ -6,8 +6,9 @@ import pytest
 from modelk import counting
 from modelk.counting import count_points_mod_p
 from modelk.cosets import AffineCoset, LinearSystem
-from modelk.defsets import And, Leaf, Not, Or, boolean_normalize, expr_leaves
+from modelk.defsets import And, Not, Or, boolean_normalize, expr_leaves
 from modelk.errors import WorkbenchError
+from modelk.formulas import parse_formula
 from modelk.linalg import rank, rank_mod_p
 from modelk.suites import random_expression
 from rational_oracles import solvable_mod_p
@@ -15,7 +16,7 @@ from test_coset_routes import _project_by_fractions
 
 
 def leaf(ambient, bound, rows):
-    return Leaf(LinearSystem.make(ambient, bound, rows))
+    return LinearSystem.make(ambient, bound, rows)
 
 
 def test_crossing_lines_count():
@@ -82,8 +83,8 @@ def test_rational_leaf_rejected():
 
 
 def test_non_system_leaf_rejected():
-    expr = Leaf(AffineCoset.full(1))
-    with pytest.raises(WorkbenchError):
+    expr = Not(AffineCoset.full(1))
+    with pytest.raises(WorkbenchError, match="not a boolean expression node"):
         count_points_mod_p(expr, 5)
 
 
@@ -126,8 +127,8 @@ def test_good_prime_bridge_on_seeded_expressions():
 
 def _holds_at(expr, point, p):
     """The boolean tree evaluated at one point, each leaf by a mod-p solve."""
-    if isinstance(expr, Leaf):
-        s = expr.payload
+    if isinstance(expr, LinearSystem):
+        s = expr
         n = s.ambient
         shifted = [int(row[-1] - sum(a * x for a, x in zip(row[:n], point))) % p
                    for row in s.rows]
@@ -149,9 +150,9 @@ def _count_point_by_point(expr, p):
     """(count, good) from a walk over the points: the tree walked at each
     point with every leaf decided, and condition (c) as hits of the reduced
     blocks at each point."""
-    ambient = expr_leaves(expr)[0].payload.ambient
+    ambient = expr_leaves(expr)[0].ambient
     normal = boolean_normalize(expr, ambient)
-    good = (all(counting._leaf_rank_pattern_ok(leaf.payload, p)
+    good = (all(counting._leaf_rank_pattern_ok(leaf, p)
                 for leaf in expr_leaves(expr))
             and counting._lattice_ranks_ok(normal, p))
     count = 0
@@ -221,8 +222,53 @@ def test_leaves_with_several_bound_variables_project_exactly():
         for p in (2, 3, 5):
             drops += rank_mod_p(ybl, p) < rank(ybl)
             full = int.from_bytes(b"\1" * p ** n, "little")
-            got = counting._tree_mask(Leaf(system), n, p, full)
-            walked = bytes(_holds_at(Leaf(system), point, p)
+            got = counting._tree_mask(system, n, p, full)
+            walked = bytes(_holds_at(system, point, p)
                            for point in itertools.product(range(p), repeat=n))
             assert got == int.from_bytes(walked, "little"), (system, p)
     assert drops > 20
+
+
+def _pp(coeffs, rhs):
+    lhs = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x{i + 1}"
+                   for i, c in enumerate(coeffs) if c)
+    return f"pp({lhs.removeprefix('+ ')} = {rhs})"
+
+
+def _degenerate_arrangements(rng):
+    """Seeded (ambient, h, hyperplanes) with integer data: h lines through a
+    common point of Q^2, and pencils of h planes through a common line of
+    Q^3.  The normals are u + k v for distinct k in [-5, 5], with u and v
+    independent mod every prime, so no two hyperplanes coincide mod 11 or
+    13 (the differences of the k are at most 10)."""
+    for _ in range(10):
+        h = rng.randint(3, 11)
+        ks = rng.sample(range(-5, 6), h)
+        point = [rng.randint(-4, 4) for _ in range(3)]
+        yield 2, h, [((k, 1), k * point[0] + point[1]) for k in ks]
+        # the line through `point` in direction (1, a, b)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        normals = [(-a - k * b, 1, k) for k in ks]
+        yield 3, h, [(n, sum(c * x for c, x in zip(n, point)))
+                     for n in normals]
+
+
+def test_degenerate_arrangements_count_their_class():
+    # the union of h hyperplanes whose pairwise meets are all one flat of
+    # codimension 2 has class h X^(n-1) - (h-1) X^(n-2); the complement is
+    # one block with h holes
+    rng = random.Random(5151)
+    for ambient, h, planes in _degenerate_arrangements(rng):
+        union = " | ".join(_pp(n, r) for n, r in planes)
+        for text, complement in ((union, False), (f"!({union})", True)):
+            expr = parse_formula(f"ambient {ambient}; {text}").root
+            good = []
+            for p in (5, 7, 11, 13):
+                rep = count_points_mod_p(expr, p)
+                value = h * p ** (ambient - 1) - (h - 1) * p ** (ambient - 2)
+                assert rep.predicted == (p ** ambient - value if complement
+                                         else value), (text, p)
+                if rep.good_prime:
+                    assert rep.count == rep.predicted, (text, p)
+                    good.append(p)
+            assert good, text

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
-from modelk.defsets import (And, DefinableSet, K0Class, Leaf, Not, Or,
+from modelk.defsets import (And, DefinableSet, K0Class, Not, Or,
                             block_class, boolean_normalize, definable_dim,
                             definably_isomorphic, k0_class, make_block,
                             shift_witness, witness_point)
@@ -21,6 +21,10 @@ F = Fraction
 
 def line(ambient, coeffs, rhs):
     return AffineCoset.from_rows(ambient, [list(coeffs) + [rhs]])
+
+
+def line_system(ambient, coeffs, rhs):
+    return LinearSystem.make(ambient, 0, [list(coeffs) + [rhs]])
 
 
 def pt(*xs):
@@ -126,7 +130,7 @@ def test_k0_class_ring_ops():
 
 
 def test_crossing_lines_class():
-    expr = Or(Leaf(line(2, (1, 0), 0)), Leaf(line(2, (0, 1), 0)))
+    expr = Or(line_system(2, (1, 0), 0), line_system(2, (0, 1), 0))
     d = boolean_normalize(expr, 2)
     cls = k0_class(d)
     assert cls == K0Class.make([-1, 2])
@@ -135,7 +139,7 @@ def test_crossing_lines_class():
 
 
 def test_plane_minus_line_class():
-    expr = And(Leaf(AffineCoset.full(2)), Not(Leaf(line(2, (1, 0), 0))))
+    expr = And(LinearSystem.make(2, 0, []), Not(line_system(2, (1, 0), 0)))
     d = boolean_normalize(expr, 2)
     assert k0_class(d) == K0Class.make([0, -1, 1])
 
@@ -312,7 +316,7 @@ def test_membership_matches_expression_semantics():
 
 
 def _eval_expr(expr, point):
-    if isinstance(expr, Leaf):
+    if isinstance(expr, LinearSystem):
         return expr.coset().contains(point)
     if isinstance(expr, Not):
         return not _eval_expr(expr.child, point)
@@ -375,4 +379,4 @@ def test_shift_witness_rejects_empty():
 
 def test_boolean_normalize_needs_matching_ambient():
     with pytest.raises(WorkbenchError):
-        boolean_normalize(Leaf(AffineCoset.full(2)), 1)
+        boolean_normalize(LinearSystem.make(2, 0, []), 1)

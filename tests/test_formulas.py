@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from modelk.defsets import And, Leaf, Not, boolean_normalize, k0_class
+from modelk.cosets import LinearSystem
+from modelk.defsets import And, Not, Or, boolean_normalize, k0_class
 from modelk.errors import FormulaError
-from modelk.formulas import (FAnd, FNot, FOr, Formula, PPAtom, elaborate,
-                             format_formula, parse_formula, tokenize)
+from modelk.formulas import (Formula, elaborate, format_formula,
+                             parse_formula, tokenize)
 
 
 def atom(ambient, bound, rows):
-    return PPAtom(ambient, bound,
-                  tuple(tuple(Fraction(v) for v in r) for r in rows))
+    return LinearSystem.make(ambient, bound, rows)
 
 
 # --- tokenizing and positions -------------------------------------------------
@@ -38,6 +38,22 @@ def test_stray_character_position():
     assert (info.value.line, info.value.col) == (2, 7)
 
 
+@pytest.mark.parametrize("text, col, fragment", [
+    ("ambient \u00b2; pp(x1 = 0)", 9, "stray character"),
+    ("ambient 1; pp(x\u00b2 = 0)", 15, "unknown name"),
+    ("ambient 1; pp(x1 = \u00b3)", 20, "stray character"),
+    ("ambient 1; pp(x1 = 1\u00b2)", 21, "stray character"),
+    ("ambient 1; pp(x\u0661 = 1)", 15, "unknown name"),
+])
+def test_only_ascii_digits_are_numbers(text, col, fragment):
+    # str.isdigit accepts superscripts, which int() refuses, and other
+    # scripts' digits, which int() reads as ASCII ones
+    with pytest.raises(FormulaError) as info:
+        parse_formula(text)
+    assert (info.value.line, info.value.col) == (1, col)
+    assert fragment in str(info.value)
+
+
 # --- parsing -------------------------------------------------------------------
 
 def test_simple_atom_rows():
@@ -61,19 +77,26 @@ def test_existential_block():
 def test_precedence_and_parens():
     f = parse_formula(
         "ambient 1; pp(x1 = 0) | pp(x1 = 1) & !pp(x1 = 2)")
-    assert isinstance(f.root, FOr)
-    right = f.root.parts[1]
-    assert isinstance(right, FAnd)
-    assert isinstance(right.parts[1], FNot)
+    assert isinstance(f.root, Or)
+    assert isinstance(f.root.right, And)
+    assert isinstance(f.root.right.right, Not)
     g = parse_formula(
         "ambient 1; (pp(x1 = 0) | pp(x1 = 1)) & !pp(x1 = 2)")
-    assert isinstance(g.root, FAnd)
-    assert isinstance(g.root.parts[0], FOr)
+    assert isinstance(g.root, And)
+    assert isinstance(g.root.left, Or)
+
+
+def test_chains_fold_from_the_left():
+    a, b, c = (atom(1, 0, [[1, k]]) for k in range(3))
+    f = parse_formula("ambient 1; pp(x1 = 0) | pp(x1 = 1) | pp(x1 = 2)")
+    assert f.root == Or(Or(a, b), c)
+    g = parse_formula("ambient 1; pp(x1 = 0) & (pp(x1 = 1) & pp(x1 = 2))")
+    assert g.root == And(a, And(b, c))
 
 
 def test_double_negation_parses():
     f = parse_formula("ambient 1; !!pp(x1 = 0)")
-    assert isinstance(f.root, FNot) and isinstance(f.root.sub, FNot)
+    assert isinstance(f.root, Not) and isinstance(f.root.child, Not)
 
 
 def test_parse_errors_carry_positions():
@@ -121,6 +144,24 @@ def test_format_parenthesizes_by_context():
         "ambient 1; (pp(x1 = 0) | pp(x1 = 1)) & pp(x1 = 2)")
 
 
+def test_format_parenthesizes_only_right_nested_chains():
+    a, b, c = "pp(x1 = 0)", "pp(x1 = 1)", "pp(x1 = 2)"
+    cases = [
+        (f"({a} & {b}) & {c}", f"{a} & {b} & {c}"),
+        (f"{a} & ({b} & {c})", f"{a} & ({b} & {c})"),
+        (f"({a} | {b}) | {c}", f"{a} | {b} | {c}"),
+        (f"{a} | ({b} | {c})", f"{a} | ({b} | {c})"),
+        (f"({a} & {b}) | ({b} & {c})", f"{a} & {b} | {b} & {c}"),
+        (f"{a} & ({b} | {c})", f"{a} & ({b} | {c})"),
+        (f"!({a} & {b})", f"!({a} & {b})"),
+        (f"!!{a}", f"!!{a}"),
+    ]
+    for text, printed in cases:
+        f = parse_formula("ambient 1; " + text)
+        assert format_formula(f) == "ambient 1; " + printed, text
+        assert parse_formula(format_formula(f)) == f, text
+
+
 def test_round_trip_is_identity_on_ast():
     texts = [
         "ambient 1; pp(x1 = 0)",
@@ -140,26 +181,28 @@ def _random_atom(rng, ambient):
         row = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                for _ in range(ambient + bound)]
         row.append(Fraction(rng.randint(-6, 6), rng.choice([1, 2])))
-        rows.append(tuple(row))
-    return PPAtom(ambient, bound, tuple(rows))
+        rows.append(row)
+    return atom(ambient, bound, rows)
 
 
 def _random_node(rng, ambient, depth):
-    if depth <= 0 or rng.random() < 0.4:
+    """A random binary tree, with And and Or operands of any shape, so that
+    same-operator children sit on both sides."""
+    if depth <= 0 or rng.random() < 0.3:
         return _random_atom(rng, ambient)
     shape = rng.choice(["not", "and", "or"])
     if shape == "not":
-        return FNot(_random_node(rng, ambient, depth - 1))
-    parts = tuple(_random_node(rng, ambient, depth - 1)
-                  for _ in range(rng.randint(2, 3)))
-    return FAnd(parts) if shape == "and" else FOr(parts)
+        return Not(_random_node(rng, ambient, depth - 1))
+    left = _random_node(rng, ambient, depth - 1)
+    right = _random_node(rng, ambient, depth - 1)
+    return And(left, right) if shape == "and" else Or(left, right)
 
 
 def test_seeded_round_trips():
     rng = random.Random(977)
-    for _ in range(60):
+    for _ in range(80):
         ambient = rng.randint(1, 3)
-        f = Formula(ambient, _random_node(rng, ambient, 2))
+        f = Formula(ambient, _random_node(rng, ambient, 3))
         text = format_formula(f)
         assert parse_formula(text) == f, text
 
@@ -170,8 +213,8 @@ def test_elaborate_structure():
     f = parse_formula("ambient 2; pp(x1 = 0) & !pp(x2 = 0)")
     expr = elaborate(f)
     assert isinstance(expr, And)
-    assert isinstance(expr.left, Leaf) and isinstance(expr.right, Not)
-    system = expr.left.payload
+    assert isinstance(expr.left, LinearSystem) and isinstance(expr.right, Not)
+    system = expr.left
     assert system.ambient == 2 and system.bound == 0
     assert system.rows == ((Fraction(1), Fraction(0), Fraction(0)),)
 
