@@ -16,6 +16,8 @@ becomes a `LinearSystem` (rows of x coefficients, then y coefficients,
 then the right side), `!` a `Not`, and chains of `&` or `|` fold from
 the left into binary `And` or `Or`.  `format_formula` prints a tree back
 in the same syntax, so that `parse_formula(format_formula(f)) == f`.
+Trees and parentheses nest at most `MAX_DEPTH` deep, so that neither the
+parser nor the recursive walks over its tree run out of stack.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ _KEYWORDS = {"ambient", "pp", "E"}
 _SYMBOLS = ";:&|!()=+-*"
 # str.isdigit also accepts characters such as '²', which int() refuses
 _DIGITS = "0123456789"
+# the highest tree, and the deepest nesting of parentheses, that parses
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,13 @@ class Token:
 
 def _fail(msg: str, tok: Token):
     raise FormulaError(msg, tok.line, tok.col)
+
+
+def _checked_depth(depth: int, tok: Token) -> int:
+    """depth; a FormulaError at `tok` if it is over MAX_DEPTH."""
+    if depth > MAX_DEPTH:
+        _fail(f"formula nests deeper than {MAX_DEPTH} levels", tok)
+    return depth
 
 
 def tokenize(text: str) -> list[Token]:
@@ -98,6 +109,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.parens = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -129,40 +141,49 @@ class _Parser:
             _fail("ambient dimension must be at least 1", tok)
         self.expect("symbol", ";")
         self.ambient = ambient
-        root = self.or_expr()
+        root, _ = self.or_expr()
         tail = self.next()
         if tail.kind != "eof":
             _fail(f"unexpected {tail.text!r} after formula", tail)
         return Formula(ambient, root)
 
+    # the expression rules return (tree, height), a leaf's height being 0
+
     def or_expr(self):
-        expr = self.and_expr()
+        expr, height = self.and_expr()
         while self.at_symbol("|"):
-            self.next()
-            expr = Or(expr, self.and_expr())
-        return expr
+            tok = self.next()
+            right, other = self.and_expr()
+            expr, height = Or(expr, right), _checked_depth(1 + max(height, other), tok)
+        return expr, height
 
     def and_expr(self):
-        expr = self.not_expr()
+        expr, height = self.not_expr()
         while self.at_symbol("&"):
-            self.next()
-            expr = And(expr, self.not_expr())
-        return expr
+            tok = self.next()
+            right, other = self.not_expr()
+            expr, height = And(expr, right), _checked_depth(1 + max(height, other), tok)
+        return expr, height
 
     def not_expr(self):
-        if self.at_symbol("!"):
-            self.next()
-            return Not(self.not_expr())
-        return self.primary()
+        nots = []
+        while self.at_symbol("!"):
+            nots.append(self.next())
+        expr, height = self.primary()
+        for tok in reversed(nots):
+            expr, height = Not(expr), _checked_depth(height + 1, tok)
+        return expr, height
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "pp":
-            return self.pp_atom()
+            return self.pp_atom(), 0
         if self.at_symbol("("):
             self.next()
+            self.parens = _checked_depth(self.parens + 1, tok)
             inner = self.or_expr()
             self.expect("symbol", ")")
+            self.parens -= 1
             return inner
         _fail(f"expected a pp atom or '(', found {tok.text or 'end of input'!r}",
               tok)

@@ -8,10 +8,11 @@ key, so every downstream tie-break is reproducible.
 A group holds its elements as keys, which `_keying` picks once, when the
 group is made: integer codes for matrices under `mul` that share a ring and
 size (see `matrices`), and the elements themselves otherwise.  One loop
-closes generators into a group (`_closure`) and one builder makes a group's
-generator tables (`_product_tables`), both on keys.  Any other right
-multiplication table is composed from the generator tables along a word
-for the element.
+closes generators into a group (`_closure`), on keys.  It images every
+element under every generator, and a group it makes reads its generator
+tables off those images; a group given its elements builds them with
+`_product_tables`.  Any other right multiplication table is composed from
+the generator tables along a word for the element.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ class FiniteGroup:
 
     Its generator tables, built on first use, hold for each generator g the
     array whose entry i is the index of elements[i] * g.  They are the
-    Cayley graph that the generation check and abelianization walk.
+    Cayley graph that the generation check and abelianization walk.  A group
+    made by `_closure` builds them at once from the products the closure
+    found (`images`), with one index lookup per entry.
     """
 
     def __init__(self, elements, op, identity, inv=None, generators=(),
@@ -73,17 +76,22 @@ class FiniteGroup:
 
     @classmethod
     def _from_keys(cls, keys, keying, op, identity, *, inv, generators=(),
-                   name="", cap=DEFAULT_CAP) -> "FiniteGroup":
-        """The group whose elements have these `_keying` keys, in order."""
+                   name="", cap=DEFAULT_CAP, images=None) -> "FiniteGroup":
+        """The group whose elements have these `_keying` keys, in order.
+        `images`, if given, holds per generator the keys of keys[i] * g."""
         G = cls.__new__(cls)
         G._setup(keys, keying, op, identity, inv, generators, name, cap)
+        if images:
+            index = G._key_index.__getitem__
+            G._tables = [array("l", map(index, image)) for image in images]
         return G
 
     def _setup(self, keys, keying, op, identity, inv, generators, name, cap):
         keys = tuple(keys)
         if cap is not None and len(keys) > cap:
             raise CapExceededError(
-                f"group {name or '<anonymous>'} has {len(keys)} elements, cap is {cap}")
+                f"group {name or '<anonymous>'} has {len(keys)} elements, cap is "
+                f"{cap}; pass a larger cap= (--cap on the command line) to raise it")
         self._keys = keys
         self._keying = keying
         self._key_index = dict(zip(keys, range(len(keys))))
@@ -260,12 +268,17 @@ def _keying(op, identity, elements) -> _Keys:
 
 def _closure(start, steps, cap, key, name=""):
     """Breadth-first closure of [start] under the steps, in levels, each
-    level's new keys sorted by `key`.  CapExceededError names `name`."""
+    level's new keys sorted by `key`.  Returns the keys in that order and,
+    per step, the list of their images in the same order.
+    CapExceededError names `name`."""
     ordered, seen, level = [start], {start}, [start]
+    images = [[] for _ in steps]
     while level:
         fresh = set()
-        for step in steps:
-            fresh.update(step(level))
+        for step, out in zip(steps, images):
+            image = step(level)
+            out += image
+            fresh.update(image)
         fresh -= seen
         if cap is not None and len(seen) + len(fresh) > cap:
             raise CapExceededError(
@@ -274,7 +287,7 @@ def _closure(start, steps, cap, key, name=""):
         level = sorted(fresh, key=key)
         seen.update(level)
         ordered += level
-    return ordered
+    return ordered, images
 
 
 def _product_tables(G: FiniteGroup, gens) -> list[array]:
@@ -311,20 +324,20 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
             g.inverse()
     identity = gens[0].identity_like()
     keying = _keying(mul, identity, gens)
-    ordered = _closure(keying.encode([identity])[0], [keying.step(g) for g in gens],
-                       cap, keying.order, name)
+    ordered, images = _closure(keying.encode([identity])[0],
+                               [keying.step(g) for g in gens], cap, keying.order, name)
     return FiniteGroup._from_keys(ordered, keying, mul, identity,
                                   inv=lambda a: a.inverse(), generators=gens,
-                                  name=name, cap=cap)
+                                  name=name, cap=cap, images=images)
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     """Subgroup of G generated by `gens`, ordered by BFS with parent-index ties."""
     gens = [g for g in gens if g != G.identity]
-    ordered = _closure(G._keys[G._start], [G._keying.step(g) for g in gens], G.cap,
-                       G._key_index.__getitem__, name)
+    ordered, images = _closure(G._keys[G._start], [G._keying.step(g) for g in gens],
+                               G.cap, G._key_index.__getitem__, name)
     return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity, inv=G.inv,
-                                  generators=gens, name=name, cap=G.cap)
+                                  generators=gens, name=name, cap=G.cap, images=images)
 
 
 def _check_generation(G: FiniteGroup) -> None:

@@ -9,9 +9,8 @@ neg tables directly.
 Groups of matrices hold their elements (see `groups._keying`) as a private
 integer form of a matrix, its code: the row-major entry tuple read as a
 base-q numeral, q the ring's size, so that numeric order of codes is
-lexicographic order of rows.  They close, build their tables and are
-enumerated by determinant on codes, and decode Mats only when asked for
-their elements.  A row is a digit of the code in base Q = q^n.  Right
+lexicographic order of rows.  They close and build their tables on codes,
+and decode Mats only when asked for their elements.  A row is a digit of the code in base Q = q^n.  Right
 multiplication by a generator g maps each row on its own, so for g there is
 a row-image table per row position i, taking a row code r to
 code(r * g) * Q^(n-1-i), and code(x * g) is the sum of n lookups.  Where

@@ -1,26 +1,24 @@
 """Linear and affine groups over small rings, all held on matrix codes (see
 `matrices`), and their abelianization checks.
 
-`gl_group` and `special_linear` enumerate their elements by determinant, and
-declare short generating sets: e_12 over an additive basis of the ring, one
-signed n-cycle, and for GL one diagonal per generator of the unit group.
+Every group here is the closure (`groups.enumerate_group`) of a short
+generating set: e_12 over an additive basis of the ring, one signed
+n-cycle, and for GL one diagonal per generator of the unit group.  GL_n,
+SL_n and Aff_n check the closure's order against a closed form, which
+proves that the generators generate the whole group; GL_n and SL_n refuse
+an order over the cap before they list any element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import mul
+from math import prod
 
 from .errors import CapExceededError, WorkbenchError
-from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, _keying, abelianization,
+from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, abelianization,
                      enumerate_group, invariants_from_factors)
-from .matrices import MAX_N, Mat, _kernels
+from .matrices import MAX_N, Mat
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
-
-# gl_group and special_linear search all n x n matrices over the ring for
-# their dets; this limits that search, apart from the cap on the group's order
-_CANDIDATE_LIMIT = 2 ** 21
 
 
 def gl_order_field(n: int, q: int) -> int:
@@ -130,103 +128,58 @@ def _gl_generators(n: int, ring: MatRing) -> list[Mat]:
                for u, _ in _unit_generators(ring)])
 
 
-def _codes_with_det(ring: MatRing, n: int, dets, *, name: str, cap) -> list[int]:
-    """The code (see `matrices`) of every n x n matrix over the ring with its
-    det in `dets`, a set of units, in increasing order, which is
-    lexicographic order of the row-major entry tuple.
-
-    Expanding along the last row, det(a) = sum_j c_j a_(n-1)j, where the
-    signed cofactors c_j come from the (n-1) x (n-1) det kernel on the
-    first n - 1 rows.  So for each (n-1)-row prefix, in row order, the last
-    rows are those whose dot product with c lies in `dets`, read off a table
-    of that linear form over all q^n rows, built once per distinct c.  No
-    n x n det and no Mat is built per candidate.
-
-    Over a field each unit is the det of |GL_n| / (q - 1) matrices, so an
-    over-cap request fails before the scan.  CapExceededError names `name`.
-    """
-    if n < 1:
-        raise WorkbenchError("need n >= 1")
-    if ring.kind == "gf":
-        expected = gl_order_field(n, ring.size) // (ring.size - 1) * len(dets)
-        if cap is not None and expected > cap:
-            raise CapExceededError(f"{name} has order {expected}, cap is {cap}")
-    if ring.size ** (n * n) > _CANDIDATE_LIMIT:
-        raise CapExceededError(
-            f"{name} is searched for among {ring.size ** (n * n)} "
-            f"candidate matrices, over the limit of 2^21 candidate matrices; "
-            f"--cap does not raise this limit")
-    add, times, neg = ring._add, ring._mul, ring._neg
-    wanted = [x in dets for x in ring.elements]
-    Q = ring.size ** n
-    rows = list(range(Q))  # shared, so that the memo holds no copies
-
-    def last_rows(c):
-        values = times[c[0]]
-        for x in c[1:]:
-            products = times[x]
-            values = [add[v][y] for v in values for y in products]
-        return list(compress(rows, map(wanted.__getitem__, values)))
-
-    if n == 1:
-        def cofactors(prefix):
-            return (ring.one,)
-    else:
-        # a det is unchanged by transposing, so the minor without column j
-        # is the det of the other columns, read as rows
-        minor, odd = _kernels(ring, n - 1).det, [(n - 1 + j) % 2 for j in range(n)]
-
-        def cofactors(prefix):
-            columns = tuple(zip(*prefix))
-            minors = [minor(columns[:j] + columns[j + 1:]) for j in range(n)]
-            return tuple([neg[d] if s else d for d, s in zip(minors, odd)])
-    memo, codes = {}, []
-    prefixes = product(tuple(product(ring.elements, repeat=n)), repeat=n - 1)
-    for p, prefix in enumerate(prefixes):
-        c = cofactors(prefix)
-        last = memo.get(c)
-        if last is None:
-            last = memo[c] = last_rows(c)
-        base = p * Q
-        codes += [base + r for r in last]
-    if cap is not None and len(codes) > cap:
-        raise CapExceededError(f"{name} has order {len(codes)}, cap is {cap}")
-    if ring.kind == "gf":
-        assert len(codes) == expected
-    return codes
-
-
 def _sl_generators(n: int, ring: MatRing) -> list[Mat]:
     """e_12(c) with c over an additive basis of the ring, and the signed
     n-cycle: generators of E_n (see `_elementary_generators`)."""
     return _elementary_generators(n, ring, _additive_basis(ring))
 
 
-def _linear_group(n: int, ring: MatRing, dets, generators, *, name: str,
-                  cap) -> FiniteGroup:
-    """The matrices with det in `dets`, held as codes in increasing order,
-    with generators(n, ring) as generators."""
-    codes = _codes_with_det(ring, n, dets, name=name, cap=cap)
-    identity = Mat.identity(ring, n)
-    return FiniteGroup._from_keys(codes, _keying(mul, identity, [identity]), mul,
-                                  identity, inv=lambda a: a.inverse(),
-                                  generators=generators(n, ring), name=name, cap=cap)
+def gl_order(n: int, ring: MatRing) -> int:
+    """|GL_n(R)|: gl_order_field over F_q, and over Z_m, by the Chinese
+    remainder theorem, the product over p^k || m of |GL_n(Z/p^k)| =
+    p^((k-1) n^2) |GL_n(F_p)|, since reduction mod p maps GL_n(Z/p^k) onto
+    GL_n(F_p) with kernel I + p M_n(Z/p^k).  WorkbenchError for n < 1."""
+    if n < 1:
+        raise WorkbenchError("need n >= 1")
+    if ring.kind == "gf":
+        return gl_order_field(n, ring.size)
+    return prod(p ** ((k - 1) * n * n) * gl_order_field(n, p)
+                for p, k in _prime_powers(ring.size))
+
+
+def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
+                       name: str, cap) -> FiniteGroup:
+    """The closure of generators(n, ring), checked to have dets in `dets`,
+    inside the group of the `order` matrices with det in `dets`; equal
+    orders, checked, prove it is that group.  CapExceededError before any
+    element is listed when `order` is over the cap; WorkbenchError when a
+    check fails."""
+    if cap is not None and order > cap:
+        raise CapExceededError(f"{name} has order {order}, cap is {cap}; pass a "
+                               f"larger cap= (--cap on the command line) to raise it")
+    gens = generators(n, ring) or [Mat.identity(ring, n)]
+    if any(g.det() not in dets for g in gens):
+        raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
+    G = enumerate_group(gens, cap=cap, name=name)
+    if G.order != order:
+        raise WorkbenchError(f"{name}'s generators reach {G.order} of {order} elements")
+    return G
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n over the ring: every matrix with a unit determinant, in
-    lexicographic order of the row-major entry tuple.  Its generators are
-    e_12(1), the signed n-cycle and one diagonal per generator of R^x (see
-    `_gl_generators`)."""
-    return _linear_group(n, ring, set(ring.units()), _gl_generators,
-                         name=f"GL_{n}({ring})", cap=cap)
+    """GL_n over the ring: the closure of e_12(1), the signed n-cycle and
+    one diagonal per generator of R^x (see `_gl_generators`), checked to
+    have `gl_order` elements."""
+    return _closed_form_group(n, ring, _gl_generators, set(ring.units()),
+                              gl_order(n, ring), name=f"GL_{n}({ring})", cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """The matrices of det 1, in gl_group's order; the comparison oracle for
-    closures.  Its generators are elementary_closure's (`_sl_generators`)."""
-    return _linear_group(n, ring, {ring.one}, _sl_generators,
-                         name=f"SL_{n}({ring})", cap=cap)
+    """SL_n over the ring: the closure of `_sl_generators`, checked to have
+    det 1 and |GL_n| / |R^x| elements, which proves E_n = SL_n."""
+    return _closed_form_group(n, ring, _sl_generators, {ring.one},
+                              gl_order(n, ring) // len(ring.units()),
+                              name=f"SL_{n}({ring})", cap=cap)
 
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
@@ -297,13 +250,14 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     """GL_n acting diagonally on `copies` column blocks of R^n, as the
     (n + copies)-square block matrices [[A, V], [0, I]], A in GL_n.
 
-    It is closed from gl_group's generators, embedded as diag(A, I), and the
+    It is closed from `_gl_generators`, embedded as diag(A, I), and the
     translations e_(1, n+j)(1), j = 1..copies.  Conjugating by diag(A, I)
     takes column v of block j to A v; GL_n is transitive on the unimodular
     vectors, which span R^n, so the closure holds every translation, hence
     is all of Aff.  It lies in Aff, so its order, checked to be
-    |R|^(n copies) |GL_n|, confirms this; WorkbenchError otherwise, and when
-    n + copies > MAX_N, before anything is built.
+    |R|^(n copies) |GL_n| (see `gl_order`), confirms this; WorkbenchError
+    otherwise, and when n + copies > MAX_N, before anything is built.  No
+    element of GL_n is listed.
     """
     if copies < 1:
         raise WorkbenchError("need at least one copy")
@@ -311,14 +265,13 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     if size > MAX_N:
         raise WorkbenchError(f"{name} needs {size}x{size} matrices: n + copies = "
                              f"{n} + {copies} is over the limit of {MAX_N}")
-    G = gl_group(n, ring, cap=cap)
+    order = ring.size ** (n * copies) * gl_order(n, ring)
     tail = (ring.zero,) * copies
     corner = Mat.identity(ring, size).rows[n:]
     gens = ([Mat(ring, tuple(row + tail for row in g.rows) + corner)
-             for g in G.generators]
+             for g in _gl_generators(n, ring)]
             + [Mat.transvection(ring, size, 0, n + j, ring.one) for j in range(copies)])
     A = enumerate_group(gens, cap=cap, name=name)
-    order = ring.size ** (n * copies) * G.order
     if A.order != order:
         raise WorkbenchError(f"{name}'s generators reach {A.order} of {order} elements")
     return A

@@ -1,11 +1,13 @@
 """Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
-no modelk elimination underneath, and the plain all-pairs form of
-`make_block`."""
+no modelk elimination underneath, the plain all-pairs form of
+`make_block`, and matrix groups as determinant filters over every matrix."""
 
 from fractions import Fraction
+from itertools import product
 
 from modelk.defsets import Block
 from modelk.errors import WorkbenchError
+from modelk.matrices import Mat
 
 
 def mat_inv(rows) -> list[list[Fraction]]:
@@ -76,3 +78,10 @@ def make_block_all_pairs(carrier, holes=()):
             maximal.append(h)
     maximal.sort(key=fresh_sort_key)
     return Block(carrier, tuple(maximal))
+
+
+def det_filter(n, ring, dets):
+    """Every n x n matrix over the ring with its det in `dets`, in row order."""
+    candidates = (Mat(ring, rows) for rows in
+                  product(tuple(product(ring.elements, repeat=n)), repeat=n))
+    return [m for m in candidates if m.det() in dets]

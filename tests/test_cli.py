@@ -115,6 +115,18 @@ def test_non_ascii_digits_are_formula_errors(capsys, formula):
     assert err.startswith("error: line 1, col") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["k0", "count"])
+@pytest.mark.parametrize("body", ["!" * 1200 + "pp(x1 = 0)",
+                                  "(" * 400 + "pp(x1 = 0)" + ")" * 400,
+                                  " | ".join(["pp(x1 = 0)"] * 1101)],
+                         ids=["nots", "parens", "chain"])
+def test_deep_formulas_are_formula_errors(capsys, command, body):
+    extra = ["--prime", "5"] if command == "count" else []
+    code, out, err = run(capsys, command, "ambient 1; " + body, *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, col") and "nests deeper than" in err
+
+
 # --- piecewise-affine map commands ----------------------------------------------
 
 def test_aut_validate_and_queries(tmp_path, capsys):
@@ -388,6 +400,13 @@ def test_closure_cap_errors_name_the_group_and_the_flag(capsys):
     assert code == 1
     assert err.startswith("error: Aff_2(F_7)^1: closure exceeded the element cap of "
                           "20000; pass a larger cap= (--cap on the command line)")
+
+
+def test_over_cap_linear_groups_say_how_to_raise_the_cap(capsys):
+    code, out, err = run(capsys, "abelianize", "--group", "gl:3:5")
+    assert code == 1 and out == ""
+    assert err == ("error: GL_3(F_5) has order 1488000, cap is 20000; pass a larger "
+                   "cap= (--cap on the command line) to raise it\n")
 
 
 # --- group helpers ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from modelk.cosets import LinearSystem
 from modelk.defsets import And, Not, Or, boolean_normalize, k0_class
 from modelk.errors import FormulaError
-from modelk.formulas import (Formula, elaborate, format_formula,
+from modelk.formulas import (MAX_DEPTH, Formula, elaborate, format_formula,
                              parse_formula, tokenize)
 
 
@@ -118,6 +118,40 @@ def test_parse_errors_carry_positions():
             parse_formula(text)
         assert fragment in str(info.value), text
         assert info.value.line is not None, text
+
+
+ATOM = "pp(x1 = 0)"
+DEEP = {
+    "nots": "!" * 1200 + ATOM,
+    "parens": "(" * 400 + ATOM + ")" * 400,
+    "chain": " | ".join([ATOM] * 1101),
+}
+
+
+# the index in DEEP's text of the operator or parenthesis that passes the
+# bound: the `!` with MAX_DEPTH more after it (a tree of `!`s is built from
+# the inside out), the (MAX_DEPTH + 1)-th `(` and the (MAX_DEPTH + 1)-th `|`
+@pytest.mark.parametrize("kind, index", [("nots", 1200 - MAX_DEPTH - 1),
+                                         ("parens", MAX_DEPTH),
+                                         ("chain", 13 * (MAX_DEPTH + 1) - 2)])
+def test_nesting_past_the_bound_is_a_formula_error(kind, index):
+    prefix = "ambient 1; "
+    with pytest.raises(FormulaError, match=f"nests deeper than {MAX_DEPTH} levels") \
+            as info:
+        parse_formula(prefix + DEEP[kind])
+    assert DEEP[kind][index] in "!(|"
+    assert (info.value.line, info.value.col) == (1, len(prefix) + index + 1)
+
+
+def test_nesting_at_the_bound_parses_and_normalizes():
+    texts = ["!" * MAX_DEPTH + ATOM,
+             "(" * MAX_DEPTH + ATOM + ")" * MAX_DEPTH,
+             " | ".join([ATOM] * (MAX_DEPTH + 1)),
+             "(!" * (MAX_DEPTH // 2) + ATOM + ")" * (MAX_DEPTH // 2)]
+    for text in texts:
+        f = parse_formula("ambient 1; " + text)
+        assert parse_formula(format_formula(f)) == f
+        boolean_normalize(f.root, 1)
 
 
 # --- printing ------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_code_closure_order_matches_the_closure_on_matrices(gens):
     cap = 2000
     steps = [lambda xs, g=g: [x * g for x in xs] for g in gens]
     try:
-        oracle = _closure(gens[0].identity_like(), steps, cap, element_key)
+        oracle, _ = _closure(gens[0].identity_like(), steps, cap, element_key)
     except CapExceededError:
         with pytest.raises(CapExceededError):
             enumerate_group(gens, cap=cap)

@@ -37,6 +37,11 @@ def test_cap_is_enforced():
     r = Perm((1, 2, 3, 4, 0))
     with pytest.raises(CapExceededError):
         enumerate_group([r], cap=3)
+    # a group given its elements says how to raise the cap too
+    with pytest.raises(CapExceededError, match=r"group Z_5 has 5 elements, cap is 3; "
+                       r"pass a larger cap= \(--cap on the command line\)"):
+        FiniteGroup(range(5), lambda a, b: (a + b) % 5, 0, generators=[1],
+                    name="Z_5", cap=3)
 
 
 def test_groups_of_two_or_more_elements_declare_generators():
