@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .cosets import NEG_INF, AffineCoset
+from .cosets import AffineCoset
 from .defsets import (Block, DefinableSet, block_intersect, block_subtract,
                       k0_class, make_block)
 from .errors import WorkbenchError

@@ -8,7 +8,7 @@ from .constructions import direct_product, symmetric_group
 from .errors import WorkbenchError, int_token
 from .groups import FiniteGroup, enumerate_group
 from .matrices import Mat
-from .matrix_groups import elementary_closure
+from .matrix_groups import special_linear
 from .perms import Perm
 from .rings import GF
 
@@ -53,13 +53,8 @@ def quaternion8() -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def sl2(q: int) -> FiniteGroup:
-    """SL_2(F_q) as the closure of the transvections, E_2(F_q)."""
-    G = elementary_closure(2, GF(q))
-    G.name = f"SL_2(F_{q})"
-    expected = q * (q * q - 1)
-    if G.order != expected:
-        raise WorkbenchError(f"transvections gave order {G.order}, expected {expected}")
-    return G
+    """SL_2(F_q), as `special_linear` lists it."""
+    return special_linear(2, GF(q))
 
 
 def by_name(spec: str) -> FiniteGroup:

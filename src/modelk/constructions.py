@@ -5,7 +5,7 @@ Pair conventions follow the usual semidirect multiplication
 is realized concretely as the index-permutation semidirect product, so both
 constructions share one source of truth.  A semidirect product's generator
 tables come from its factors' tables and the action's index table, not from
-products of pairs.
+products of pairs, and `semidirect` builds them with the group.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     _abelian_quotient, abelianization)
+                     _abelian_quotient, _keying, abelianization)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
@@ -76,7 +76,7 @@ def _semidirect_tables(action: GroupAction) -> list[array]:
         for k, row in enumerate(rows):
             table[k::size] = array("l", [i * size + k for i in H._right_table(row[j])])
         tables.append(table)
-    for right in K._generator_tables():
+    for right in K._tables:
         tables.append(array("l", [i * size + r for i in range(H.order) for r in right]))
     return tables
 
@@ -96,14 +96,12 @@ def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
     elements = [(h, k) for h in H.elements for k in K.elements]
     if cap is None:
         cap = max(H.cap or 0, K.cap or 0, len(elements)) or None
+    identity = (H.identity, K.identity)
     gens = [(h, K.identity) for h in H.generators] + [(H.identity, k) for k in K.generators]
-    HK = FiniteGroup(elements, op, (H.identity, K.identity), inv=inv,
-                     generators=gens,
-                     name=name or f"{H.name or 'H'})x({K.name or 'K'}",
-                     cap=cap)
-    # the action is checked, and every caller abelianizes the product
-    HK._tables = _semidirect_tables(action)
-    return HK
+    return FiniteGroup._from_keys(elements, _keying(op, identity, elements), op,
+                                  identity, inv=inv, generators=gens,
+                                  name=name or f"{H.name or 'H'})x({K.name or 'K'}",
+                                  cap=cap, tables=_semidirect_tables(action))
 
 
 def _perm_group(k: int, cap) -> FiniteGroup:

@@ -40,10 +40,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul
+from operator import and_, mul, or_
 
 from .cosets import LinearSystem
-from .defsets import And, DefinableSet, Not, boolean_normalize, expr_leaves, k0_class
+from .defsets import DefinableSet, boolean_normalize, expr_leaves, fold, k0_class
 from .errors import WorkbenchError
 from .linalg import _eliminate, project_rows, rank, rank_mod_p
 
@@ -175,16 +175,13 @@ def _blocks_partition(d: DefinableSet, raw: int, p: int) -> bool:
 
 
 def _tree_mask(expr, n: int, p: int, full: int) -> int:
-    """The raw set of the boolean tree, whose nodes `expr_leaves` has
-    checked, as a `_point_mask` int; `full` is the mask of all of F_p^n."""
-    if isinstance(expr, LinearSystem):
-        rows = [[int(a) % p for a in row] for row in expr.rows]
+    """The raw set of the boolean tree as a `_point_mask` int; `full` is the
+    mask of all of F_p^n."""
+    def leaf(system):
+        rows = [[int(a) % p for a in row] for row in system.rows]
         return _point_mask(project_rows(rows, n, p), n, p)
-    if isinstance(expr, Not):
-        return full ^ _tree_mask(expr.child, n, p, full)
-    left = _tree_mask(expr.left, n, p, full)
-    right = _tree_mask(expr.right, n, p, full)
-    return left & right if isinstance(expr, And) else left | right
+
+    return fold(expr, leaf, full.__xor__, and_, or_)
 
 
 def count_points_mod_p(expr, p: int) -> CountReport:

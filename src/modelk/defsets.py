@@ -12,6 +12,8 @@ Two definable sets are definably isomorphic exactly when their classes agree.
 
 A boolean tree is built from `Not`, binary `And` and `Or`, and leaves that
 are `LinearSystem`s; `boolean_normalize` turns one into the normal form.
+Every walk over a tree is a `fold`, which keeps its own stack, so a tree
+built in Python may be of any height.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cosets import NEG_INF, AffineCoset, LinearSystem
 from .errors import WorkbenchError
@@ -376,32 +379,46 @@ class Or:
     right: object
 
 
+def fold(expr, leaf, not_, and_, or_):
+    """The value of a boolean tree, bottom up: leaf(system) at a leaf,
+    not_(v) at a `Not` and and_(l, r) or or_(l, r) at an `And` or an `Or`,
+    given the values of its children.  Leaves are taken left to right.  The
+    walk keeps its own stack rather than recursing; WorkbenchError names the
+    first node that is not a tree node."""
+    values, stack = [], [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            if isinstance(node, Not):
+                values.append(not_(values.pop()))
+            else:
+                right = values.pop()
+                values.append((and_ if isinstance(node, And) else or_)(values.pop(), right))
+        elif isinstance(node, LinearSystem):
+            values.append(leaf(node))
+        elif isinstance(node, Not):
+            stack += [(node, True), (node.child, False)]
+        elif isinstance(node, (And, Or)):
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            raise WorkbenchError(f"not a boolean expression node: {node!r}")
+    return values[0]
+
+
 def boolean_normalize(expr, ambient: int) -> DefinableSet:
     """Disjoint-block normal form of a boolean tree."""
-    if isinstance(expr, LinearSystem):
-        coset = expr.coset()
+    def leaf(system):
+        coset = system.coset()
         if coset.ambient != ambient:
             raise WorkbenchError("leaf ambient mismatch")
         return DefinableSet.from_coset(coset)
-    if isinstance(expr, Not):
-        return boolean_normalize(expr.child, ambient).complement()
-    if isinstance(expr, And):
-        return boolean_normalize(expr.left, ambient).intersect(
-            boolean_normalize(expr.right, ambient))
-    if isinstance(expr, Or):
-        return boolean_normalize(expr.left, ambient).union(
-            boolean_normalize(expr.right, ambient))
-    raise WorkbenchError(f"not a boolean expression node: {expr!r}")
+
+    return fold(expr, leaf, DefinableSet.complement, DefinableSet.intersect,
+                DefinableSet.union)
 
 
 def expr_leaves(expr) -> list[LinearSystem]:
-    if isinstance(expr, LinearSystem):
-        return [expr]
-    if isinstance(expr, Not):
-        return expr_leaves(expr.child)
-    if isinstance(expr, (And, Or)):
-        return expr_leaves(expr.left) + expr_leaves(expr.right)
-    raise WorkbenchError(f"not a boolean expression node: {expr!r}")
+    return fold(expr, lambda system: [system], lambda leaves: leaves, add, add)
 
 
 # ---------------------------------------------------------------------------

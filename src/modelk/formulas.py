@@ -16,8 +16,9 @@ becomes a `LinearSystem` (rows of x coefficients, then y coefficients,
 then the right side), `!` a `Not`, and chains of `&` or `|` fold from
 the left into binary `And` or `Or`.  `format_formula` prints a tree back
 in the same syntax, so that `parse_formula(format_formula(f)) == f`.
-Trees and parentheses nest at most `MAX_DEPTH` deep, so that neither the
-parser nor the recursive walks over its tree run out of stack.
+Trees and parentheses nest at most `MAX_DEPTH` deep: the parser recurses
+on parentheses, and a tree's dataclass equality, hash and repr recurse on
+its nodes.  The walks over a tree are `defsets.fold`s, which do not.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import LinearSystem
-from .defsets import And, Not, Or
+from .defsets import And, Not, Or, fold
 from .errors import FormulaError
 
 _KEYWORDS = {"ambient", "pp", "E"}
@@ -320,26 +321,24 @@ def _atom_str(system: LinearSystem) -> str:
     return f"pp({prefix}{eqs})"
 
 
-def _node_str(node) -> str:
-    """Parentheses only where the parser needs them: around a weaker
-    operator, and around a right operand of the same operator, since the
-    parser folds chains to the left."""
-    if isinstance(node, Not):
-        return "!" + _wrapped(node.child, (And, Or))
-    if isinstance(node, And):
-        return _wrapped(node.left, Or) + " & " + _wrapped(node.right, (And, Or))
-    if isinstance(node, Or):
-        return _node_str(node.left) + " | " + _wrapped(node.right, Or)
-    return _atom_str(node)
-
-
-def _wrapped(node, types) -> str:
-    body = _node_str(node)
-    return f"({body})" if isinstance(node, types) else body
+def _wrapped(value, types) -> str:
+    """A child's text, in parentheses if its node is one of `types`."""
+    text, kind = value
+    return f"({text})" if issubclass(kind, types) else text
 
 
 def format_formula(formula: Formula) -> str:
-    return f"ambient {formula.ambient}; " + _node_str(formula.root)
+    """Parentheses only where the parser needs them: around a weaker
+    operator, and around a right operand of the same operator, since the
+    parser folds chains to the left.  The fold carries each node's text
+    with its kind."""
+    text, _ = fold(
+        formula.root,
+        lambda system: (_atom_str(system), LinearSystem),
+        lambda child: ("!" + _wrapped(child, (And, Or)), Not),
+        lambda left, right: (_wrapped(left, Or) + " & " + _wrapped(right, (And, Or)), And),
+        lambda left, right: (left[0] + " | " + _wrapped(right, Or), Or))
+    return f"ambient {formula.ambient}; " + text
 
 
 def elaborate(formula: Formula):

@@ -10,9 +10,13 @@ group is made: integer codes for matrices under `mul` that share a ring and
 size (see `matrices`), and the elements themselves otherwise.  One loop
 closes generators into a group (`_closure`), on keys.  It images every
 element under every generator, and a group it makes reads its generator
-tables off those images; a group given its elements builds them with
-`_product_tables`.  Any other right multiplication table is composed from
-the generator tables along a word for the element.
+tables off those images; a group given its elements steps every key with
+each generator.  A group is made valid in one place, `FiniteGroup._setup`:
+it builds the generator tables and a breadth-first spanning tree over them,
+and refuses generators that do not generate it, so every abelianization,
+normality test and action check may rely on them.  Any other right
+multiplication table is composed from the generator tables along the
+tree's word for the element.
 """
 
 from __future__ import annotations
@@ -60,11 +64,14 @@ class FiniteGroup:
     list keeps abelianization's relator rows short); the trivial group's
     default to (identity,).
 
-    Its generator tables, built on first use, hold for each generator g the
-    array whose entry i is the index of elements[i] * g.  They are the
-    Cayley graph that the generation check and abelianization walk.  A group
-    made by `_closure` builds them at once from the products the closure
-    found (`images`), with one index lookup per entry.
+    `_tables` holds for each generator g the array whose entry i is the
+    index of elements[i] * g: the Cayley graph that abelianization walks.
+    `_tree` is a breadth-first spanning tree of that graph from the
+    identity: the indices in the order reached, and two lists with
+    parent[y] = x and via[y] = i where elements[x] * g_i = elements[y] (the
+    identity is its own parent).  Both are built when the group is made,
+    which raises WorkbenchError when an operation leaves the elements or
+    the generators reach only some of them.
     """
 
     def __init__(self, elements, op, identity, inv=None, generators=(),
@@ -76,28 +83,30 @@ class FiniteGroup:
 
     @classmethod
     def _from_keys(cls, keys, keying, op, identity, *, inv, generators=(),
-                   name="", cap=DEFAULT_CAP, images=None) -> "FiniteGroup":
+                   name="", cap=DEFAULT_CAP, images=None,
+                   tables=None) -> "FiniteGroup":
         """The group whose elements have these `_keying` keys, in order.
-        `images`, if given, holds per generator the keys of keys[i] * g."""
+        `images`, if given, holds per generator the keys of keys[i] * g;
+        `tables`, if given, the generator tables themselves."""
         G = cls.__new__(cls)
-        G._setup(keys, keying, op, identity, inv, generators, name, cap)
-        if images:
-            index = G._key_index.__getitem__
-            G._tables = [array("l", map(index, image)) for image in images]
+        G._setup(keys, keying, op, identity, inv, generators, name, cap,
+                 images, tables)
         return G
 
-    def _setup(self, keys, keying, op, identity, inv, generators, name, cap):
+    def _setup(self, keys, keying, op, identity, inv, generators, name, cap,
+               images=None, tables=None):
         keys = tuple(keys)
-        if cap is not None and len(keys) > cap:
+        n = len(keys)
+        if cap is not None and n > cap:
             raise CapExceededError(
-                f"group {name or '<anonymous>'} has {len(keys)} elements, cap is "
+                f"group {name or '<anonymous>'} has {n} elements, cap is "
                 f"{cap}; pass a larger cap= (--cap on the command line) to raise it")
         self._keys = keys
         self._keying = keying
-        self._key_index = dict(zip(keys, range(len(keys))))
-        if len(self._key_index) != len(keys):
+        self._key_index = index = dict(zip(keys, range(n)))
+        if len(index) != n:
             raise WorkbenchError("duplicate elements in enumeration")
-        start = self._key_index.get(keying.encode([identity])[0])
+        start = index.get(keying.encode([identity])[0])
         if start is None:
             raise WorkbenchError("identity missing from enumeration")
         self._start = start
@@ -108,14 +117,41 @@ class FiniteGroup:
         self.cap = cap
         self._inv_cache = {}
         self._abelian = None
-        self._tables = None
         self._right_tables = None
-        self._tree = None
         generators = tuple(generators)
-        if not generators and len(keys) > 1:
-            raise WorkbenchError(f"{name or 'a group'} of {len(keys)} elements was "
+        if not generators and n > 1:
+            raise WorkbenchError(f"{name or 'a group'} of {n} elements was "
                                  f"given no generators; pass `generators`")
         self.generators = generators or (identity,)
+        label = name or "the group"
+        if tables is None:
+            if not images:
+                images = (keying.step(g)(keys) for g in self.generators)
+            tables = []
+            for g, image in zip(self.generators, images):
+                try:
+                    tables.append(array("l", map(index.__getitem__, image)))
+                except KeyError:
+                    x = next(x for x, y in zip(self.elements, image) if y not in index)
+                    raise WorkbenchError(
+                        f"{label} is not closed under its operation: {x!r} * "
+                        f"{g!r} = {op(x, g)!r} is not one of its elements") from None
+        self._tables = tables
+        steps = list(enumerate(tables))
+        parent, via = [-1] * n, [0] * n
+        parent[start] = start
+        reached = [start]
+        for x in reached:
+            for i, table in steps:
+                y = table[x]
+                if parent[y] < 0:
+                    parent[y] = x
+                    via[y] = i
+                    reached.append(y)
+        if len(reached) < n:
+            raise WorkbenchError(f"the generators of {label} reach "
+                                 f"{len(reached)} of its {n} elements")
+        self._tree = reached, parent, via
 
     @cached_property
     def elements(self) -> tuple:
@@ -169,65 +205,34 @@ class FiniteGroup:
         return n
 
     def is_abelian(self) -> bool:
-        """Whether the generators, which must generate the group
-        (WorkbenchError otherwise), commute pairwise."""
+        """Whether the generators, which generate the group, commute
+        pairwise."""
         if self._abelian is None:
-            _check_generation(self)
             gens, op = self.generators, self.op
             self._abelian = all(op(a, b) == op(b, a)
                                 for i, a in enumerate(gens) for b in gens[i + 1:])
         return self._abelian
 
-    def _generator_tables(self) -> list[array]:
-        if self._tables is None:
-            self._tables = _product_tables(self, self.generators)
-        return self._tables
-
     def _right_table(self, j: int) -> array:
         """The array whose entry i is the index of elements[i] * elements[j].
 
         The spanning tree reaches elements[j] along a word g_1 ... g_r in
-        the generators, which must generate the group (WorkbenchError
-        otherwise), so the table is the generator tables composed along that
-        word.  Every table on the way is kept.
+        the generators, so the table is the generator tables composed along
+        that word.  Every table on the way is kept.
         """
         tables = self._right_tables
         if tables is None:
-            _check_generation(self)
             tables = self._right_tables = {self._start: array("l", range(self.order))}
         if j not in tables:
-            _, parent, via = self._spanning_tree()
-            steps = self._generator_tables()
+            _, parent, via = self._tree
             path, y = [], j
             while y not in tables:
                 path.append(y)
                 y = parent[y]
             for y in reversed(path):
-                tables[y] = array("l", map(steps[via[y]].__getitem__, tables[parent[y]]))
+                tables[y] = array("l", map(self._tables[via[y]].__getitem__,
+                                           tables[parent[y]]))
         return tables[j]
-
-    def _spanning_tree(self):
-        """Breadth-first search over the generator tables from the identity.
-
-        Returns the indices reached, in order, and two lists: for each
-        reached index y but the identity's, parent[y] = x and via[y] = i with
-        elements[x] * g_i = elements[y]; parent[y] is -1 where y is unreached.
-        """
-        if self._tree is None:
-            steps = list(enumerate(self._generator_tables()))
-            start = self._start
-            parent, via = [-1] * self.order, [0] * self.order
-            parent[start] = start
-            reached = [start]
-            for x in reached:
-                for i, table in steps:
-                    y = table[x]
-                    if parent[y] < 0:
-                        parent[y] = x
-                        via[y] = i
-                        reached.append(y)
-            self._tree = reached, parent, via
-        return self._tree
 
     def conjugate(self, g, x):
         return self.op(self.op(g, x), self.inv(g))
@@ -290,23 +295,6 @@ def _closure(start, steps, cap, key, name=""):
     return ordered, images
 
 
-def _product_tables(G: FiniteGroup, gens) -> list[array]:
-    """Entry i of table j is the index of elements[i] * gens[j].  Raises
-    WorkbenchError when a product leaves G."""
-    keys, index, step = G._keys, G._key_index, G._keying.step
-    tables = []
-    for g in gens:
-        images = step(g)(keys)
-        try:
-            tables.append(array("l", map(index.__getitem__, images)))
-        except KeyError:
-            x = next(x for x, y in zip(G.elements, images) if y not in index)
-            raise WorkbenchError(
-                f"{G.name or 'the group'} is not closed under its operation: "
-                f"{x!r} * {g!r} = {G.op(x, g)!r} is not one of its elements") from None
-    return tables
-
-
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
     levels from the identity, each level sorted by `element_key`.
@@ -340,22 +328,13 @@ def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
                                   generators=gens, name=name, cap=G.cap, images=images)
 
 
-def _check_generation(G: FiniteGroup) -> None:
-    """Raise WorkbenchError unless G's generators reach all of G."""
-    reached = len(G._spanning_tree()[0])
-    if reached < G.order:
-        raise WorkbenchError(f"the generators of {G.name or 'the group'} "
-                             f"reach {reached} of its {G.order} elements")
-
-
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
     """The subgroup generated by all commutators [a, b] = a^-1 b^-1 a b.
 
-    It is the normal closure of the commutators of G's generators, which must
-    generate G (WorkbenchError otherwise).  Conjugates of its generators
-    that fall outside it join them until none do (see `is_normal`).
+    It is the normal closure of the commutators of G's generators, which
+    generate G.  Conjugates of its generators that fall outside it join them
+    until none do (see `is_normal`).
     """
-    _check_generation(G)
     name = f"[{G.name or 'G'},{G.name or 'G'}]"
     seeds = {G.commutator(a, b) for a in G.generators for b in G.generators}
     seeds.discard(G.identity)
@@ -372,9 +351,7 @@ def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
     """Whether the subgroup H (sharing G's operation) is normal in G = <T>:
     whether t s t^-1 lies in H = <S> for all t in T and s in S, since then
     t H t^-1 lies in H and, being finite of the same order, equals it.
-    Both sets must generate their groups (WorkbenchError otherwise)."""
-    _check_generation(G)
-    _check_generation(H)
+    T and S generate G and H, as every group's generators do."""
     return all(G.conjugate(t, s) in H for t in G.generators for s in H.generators)
 
 
@@ -490,17 +467,15 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     after.  A reduced relator equal to one already added lies in L and is
     skipped, so at most m^k relators are reduced at modulus m.
 
-    The search and the edges run on G's generator tables, with each vector
-    packed into one int of k digits of s bits.  Each v(x) has coordinates in
-    [0, D], D the depth of the search tree, taken at least 1, so a relator's
-    coordinates lie in [-D, D + 1]; with D added to each digit they fit in
-    s = (2D + 1).bit_length() bits.  Only the distinct relators are
-    unpacked.
-    Raises WorkbenchError when the generators do not generate G.
+    The search is G's spanning tree and the edges are its generator tables,
+    with each vector packed into one int of k digits of s bits.  Each v(x)
+    has coordinates in [0, D], D the depth of the search tree, taken at
+    least 1, so a relator's coordinates lie in [-D, D + 1]; with D added to
+    each digit they fit in s = (2D + 1).bit_length() bits.  Only the
+    distinct relators are unpacked.
     """
-    _check_generation(G)
-    tables = G._generator_tables()
-    reached, parent, via = G._spanning_tree()
+    tables = G._tables
+    reached, parent, via = G._tree
     k, n = len(tables), G.order
     # the last element reached lies deepest in the tree
     depth, y = 1, parent[reached[-1]]
@@ -552,7 +527,7 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
 
 def abelianization(G: FiniteGroup) -> AbInvariants:
     """Invariant factors of G / [G, G], as the Smith form of the Cayley-graph
-    relators over G's generators, which must generate G (WorkbenchError)."""
+    relators over G's generators, which generate G."""
     return _abelian_quotient(G)
 
 
@@ -572,8 +547,7 @@ class GroupAction:
 
     def check(self) -> None:
         """Raise InvalidActionError unless the mapping is an action by
-        automorphisms; WorkbenchError when either group's generators do not
-        generate it.
+        automorphisms.
 
         Write r(k) for the map h -> act(k, h).  The check computes the table
         of act(k, h) as element indices of H once, for all k and h, and then
@@ -587,7 +561,7 @@ class GroupAction:
         to the two-sided laws.  By induction on the length of a word w in
         the generators, the third gives r(g)(x * w) = r(g)(x) * r(g)(w) and
         the fourth r(k * w) = r(k) o r(w); every element of a finite group
-        that its generators generate is such a word.  So each r(g) is an
+        that its generators generate, as every group's do, is such a word.  So each r(g) is an
         automorphism of H, and r is a homomorphism from G into maps of H
         whose values are products of automorphisms; r(e) is then the
         identity, since r(g) = r(e) o r(g) with r(g) bijective.  Conversely
@@ -598,8 +572,6 @@ class GroupAction:
         if self._checked:
             return
         G, H, act = self.acting, self.target, self.act
-        for group in (G, H):
-            _check_generation(group)
         index, targets = H._index, H.elements
         table = []
         for k in G.elements:
@@ -612,11 +584,11 @@ class GroupAction:
             row = table[G.index_of(g)]
             if len(set(row)) != H.order:
                 raise InvalidActionError("generator does not act bijectively")
-            for h, right in zip(H.generators, H._generator_tables()):
+            for h, right in zip(H.generators, H._tables):
                 image = H._right_table(row[H.index_of(h)])
                 if [row[j] for j in right] != [image[j] for j in row]:
                     raise InvalidActionError("generator does not act by a homomorphism")
-        for g, right in zip(G.generators, G._generator_tables()):
+        for g, right in zip(G.generators, G._tables):
             row = table[G.index_of(g)]
             for k, row_k in enumerate(table):
                 if table[right[k]] != [row_k[j] for j in row]:

@@ -126,15 +126,11 @@ def defset_from_json(d: dict) -> DefinableSet:
 
 
 def pamap_to_json(f: PAMap) -> dict:
-    pieces = []
-    for block, affine in f.pieces:
-        pieces.append({
-            "carrier": coset_to_json(block.carrier),
-            "holes": [coset_to_json(h) for h in block.holes],
-            "matrix": _rows_to_json(affine.matrix),
-            "offset": _vec_to_json(affine.offset),
-        })
-    return {"ambient": f.ambient, "pieces": pieces}
+    return {"ambient": f.ambient,
+            "pieces": [{**block_to_json(block),
+                        "matrix": _rows_to_json(affine.matrix),
+                        "offset": _vec_to_json(affine.offset)}
+                       for block, affine in f.pieces]}
 
 
 def pamap_from_json(d: dict) -> PAMap:

@@ -275,11 +275,3 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     if A.order != order:
         raise WorkbenchError(f"{name}'s generators reach {A.order} of {order} elements")
     return A
-
-
-def det_class(m: Mat) -> int:
-    """Determinant as a unit of the coefficient ring; errors when singular."""
-    d = m.det()
-    if not m.ring.is_unit(d):
-        raise WorkbenchError(f"matrix is singular over {m.ring}: det = {d}")
-    return d

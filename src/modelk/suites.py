@@ -13,10 +13,10 @@ from math import gcd
 from operator import mul
 
 from .automorphisms import AffineMap, PAMap
-from .catalogue import by_name, cyclic, dihedral, quaternion8
+from .catalogue import by_name, cyclic
 from .constructions import (check_semidirect_ab, check_wreath_ab,
                             index_permutation_action, lift_permutation,
-                            lifts_are_even, symmetric_group, wreath)
+                            lifts_are_even, symmetric_group)
 from .cosets import AffineCoset, LinearSystem
 from .defsets import And, Not, Or, make_block
 from .errors import WorkbenchError

@@ -1,6 +1,7 @@
 """Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
 no modelk elimination underneath, the plain all-pairs form of
-`make_block`, and matrix groups as determinant filters over every matrix."""
+`make_block`, matrix groups as determinant filters over every matrix, and
+group multiplication tables from the group's own operation."""
 
 from fractions import Fraction
 from itertools import product
@@ -85,3 +86,9 @@ def det_filter(n, ring, dets):
     candidates = (Mat(ring, rows) for rows in
                   product(tuple(product(ring.elements, repeat=n)), repeat=n))
     return [m for m in candidates if m.det() in dets]
+
+
+def product_tables(G, gens) -> list[list[int]]:
+    """Entry i of table j is the index of elements[i] * gens[j], each product
+    taken with G's operation."""
+    return [[G.index_of(G.op(x, g)) for x in G.elements] for g in gens]

@@ -6,7 +6,6 @@ numbers (visible with -s or in the captured output).
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from modelk.constructions import (alternating_elements, check_semidirect_ab,
                                   symmetric_group, wreath)
 from modelk.counting import count_points_mod_p
 from modelk.errors import UnsupportedRingError
-from modelk.groups import AbInvariants, abelianization, commutator_subgroup
+from modelk.groups import abelianization, commutator_subgroup
 from modelk.matrix_groups import (affine_group, check_gl_ab,
                                   elementary_closure, gl_group)
 from modelk.perms import Perm

@@ -7,7 +7,7 @@ import pytest
 from modelk.automorphisms import AffineMap
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
 from modelk.errors import WorkbenchError
-from modelk.suites import random_coset, random_point
+from modelk.suites import random_coset
 from rational_oracles import fresh_sort_key
 
 F = Fraction

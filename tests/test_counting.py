@@ -167,6 +167,24 @@ def _count_point_by_point(expr, p):
     return count, good
 
 
+def test_deep_trees_built_in_python_count_like_their_leaf():
+    # past the interpreter's recursion limit: 1,200 nested Nots, and a
+    # left-deep Or chain of 1,100 copies of the leaf
+    system = leaf(2, 1, [[1, 0, -2, 0], [0, 1, 0, 1]])
+    nots = chain = system
+    for _ in range(1200):
+        nots = Not(nots)
+    for _ in range(1099):
+        chain = Or(chain, system)
+    assert expr_leaves(nots) == [system]
+    assert expr_leaves(chain) == [system] * 1100
+    for p in (2, 3, 5):
+        expected = count_points_mod_p(system, p)
+        assert count_points_mod_p(nots, p) == expected
+        assert count_points_mod_p(chain, p) == expected
+        assert count_points_mod_p(Not(nots), p).count == p ** 2 - expected.count
+
+
 def test_tree_mask_matches_a_walk_of_the_tree():
     rng = random.Random(4343)
     flags = set()

@@ -144,6 +144,26 @@ def test_plane_minus_line_class():
     assert k0_class(d) == K0Class.make([0, -1, 1])
 
 
+def _deep_trees(leaf):
+    """1,200 nested Nots, and a left-deep Or chain of 1,100 copies, of a
+    leaf: each denotes the leaf's set and is past the interpreter's
+    recursion limit."""
+    nots = chain = leaf
+    for _ in range(1200):
+        nots = Not(nots)
+    for _ in range(1099):
+        chain = Or(chain, leaf)
+    return nots, chain
+
+
+def test_deep_trees_built_in_python_normalize_to_their_leaf():
+    leaf = line_system(2, (1, -2), 1)
+    expected = boolean_normalize(leaf, 2)
+    for tree in _deep_trees(leaf):
+        assert boolean_normalize(tree, 2) == expected
+    assert boolean_normalize(Not(_deep_trees(leaf)[0]), 2) == expected.complement()
+
+
 def test_block_class_inclusion_exclusion():
     carrier = AffineCoset.full(2)
     l1 = line(2, (1, 0), 0)

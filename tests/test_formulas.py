@@ -154,6 +154,18 @@ def test_nesting_at_the_bound_parses_and_normalizes():
         boolean_normalize(f.root, 1)
 
 
+def test_deep_trees_built_in_python_format():
+    # trees past the parser's bound, built directly: printing needs no stack
+    leaf = parse_formula("ambient 1; " + ATOM).root
+    nots = chain = leaf
+    for _ in range(1200):
+        nots = Not(nots)
+    for _ in range(1100):
+        chain = Or(chain, leaf)
+    assert format_formula(Formula(1, nots)) == "ambient 1; " + DEEP["nots"]
+    assert format_formula(Formula(1, chain)) == "ambient 1; " + DEEP["chain"]
+
+
 # --- printing ------------------------------------------------------------------
 
 def test_format_canonical_sample():

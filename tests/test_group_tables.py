@@ -2,14 +2,15 @@
 
 Semidirect and wreath products build their generator tables from their
 factors' tables, and groups of matrices under `mul`, affine groups among
-them, from integer codes of their elements.  Each must equal the table read off the
-group's own operation: entry i of table j is the index of
-elements[i] * generators[j].  Matrix closures run on codes too; their
-element order must equal that of the same closure loop fed steps that
+them, from integer codes of their elements.  Each must equal the table read
+off the group's own operation (`product_tables`): entry i of table j is the
+index of elements[i] * generators[j].  Matrix closures run on codes too;
+their element order must equal that of the same closure loop fed steps that
 multiply Mat values, kept here as the oracle.  A right-multiplication table
-is composed from the generator tables; the oracle is `_product_tables`, which
-images every element under the group's operation.  A group held on codes
-must answer membership and indices as a group held on its Mats does.
+is composed from the generator tables; the oracle is again
+`product_tables`.  A group is refused when it is made if its operation
+leaves its elements or its generators do not generate it.  A group held on
+codes must answer membership and indices as a group held on its Mats does.
 """
 
 import random
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from modelk.catalogue import by_name, quaternion8, sl2
 from modelk.constructions import direct_power, semidirect, wreath
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import (FiniteGroup, _closure, _product_tables, element_key,
+from modelk.groups import (FiniteGroup, GroupAction, _closure, element_key,
                            enumerate_group, generated_subgroup)
 from modelk.matrices import Mat
 from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
@@ -30,6 +31,7 @@ from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
+from rational_oracles import product_tables
 
 RINGS = [Zmod(m) for m in range(2, 10)] + [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
 # GL_3 fits the default cap over the rings of size 2 and 3 only
@@ -37,13 +39,20 @@ MATRIX_CASES = [(n, R) for R in RINGS for n in (1, 2, 3) if n < 3 or R.size <= 3
 
 
 def _check_tables(G):
-    by_products = [[G.index_of(G.op(x, g)) for x in G.elements] for g in G.generators]
-    assert [list(t) for t in G._generator_tables()] == by_products, G.name
+    assert [list(t) for t in G._tables] == product_tables(G, G.generators), G.name
 
 
 @given(st.integers(0, 2 ** 32))
 def test_tables_of_seeded_semidirect_products(seed):
     _check_tables(semidirect(random_semidirect_action(random.Random(seed))))
+
+
+def test_tables_passed_to_a_semidirect_product_are_its_products():
+    # conjugation on a nonabelian target: the tables compose H's right tables
+    S = by_name("sym:3")
+    HK = semidirect(GroupAction(S, S, S.conjugate, name="conjugation"))
+    assert HK.order == 36
+    _check_tables(HK)
 
 
 @settings(max_examples=12)
@@ -110,11 +119,10 @@ def test_code_closure_order_matches_the_closure_on_matrices(gens):
 def test_matrices_not_closed_under_mul_are_named():
     F3 = GF(3)
     t = Mat.transvection(F3, 2, 0, 1, 1)
-    G = FiniteGroup([Mat.identity(F3, 2), t], mul, Mat.identity(F3, 2),
-                    generators=[t], name="H")
     with pytest.raises(WorkbenchError, match=r"H is not closed under its "
                        r"operation: .* \* .* = .* is not one of its elements"):
-        G._generator_tables()
+        FiniteGroup([Mat.identity(F3, 2), t], mul, Mat.identity(F3, 2),
+                    generators=[t], name="H")
 
 
 def test_matrices_under_another_operation_take_the_product_route():
@@ -122,7 +130,7 @@ def test_matrices_under_another_operation_take_the_product_route():
     opposite = FiniteGroup(G.elements, lambda a, b: b * a, G.identity,
                            generators=G.generators, name="SL_2(F_3)^op")
     _check_tables(opposite)
-    assert opposite._generator_tables() != G._generator_tables()
+    assert opposite._tables != G._tables
 
 
 def test_code_closure_names_the_cap():
@@ -153,7 +161,7 @@ def test_groups_on_codes_refuse_a_generator_over_another_ring():
         generated_subgroup(G, [Mat.transvection(Zmod(4), 2, 0, 1, 1)])
     with pytest.raises(ValueError, match="cannot multiply 2x2 matrices over F_4"):
         FiniteGroup(G.elements, mul, G.identity,
-                    generators=[Mat.transvection(GF(4), 3, 0, 1, 1)])._generator_tables()
+                    generators=[Mat.transvection(GF(4), 3, 0, 1, 1)])
 
 
 def test_row_images_fill_only_the_rows_that_occur():
@@ -181,7 +189,8 @@ def test_row_images_of_a_small_row_space_are_listed_in_full():
 
 def _check_right_tables(G):
     for j in range(G.order):
-        assert G._right_table(j) == _product_tables(G, (G.elements[j],))[0], (G.name, j)
+        assert list(G._right_table(j)) == product_tables(G, (G.elements[j],))[0], \
+            (G.name, j)
 
 
 @st.composite
@@ -229,10 +238,9 @@ def test_right_tables_of_linear_groups(G):
 
 def test_right_tables_need_generators_that_generate():
     G = gl_group(2, GF(3))
-    short = FiniteGroup(G.elements, G.op, G.identity, generators=G.generators[:1],
-                        name="GL_2(F_3)")
     with pytest.raises(WorkbenchError, match="reach 3 of its 48 elements"):
-        short._right_table(1)
+        FiniteGroup(G.elements, G.op, G.identity, generators=G.generators[:1],
+                    name="GL_2(F_3)")
 
 
 def _other_ring(R):

@@ -9,7 +9,7 @@ from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import DEFAULT_CAP, FiniteGroup, GroupAction, abelianization
 from modelk.matrices import Mat
 from modelk.matrix_groups import (KNOWN_GL_AB_EXCEPTIONS, affine_group,
-                                  check_gl_ab, det_class, elementary_closure,
+                                  check_gl_ab, elementary_closure,
                                   gl_group, gl_order_field, special_linear)
 from modelk.rings import GF, Zmod
 from rational_oracles import det_filter
@@ -180,15 +180,6 @@ def test_affine_groups_past_the_matrix_size_limit_are_refused():
                        r"n \+ copies = 1 \+ 10 is over the limit of 10"):
         affine_group(1, GF(2), copies=10)
     assert affine_group(1, GF(2), copies=9).order == 2 ** 9
-
-
-def test_det_class():
-    ring = GF(5)
-    m = Mat(ring, ((2, 0), (0, 3)))
-    assert det_class(m) == ring.mul(2, 3)
-    singular = Mat(ring, ((1, 2), (2, 4)))
-    with pytest.raises(WorkbenchError):
-        det_class(singular)
 
 
 def test_gl_cap():

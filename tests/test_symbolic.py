@@ -3,7 +3,7 @@ import pytest
 from modelk.errors import UnsupportedRingError, WorkbenchError
 from modelk.matrices import Mat
 from modelk.rings import GF
-from modelk.symbolic import (COUNTABLE, UNDETERMINED, Atom, FormalAbGroup,
+from modelk.symbolic import (COUNTABLE, UNDETERMINED, FormalAbGroup,
                              RingDescriptor, TheoryFlags, derive_flags,
                              embedding_target, glab,
                              k1_algebraic, k1_free_module, k1_truncation,
