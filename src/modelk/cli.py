@@ -39,6 +39,13 @@ def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
     return flags
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def _theory_flags() -> argparse.ArgumentParser:
     """The ring and theory flags of k1 and omega-ab, as a parent parser."""
     flags = argparse.ArgumentParser(add_help=False)
@@ -101,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[after], help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p.add_argument("--cases", type=int, default=None,
-                   help="randomized case count, where the suite takes one")
+    p.add_argument("--cases", type=_positive_int, default=None,
+                   help="randomized case count (at least 1), where the suite takes one")
 
     p = sub.add_parser("abelianize", parents=[after],
                        help="abelianization of a catalogue group")
@@ -140,13 +147,10 @@ def _resolve_group(spec: str, cap: int):
 
     parts = spec.split(":")
     head = parts[0].lower()
-    if head in ("gl", "sl", "aff") and len(parts) == 3:
+    linear = {"gl": gl_group, "sl": special_linear, "aff": affine_group}
+    if head in linear and len(parts) == 3:
         n, q = (int_token(part, spec) for part in parts[1:])
-        if head == "gl":
-            return gl_group(n, GF(q), cap=cap)
-        if head == "sl":
-            return special_linear(n, GF(q), cap=cap)
-        return affine_group(n, GF(q), cap=cap)
+        return linear[head](n, GF(q), cap=cap)
     if head == "wreath" and len(parts) >= 3:
         base = by_name(":".join(parts[1:-1]))
         return wreath(base, int_token(parts[-1], spec), cap=cap)

@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     _abelian_quotient, _keying, abelianization)
+                     _keying, abelianization)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
@@ -165,7 +165,7 @@ def check_semidirect_ab(action: GroupAction) -> VerificationReport:
         f"semidirect abelianization: {action.name or action.target.name}")
     lhs = abelianization(semidirect(action))
     rhs = abelianization(action.acting).direct_sum(
-        _abelian_quotient(action.target, action))
+        abelianization(action.target, action))
     report.add("factor formula", lhs.factors == rhs.factors,
                f"product gives {lhs}, factors give {rhs}")
     return report

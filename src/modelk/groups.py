@@ -447,8 +447,9 @@ def _scaled_identity(k, n):
     return [[n if i == j else 0 for i in range(k)] for j in range(k)]
 
 
-def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbInvariants:
-    """Invariant factors of G^ab, or of its coinvariants under `action` on G.
+def abelianization(G: FiniteGroup, action: GroupAction | None = None) -> AbInvariants:
+    """Invariant factors of G^ab, or of its coinvariants under `action` on G,
+    which it checks (see `GroupAction.check`) and which must target G.
 
     A breadth-first search from the identity over G's k generators reaches
     each element x along a word whose exponent sums form v(x) in Z^k.  Each
@@ -474,6 +475,10 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
     each digit they fit in s = (2D + 1).bit_length() bits.  Only the
     distinct relators are unpacked.
     """
+    if action is not None:
+        if action.target is not G and action.target != G:
+            raise WorkbenchError("action does not target the given group")
+        action.check()
     tables = G._tables
     reached, parent, via = G._tree
     k, n = len(tables), G.order
@@ -523,12 +528,6 @@ def _abelian_quotient(G: FiniteGroup, action: GroupAction | None = None) -> AbIn
         for column in columns:
             _add_relator(basis, column, m)
     return invariants_from_factors(basis[j][j] for j in range(k))
-
-
-def abelianization(G: FiniteGroup) -> AbInvariants:
-    """Invariant factors of G / [G, G], as the Smith form of the Cayley-graph
-    relators over G's generators, which generate G."""
-    return _abelian_quotient(G)
 
 
 class GroupAction:
@@ -610,9 +609,6 @@ def coinvariants(H: FiniteGroup, action: GroupAction) -> AbInvariants:
     product of acting elements is a product of conjugated relators, and
     h -> act(g, h) * h^-1 is a homomorphism on abelian H.
     """
-    if action.target is not H and action.target != H:
-        raise WorkbenchError("action does not target the given group")
     if not H.is_abelian():
         raise WorkbenchError("coinvariants need an abelian target")
-    action.check()
-    return _abelian_quotient(H, action)
+    return abelianization(H, action)

@@ -1,4 +1,5 @@
-"""Square matrices over a MatRing, with exact inverse via the adjugate.
+"""Square matrices over a MatRing, with det and exact inverse from the
+characteristic polynomial.
 
 The public constructor `Mat(ring, rows)` validates its entries.  Products,
 inverses and identities are valid by construction and skip that check.  The
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from .errors import WorkbenchError
 from .rings import MatRing
@@ -69,8 +69,8 @@ class _OnDemand(dict):
 
 
 class _Kernels:
-    """Straight-line product, apply and det for n x n matrices over a ring,
-    and the kernels on codes."""
+    """Straight-line product, apply and characteristic polynomial for n x n
+    matrices over a ring, and the kernels on codes."""
 
     def __init__(self, ring: MatRing, n: int):
         self.ring, self.n = ring, n
@@ -87,23 +87,33 @@ class _Kernels:
                                                 f"return {entries}"], ring)
 
     @cached_property
-    def det(self):
-        """Laplace expansion along the rows from the bottom up, sharing every
-        minor: d_S is the minor on the last |S| rows and the columns in S.
-        Its size, n * 2^(n-1) terms, is why it is built on first use."""
-        n = self.n
-        body = [self.unpack_a]
-        minor = {(): "1"} if n == 0 else {(j,): x for j, x in enumerate(self.a[-1])}
-        for size in range(2, n + 1):
-            row = self.a[n - size]
-            for cols in combinations(range(n), size):
-                terms = [f"M[{row[j]}][{minor[cols[:pos] + cols[pos + 1:]]}]"
-                         for pos, j in enumerate(cols)]
-                minor[cols] = "d" + "_".join(map(str, cols))
-                body.append(f"{minor[cols]} = " + _sum(
-                    f"N[{t}]" if pos % 2 else t for pos, t in enumerate(terms)))
-        body.append(f"return {minor[tuple(range(n))]}")
-        return _compile("det", "a", body, self.ring)
+    def charpoly(self):
+        """(1, c_1, ..., c_n) of det(tI - a), by Berkowitz's division-free
+        recursion (Inf. Process. Lett. 18 (1984) 147-150), so it holds over
+        Z_m as over F_q, unrolled into O(n^4) lookups on first use.  If p
+        holds the coefficients for the leading k x k block B, and r, u and x
+        are the rest of row k, column k and their corner, then the leading
+        (k + 1) x (k + 1) block has p'_i = p_i - sum_(j<i) s_(i-1-j) p_j, with
+        s = (x, r u, r B u, ..., r B^(k-1) u) and p_(k+1) = 0."""
+        a = self.a
+        body, p = [self.unpack_a], ["1"]
+        for k in range(self.n):
+            u, s = [row[k] for row in a[:k]], [a[k][k]]
+            for j in range(k):
+                if j:  # u becomes B^j u
+                    body += [f"u{k}_{j}_{i} = {_dot(row[:k], u)}"
+                             for i, row in enumerate(a[:k])]
+                    u = [f"u{k}_{j}_{i}" for i in range(k)]
+                body.append(f"s{k}_{j} = {_dot(a[k][:k], u)}")
+                s.append(f"s{k}_{j}")
+            p.append("0")
+            for i in range(1, k + 2):
+                rest = _sum([s[i - 1]] + [f"M[{s[i - 1 - j]}][{c}]"
+                                          for j, c in enumerate(p[1:i], 1)])
+                body.append(f"c{k}_{i} = A[{p[i]}][N[{rest}]]")
+            p = ["1"] + [f"c{k}_{i}" for i in range(1, k + 2)]
+        body.append(f"return {_tuple(p)}")
+        return _compile("charpoly", "a", body, self.ring)
 
     @cached_property
     def row_of(self) -> _OnDemand:
@@ -202,15 +212,7 @@ class _Kernels:
                 None)
 
 
-MAX_N = 10  # the det kernel of a 10 x 10 matrix has 5,120 product terms
-
-
-@lru_cache(maxsize=None)
-def _kernels(ring: MatRing, n: int) -> _Kernels:
-    if n > MAX_N:
-        raise WorkbenchError(f"{n}x{n} matrices are over budget: the kernels "
-                             f"support n <= {MAX_N}")
-    return _Kernels(ring, n)
+_kernels = lru_cache(maxsize=None)(_Kernels)
 
 
 _new = object.__new__
@@ -226,8 +228,8 @@ def _trusted(ring: MatRing, rows: tuple, kernels: _Kernels) -> "Mat":
 
 @dataclass(frozen=True, eq=False)
 class Mat:
-    """An n x n matrix over a ring, n <= MAX_N; larger sizes raise
-    WorkbenchError, since the det kernel grows as n * 2^(n-1)."""
+    """An n x n matrix over a ring, of any size n; det and inverse come from
+    its characteristic polynomial (see `_Kernels.charpoly`)."""
 
     ring: MatRing
     rows: tuple[tuple[int, ...], ...]
@@ -282,28 +284,25 @@ class Mat:
         return _trusted(self.ring, k.mul(self.rows, other.rows), k)
 
     def det(self) -> int:
-        return self._k.det(self.rows)
-
-    def adjugate(self) -> "Mat":
-        R, n, rows = self.ring, self.n, self.rows
-        if n == 1:
-            return _trusted(R, ((R.one,),), self._k)
-        det = _kernels(R, n - 1).det
-        # entry (i, j) of the adjugate is the (j, i) cofactor
-        cof = [[det(tuple(r[:j] + r[j + 1:] for r in rows[:i] + rows[i + 1:]))
-                for j in range(n)] for i in range(n)]
-        return _trusted(R, tuple(tuple(cof[j][i] if (i + j) % 2 == 0 else R.neg(cof[j][i])
-                                       for j in range(n)) for i in range(n)), self._k)
+        c = self._k.charpoly(self.rows)[-1]
+        return self.ring._neg[c] if self.n % 2 else c
 
     def inverse(self) -> "Mat":
-        R = self.ring
-        d = self.det()
+        """-c_n^-1 (a^(n-1) + c_1 a^(n-2) + ... + c_(n-1) I), by Cayley-Hamilton
+        for (1, c_1, ..., c_n) = `charpoly`, by Horner's rule; WorkbenchError
+        when the det, (-1)^n c_n, is not a unit."""
+        R, k, n = self.ring, self._k, self.n
+        _, *c, last = k.charpoly(self.rows)
+        d = R._neg[last] if n % 2 else last
         if not R.is_unit(d):
             raise WorkbenchError(f"matrix is singular over {R}: det = {d}")
-        dinv = R.inv(d)
-        adj = self.adjugate()
-        return _trusted(R, tuple(tuple(R.mul(dinv, x) for x in row) for row in adj.rows),
-                        self._k)
+        b = Mat.identity(R, n).rows
+        for ci in c:
+            b = [list(row) for row in k.mul(b, self.rows)]
+            for i, row in enumerate(b):
+                row[i] = R._add[row[i]][ci]
+        scale = R._mul[R._neg[R.inv(last)]]
+        return _trusted(R, tuple(tuple(scale[x] for x in row) for row in b), k)
 
     def is_invertible(self) -> bool:
         return self.ring.is_unit(self.det())

@@ -5,8 +5,8 @@ Every group here is the closure (`groups.enumerate_group`) of a short
 generating set: e_12 over an additive basis of the ring, one signed
 n-cycle, and for GL one diagonal per generator of the unit group.  GL_n,
 SL_n and Aff_n check the closure's order against a closed form, which
-proves that the generators generate the whole group; GL_n and SL_n refuse
-an order over the cap before they list any element.
+proves that the generators generate the whole group, and refuse an order
+over the cap before they build any generator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import prod
 from .errors import CapExceededError, WorkbenchError
 from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, abelianization,
                      enumerate_group, invariants_from_factors)
-from .matrices import MAX_N, Mat
+from .matrices import Mat
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
 
@@ -149,15 +149,15 @@ def gl_order(n: int, ring: MatRing) -> int:
 
 def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
                        name: str, cap) -> FiniteGroup:
-    """The closure of generators(n, ring), checked to have dets in `dets`,
-    inside the group of the `order` matrices with det in `dets`; equal
+    """The closure of generators(), n x n matrices checked to have dets in
+    `dets`, inside a group of `order` matrices that holds them; equal
     orders, checked, prove it is that group.  CapExceededError before any
-    element is listed when `order` is over the cap; WorkbenchError when a
+    generator is built when `order` is over the cap; WorkbenchError when a
     check fails."""
     if cap is not None and order > cap:
         raise CapExceededError(f"{name} has order {order}, cap is {cap}; pass a "
                                f"larger cap= (--cap on the command line) to raise it")
-    gens = generators(n, ring) or [Mat.identity(ring, n)]
+    gens = generators() or [Mat.identity(ring, n)]
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
     G = enumerate_group(gens, cap=cap, name=name)
@@ -170,14 +170,15 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """GL_n over the ring: the closure of e_12(1), the signed n-cycle and
     one diagonal per generator of R^x (see `_gl_generators`), checked to
     have `gl_order` elements."""
-    return _closed_form_group(n, ring, _gl_generators, set(ring.units()),
-                              gl_order(n, ring), name=f"GL_{n}({ring})", cap=cap)
+    return _closed_form_group(n, ring, lambda: _gl_generators(n, ring),
+                              set(ring.units()), gl_order(n, ring),
+                              name=f"GL_{n}({ring})", cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """SL_n over the ring: the closure of `_sl_generators`, checked to have
     det 1 and |GL_n| / |R^x| elements, which proves E_n = SL_n."""
-    return _closed_form_group(n, ring, _sl_generators, {ring.one},
+    return _closed_form_group(n, ring, lambda: _sl_generators(n, ring), {ring.one},
                               gl_order(n, ring) // len(ring.units()),
                               name=f"SL_{n}({ring})", cap=cap)
 
@@ -254,24 +255,21 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     translations e_(1, n+j)(1), j = 1..copies.  Conjugating by diag(A, I)
     takes column v of block j to A v; GL_n is transitive on the unimodular
     vectors, which span R^n, so the closure holds every translation, hence
-    is all of Aff.  It lies in Aff, so its order, checked to be
-    |R|^(n copies) |GL_n| (see `gl_order`), confirms this; WorkbenchError
-    otherwise, and when n + copies > MAX_N, before anything is built.  No
-    element of GL_n is listed.
+    is all of Aff.  Products keep the block form, so the closure lies in
+    Aff, and `_closed_form_group` confirms this by its order,
+    |R|^(n copies) |GL_n| (see `gl_order`), refusing one over the cap before
+    any generator is built.  No element of GL_n is listed.
     """
     if copies < 1:
         raise WorkbenchError("need at least one copy")
-    name, size = f"Aff_{n}({ring})^{copies}", n + copies
-    if size > MAX_N:
-        raise WorkbenchError(f"{name} needs {size}x{size} matrices: n + copies = "
-                             f"{n} + {copies} is over the limit of {MAX_N}")
-    order = ring.size ** (n * copies) * gl_order(n, ring)
-    tail = (ring.zero,) * copies
-    corner = Mat.identity(ring, size).rows[n:]
-    gens = ([Mat(ring, tuple(row + tail for row in g.rows) + corner)
-             for g in _gl_generators(n, ring)]
-            + [Mat.transvection(ring, size, 0, n + j, ring.one) for j in range(copies)])
-    A = enumerate_group(gens, cap=cap, name=name)
-    if A.order != order:
-        raise WorkbenchError(f"{name}'s generators reach {A.order} of {order} elements")
-    return A
+
+    def generators():
+        size, tail = n + copies, (ring.zero,) * copies
+        corner = Mat.identity(ring, size).rows[n:]
+        return ([Mat(ring, tuple(row + tail for row in g.rows) + corner)
+                 for g in _gl_generators(n, ring)]
+                + [Mat.transvection(ring, size, 0, n + j, ring.one)
+                   for j in range(copies)])
+    return _closed_form_group(n + copies, ring, generators, set(ring.units()),
+                              ring.size ** (n * copies) * gl_order(n, ring),
+                              name=f"Aff_{n}({ring})^{copies}", cap=cap)

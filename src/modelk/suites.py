@@ -376,5 +376,7 @@ def run_suite(name: str, *, seed: int = 0, cases: int | None = None,
     if name not in _SUITES:
         raise WorkbenchError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if cases is not None and cases < 1:
+        raise WorkbenchError(f"need at least one case, not {cases}")
     fn, default_cases = _SUITES[name]
     return fn(seed, cases if cases is not None else default_cases, cap)

@@ -377,6 +377,23 @@ def test_verify_suite_passes(capsys):
     assert code == 0 and out.startswith("[ok]")
 
 
+@pytest.mark.parametrize("cases", ["0", "-1", "x"])
+def test_verify_refuses_a_case_count_below_one(capsys, cases):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "semiab", "--cases", cases])
+    assert info.value.code == 2
+    assert "--cases: need an integer of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_run_suite_refuses_a_case_count_below_one(cases):
+    from modelk.errors import WorkbenchError
+    from modelk.suites import run_suite
+
+    with pytest.raises(WorkbenchError, match=f"need at least one case, not {cases}"):
+        run_suite("semiab", cases=cases)
+
+
 def test_verify_is_deterministic(capsys):
     code, first, _ = run(capsys, "--json", "--seed", "11", "verify",
                          "--suite", "lift")
@@ -395,11 +412,11 @@ def test_verify_cap_errors_exit_1(capsys):
 
 
 def test_closure_cap_errors_name_the_group_and_the_flag(capsys):
-    # Aff_2(F_7) has 98,784 elements; its closure stops at the default cap
+    # Aff_2(F_7) has 98,784 elements, refused from its closed-form order
     code, _, err = run(capsys, "abelianize", "--group", "aff:2:7")
     assert code == 1
-    assert err.startswith("error: Aff_2(F_7)^1: closure exceeded the element cap of "
-                          "20000; pass a larger cap= (--cap on the command line)")
+    assert err == ("error: Aff_2(F_7)^1 has order 98784, cap is 20000; pass a larger "
+                   "cap= (--cap on the command line) to raise it\n")
 
 
 def test_over_cap_linear_groups_say_how_to_raise_the_cap(capsys):

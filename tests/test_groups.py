@@ -186,6 +186,14 @@ def test_coinvariants_of_trivial_action():
     assert coinvariants(H, action).factors == (6,)
 
 
+def test_abelianization_under_an_action_checks_its_target():
+    H = cyclic(6)
+    action = GroupAction(cyclic(3), H, lambda k, h: h)
+    assert abelianization(H, action).factors == (6,)
+    with pytest.raises(WorkbenchError, match="does not target"):
+        abelianization(cyclic(5), action)
+
+
 def test_coinvariants_requires_abelian_target():
     H = by_name("sym:3")
     K = cyclic(2)

@@ -1,12 +1,15 @@
 """Matrices and permutations: validation at the public constructors, and the
-generated arithmetic kernels against an entrywise reference."""
+generated arithmetic kernels against an entrywise reference and, past the
+reference's reach, against the laws of det and inverse."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.errors import WorkbenchError
-from modelk.matrices import MAX_N, Mat
+from modelk.matrices import Mat
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 
@@ -113,16 +116,66 @@ def test_mat_rejects_ragged_and_non_square_rows():
         Mat(GF(3), ((1, 0, 0), (0, 1, 0)))
 
 
-def test_sizes_up_to_the_kernel_bound():
-    R = GF(3)
-    big = Mat.identity(R, MAX_N)
-    assert big.det() == R.one and big * big == big
-    assert Mat(R, big.rows).inverse() == big
-    rows = tuple(tuple(int(i == j) for j in range(MAX_N + 1)) for i in range(MAX_N + 1))
-    with pytest.raises(WorkbenchError, match="over budget"):
-        Mat(R, rows)
-    with pytest.raises(WorkbenchError, match="over budget"):
-        Mat.identity(R, MAX_N + 1)
+# seeded cases of n = 5..16 over fields and over Z_m with zero divisors
+LARGE_CASES = [(R, n) for R in (GF(2), GF(3), GF(4), Zmod(6), Zmod(8))
+               for n in (5, 8, 12, 16)]
+
+
+def _mat(R, n, entry):
+    return Mat(R, tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+
+def _random_mat(R, n, rng):
+    return _mat(R, n, lambda i, j: rng.randrange(R.size))
+
+
+@pytest.mark.parametrize("R, n", LARGE_CASES, ids=str)
+def test_det_is_multiplicative_and_inverses_round_trip(R, n):
+    rng = random.Random(f"{R}-{n}")
+    for _ in range(3):
+        A, B = _random_mat(R, n, rng), _random_mat(R, n, rng)
+        assert (A * B).det() == R.mul(A.det(), B.det())
+    while not R.is_unit(A.det()):
+        A = _random_mat(R, n, rng)
+    inv = A.inverse()
+    assert A * inv == inv * A == Mat.identity(R, n)
+    assert inv.inverse() == A
+
+
+@pytest.mark.parametrize("R, n", LARGE_CASES, ids=str)
+def test_det_of_a_plu_product_is_the_sign_times_the_diagonal(R, n):
+    rng = random.Random(f"plu-{R}-{n}")
+    images = list(range(n))
+    rng.shuffle(images)
+    # the sign of a permutation is the parity of n minus its cycle count
+    seen, cycles = set(), 0
+    for start in range(n):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = images[start]
+    diagonal = [rng.randrange(R.size) for _ in range(n)]
+    P = _mat(R, n, lambda i, j: int(images[i] == j))
+    L = _mat(R, n, lambda i, j: rng.randrange(R.size) if i > j else int(i == j))
+    D = _mat(R, n, lambda i, j: diagonal[i] if i == j else 0)
+    U = _mat(R, n, lambda i, j: rng.randrange(R.size) if i < j else int(i == j))
+    det = R.one if (n - cycles) % 2 == 0 else R.neg(R.one)
+    for d in diagonal:
+        det = R.mul(det, d)
+    assert (P * L * D * U).det() == det
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_non_unit_det_over_zmod_is_named(m):
+    R = Zmod(m)
+    for n in (5, 12):
+        # an upper triangle with diagonal (2, 1, ..., 1) has det 2
+        A = _mat(R, n, lambda i, j: (i + j) % m if i < j else 2 if i == j == 0
+                 else int(i == j))
+        assert A.det() == 2
+        with pytest.raises(WorkbenchError, match=f"singular over Z_{m}: det = 2$"):
+            A.inverse()
 
 
 def test_perm_rejects_a_non_bijection():

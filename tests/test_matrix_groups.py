@@ -5,7 +5,7 @@ from operator import attrgetter
 import pytest
 
 from modelk.constructions import semidirect
-from modelk.errors import CapExceededError, WorkbenchError
+from modelk.errors import CapExceededError
 from modelk.groups import DEFAULT_CAP, FiniteGroup, GroupAction, abelianization
 from modelk.matrices import Mat
 from modelk.matrix_groups import (KNOWN_GL_AB_EXCEPTIONS, affine_group,
@@ -175,11 +175,20 @@ def test_affine_groups_match_the_semidirect_route(n, ring, copies):
     assert set(A.elements) == {_block(ring, v, m, copies) for v, m in old.elements}
 
 
-def test_affine_groups_past_the_matrix_size_limit_are_refused():
-    with pytest.raises(WorkbenchError, match=r"Aff_1\(F_2\)\^10 needs 11x11 matrices: "
-                       r"n \+ copies = 1 \+ 10 is over the limit of 10"):
-        affine_group(1, GF(2), copies=10)
-    assert affine_group(1, GF(2), copies=9).order == 2 ** 9
+def test_affine_groups_past_ten_by_ten_matrices():
+    A = affine_group(1, GF(2), copies=10)
+    assert A.order == 1024
+    assert abelianization(A).factors == (2,) * 10
+
+
+def test_over_cap_groups_of_large_matrices_are_refused_from_the_closed_form():
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match=r"Aff_1\(F_2\)\^30 has order 1073741824, "
+                       r"cap is 20000; pass a larger cap="):
+        affine_group(1, GF(2), copies=30)
+    with pytest.raises(CapExceededError, match=r"GL_40\(F_2\) has order \d+, cap is 20000"):
+        gl_group(40, GF(2))
+    assert time.process_time() - start < 0.1
 
 
 def test_gl_cap():
