@@ -19,24 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import WorkbenchError, int_token
-from .groups import DEFAULT_CAP
+from .errors import DEFAULT_CAP, WorkbenchError
 
 # the names of `suites.SUITE_NAMES`, kept here so that the parser does not
 # load every layer (a test checks that the two agree)
 SUITE_NAMES = ("ed", "gl", "lift", "perm", "semiab", "truncation", "wreath")
-
-
-def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
-    """--seed, --cap and --json with these defaults, as a parent parser."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--seed", type=int, default=seed,
-                       help="seed for randomized suites (default 0)")
-    flags.add_argument("--cap", type=int, default=cap,
-                       help=f"group enumeration cap (default {DEFAULT_CAP})")
-    flags.add_argument("--json", action="store_true", default=emit_json,
-                       help="emit machine-readable JSON")
-    return flags
 
 
 def _positive_int(text: str) -> int:
@@ -44,6 +31,18 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
     return int(text)
+
+
+def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
+    """--seed, --cap and --json with these defaults, as a parent parser."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=seed,
+                       help="seed for randomized suites (default 0)")
+    flags.add_argument("--cap", type=_positive_int, default=cap,
+                       help=f"group enumeration cap (default {DEFAULT_CAP})")
+    flags.add_argument("--json", action="store_true", default=emit_json,
+                       help="emit machine-readable JSON")
+    return flags
 
 
 def _theory_flags() -> argparse.ArgumentParser:
@@ -137,24 +136,6 @@ def _ring_and_flags(args):
     if args.cofinal_odd:
         return ring, TheoryFlags(False, False)
     return ring, None
-
-
-def _resolve_group(spec: str, cap: int):
-    from .catalogue import by_name
-    from .constructions import wreath
-    from .matrix_groups import affine_group, gl_group, special_linear
-    from .rings import GF
-
-    parts = spec.split(":")
-    head = parts[0].lower()
-    linear = {"gl": gl_group, "sl": special_linear, "aff": affine_group}
-    if head in linear and len(parts) == 3:
-        n, q = (int_token(part, spec) for part in parts[1:])
-        return linear[head](n, GF(q), cap=cap)
-    if head == "wreath" and len(parts) >= 3:
-        base = by_name(":".join(parts[1:-1]))
-        return wreath(base, int_token(parts[-1], spec), cap=cap)
-    return by_name(spec)
 
 
 def _emit(args, json_obj: dict, text: str) -> None:
@@ -320,9 +301,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
+    from .catalogue import by_name
     from .groups import abelianization
 
-    G = _resolve_group(args.group, args.cap)
+    G = by_name(args.group, args.cap)
     ab = abelianization(G)
     _emit(args,
           {"group": G.name, "order": G.order,

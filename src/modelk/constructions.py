@@ -1,4 +1,9 @@
-"""Group constructions: products, semidirect and wreath products, lifts.
+"""Group constructions: powers, semidirect and wreath products, lifts.
+
+Each constructor takes `cap` (default `DEFAULT_CAP`) and refuses a group
+of more elements, naming its order, before it lists an element (see
+`groups.check_order`); `wreath` and `index_permutation_action` pass it to
+the constructors they call.
 
 Pair conventions follow the usual semidirect multiplication
 (h, k)(h', k') = (h * act(k, h'), k k'), and the wreath product K wr Sym(k)
@@ -15,31 +20,19 @@ from itertools import permutations, product
 from math import factorial
 from operator import mul
 
-from .errors import WorkbenchError
-from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, GroupAction,
-                     _keying, abelianization)
+from .errors import DEFAULT_CAP, WorkbenchError
+from .groups import (AbInvariants, FiniteGroup, GroupAction, _keying,
+                     abelianization, check_order)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, *, name="") -> FiniteGroup:
-    def op(a, b):
-        return (G.op(a[0], b[0]), H.op(a[1], b[1]))
-
-    def inv(a):
-        return (G.inv(a[0]), H.inv(a[1]))
-
-    elements = [(g, h) for g in G.elements for h in H.elements]
-    gens = [(g, H.identity) for g in G.generators] + [(G.identity, h) for h in H.generators]
-    return FiniteGroup(elements, op, (G.identity, H.identity), inv=inv,
-                       generators=gens, name=name or f"{G.name}x{H.name}",
-                       cap=max(G.cap or 0, len(elements)) or None)
-
-
-def direct_power(K: FiniteGroup, k: int, *, name="") -> FiniteGroup:
+def direct_power(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
     """K^k on index tuples, componentwise."""
     if k < 1:
         raise WorkbenchError("need at least one factor")
+    name = name or f"{K.name or 'K'}^{k}"
+    check_order(K.order ** k, cap, name)
 
     def op(a, b):
         return tuple(K.op(x, y) for x, y in zip(a, b))
@@ -56,8 +49,7 @@ def direct_power(K: FiniteGroup, k: int, *, name="") -> FiniteGroup:
             t[i] = g
             gens.append(tuple(t))
     return FiniteGroup(elements, op, identity, inv=inv, generators=gens,
-                       name=name or f"{K.name or 'K'}^{k}",
-                       cap=max(K.cap or 0, len(elements)) or None)
+                       name=name, cap=None)
 
 
 def _semidirect_tables(action: GroupAction) -> list[array]:
@@ -81,10 +73,13 @@ def _semidirect_tables(action: GroupAction) -> list[array]:
     return tables
 
 
-def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
-    """Pairs (h, k) with (h, k)(h', k') = (h * act(k, h'), k k')."""
-    action.check()
+def semidirect(action: GroupAction, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
+    """Pairs (h, k) with (h, k)(h', k') = (h * act(k, h'), k k').  The order
+    is checked against `cap` before the action is."""
     H, K, act = action.target, action.acting, action.act
+    name = name or f"{H.name or 'H'})x({K.name or 'K'}"
+    check_order(H.order * K.order, cap, name)
+    action.check()
 
     def op(a, b):
         return (H.op(a[0], act(a[1], b[0])), K.op(a[1], b[1]))
@@ -94,45 +89,35 @@ def semidirect(action: GroupAction, *, name="", cap=None) -> FiniteGroup:
         return (act(kinv, H.inv(a[0])), kinv)
 
     elements = [(h, k) for h in H.elements for k in K.elements]
-    if cap is None:
-        cap = max(H.cap or 0, K.cap or 0, len(elements)) or None
     identity = (H.identity, K.identity)
     gens = [(h, K.identity) for h in H.generators] + [(H.identity, k) for k in K.generators]
     return FiniteGroup._from_keys(elements, _keying(op, identity, elements), op,
-                                  identity, inv=inv, generators=gens,
-                                  name=name or f"{H.name or 'H'})x({K.name or 'K'}",
-                                  cap=cap, tables=_semidirect_tables(action))
+                                  identity, inv=inv, generators=gens, name=name,
+                                  tables=_semidirect_tables(action))
 
 
-def _perm_group(k: int, cap) -> FiniteGroup:
-    elements = [Perm(p) for p in permutations(range(k))]
-    gens = [Perm.transposition(k, i, i + 1) for i in range(k - 1)]
-    if not gens:
-        gens = [Perm.identity(k)]
-    return FiniteGroup(elements, mul, Perm.identity(k),
-                       inv=lambda a: a.inverse(), generators=gens,
-                       name=f"Sym({k})",
-                       cap=cap if cap is not None else max(DEFAULT_CAP, factorial(k)))
-
-
-def symmetric_group(k: int, *, cap=None) -> FiniteGroup:
-    """Sym(k) on image tuples, adjacent transpositions as generators.
-
-    The element list is lexicographic in the images, which is deterministic;
-    the cap defaults to k! because the order is known up front.
-    """
-    if not 2 <= k <= 8:
-        raise WorkbenchError(f"symmetric group degree out of range: {k}")
-    return _perm_group(k, cap)
+def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
+    """Sym(k) on image tuples, adjacent transpositions as generators; Sym(1)
+    is the trivial group.  The element list is lexicographic in the images,
+    which is deterministic."""
+    if k < 1:
+        raise WorkbenchError(f"need a degree of at least 1, not {k}")
+    name = f"Sym({k})"
+    check_order(factorial(k), cap, name)
+    return FiniteGroup(map(Perm, permutations(range(k))), mul, Perm.identity(k),
+                       inv=lambda a: a.inverse(),
+                       generators=[Perm.transposition(k, i, i + 1) for i in range(k - 1)],
+                       name=name, cap=None)
 
 
 def alternating_elements(k: int) -> set[Perm]:
     return {Perm(p) for p in permutations(range(k)) if Perm(p).is_even()}
 
 
-def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup) -> GroupAction:
+def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup, *,
+                             cap=DEFAULT_CAP) -> GroupAction:
     """L <= Sym(k) permuting the coordinates of K^k: l moves slot x to slot l(x)."""
-    base = direct_power(K, k)
+    base = direct_power(K, k, cap=cap)
 
     def act(l: Perm, t):
         return permute_tuple(l, t)
@@ -141,20 +126,23 @@ def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup) -> GroupAct
 
 
 def wreath(K: FiniteGroup, k: int, L: FiniteGroup | None = None, *,
-           name="", cap=None) -> FiniteGroup:
+           name="", cap=DEFAULT_CAP) -> FiniteGroup:
     """Restricted wreath product K wr L with L <= Sym(k) (default Sym(k))."""
-    if not 1 <= k <= 4:
-        raise WorkbenchError(f"wreath degree out of range: {k}")
+    if k < 1:
+        raise WorkbenchError(f"need a degree of at least 1, not {k}")
+    top = f"Sym({k})" if L is None else L.name
+    name = name or f"{K.name or 'K'} wr {top}"
+    check_order(K.order ** k * (factorial(k) if L is None else L.order), cap, name)
     if L is None:
-        L = _perm_group(k, None)
+        L = symmetric_group(k, cap=cap)
     for l in L.elements:
         if not isinstance(l, Perm) or l.degree != k:
             raise WorkbenchError("top group must consist of degree-k permutations")
-    action = index_permutation_action(K, k, L)
-    return semidirect(action, name=name or f"{K.name or 'K'} wr {L.name}", cap=cap)
+    action = index_permutation_action(K, k, L, cap=cap)
+    return semidirect(action, name=name, cap=cap)
 
 
-def check_semidirect_ab(action: GroupAction) -> VerificationReport:
+def check_semidirect_ab(action: GroupAction, *, cap=DEFAULT_CAP) -> VerificationReport:
     """Abelianization of a semidirect product against its two-factor formula.
 
     The product's abelianization must equal the acting group's abelianization
@@ -163,7 +151,7 @@ def check_semidirect_ab(action: GroupAction) -> VerificationReport:
     """
     report = VerificationReport(
         f"semidirect abelianization: {action.name or action.target.name}")
-    lhs = abelianization(semidirect(action))
+    lhs = abelianization(semidirect(action, cap=cap))
     rhs = abelianization(action.acting).direct_sum(
         abelianization(action.target, action))
     report.add("factor formula", lhs.factors == rhs.factors,
@@ -171,10 +159,10 @@ def check_semidirect_ab(action: GroupAction) -> VerificationReport:
     return report
 
 
-def check_wreath_ab(K: FiniteGroup, k: int) -> VerificationReport:
+def check_wreath_ab(K: FiniteGroup, k: int, *, cap=DEFAULT_CAP) -> VerificationReport:
     """Abelianization of K wr Sym(k) against abelianization(K) + Z_2."""
     report = VerificationReport(f"wreath abelianization: {K.name or 'K'} wr Sym({k})")
-    W = wreath(K, k)
+    W = wreath(K, k, cap=cap)
     lhs = abelianization(W)
     rhs = abelianization(K).direct_sum(AbInvariants((2,)))
     report.add("wreath formula", lhs.factors == rhs.factors,

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the integer check that
-command-line tokens go through."""
+"""Exception types shared across the package, the default enumeration cap,
+and the integer check that command-line tokens go through."""
+
+# the most elements a group is listed with unless a caller passes cap=
+DEFAULT_CAP = 20000
 
 
 class WorkbenchError(Exception):

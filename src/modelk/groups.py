@@ -28,9 +28,18 @@ from math import gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .errors import CapExceededError, InvalidActionError, WorkbenchError
+from .errors import (DEFAULT_CAP, CapExceededError, InvalidActionError,
+                     WorkbenchError)
 
-DEFAULT_CAP = 20000
+
+def check_order(order: int, cap, name: str) -> None:
+    """CapExceededError when a group of this order is over the cap (None
+    for no cap).  Every constructor that knows its order calls this before
+    it lists an element; `_closure` checks as it grows instead."""
+    if cap is not None and order > cap:
+        raise CapExceededError(
+            f"{name or 'the group'} has order {order}, cap is {cap}; pass a "
+            f"larger cap= (--cap on the command line) to raise it")
 
 
 def element_key(x):
@@ -71,36 +80,34 @@ class FiniteGroup:
     parent[y] = x and via[y] = i where elements[x] * g_i = elements[y] (the
     identity is its own parent).  Both are built when the group is made,
     which raises WorkbenchError when an operation leaves the elements or
-    the generators reach only some of them.
+    the generators reach only some of them.  The constructor refuses more
+    elements than `cap` (see `check_order`); a group is not capped after it
+    is made.
     """
 
     def __init__(self, elements, op, identity, inv=None, generators=(),
                  name="", cap=DEFAULT_CAP):
         elements = tuple(elements)
+        check_order(len(elements), cap, name)
         keying = _keying(op, identity, elements)
         self._setup(keying.encode(elements), keying, op, identity, inv,
-                    generators, name, cap)
+                    generators, name)
 
     @classmethod
     def _from_keys(cls, keys, keying, op, identity, *, inv, generators=(),
-                   name="", cap=DEFAULT_CAP, images=None,
-                   tables=None) -> "FiniteGroup":
-        """The group whose elements have these `_keying` keys, in order.
-        `images`, if given, holds per generator the keys of keys[i] * g;
-        `tables`, if given, the generator tables themselves."""
+                   name="", images=None, tables=None) -> "FiniteGroup":
+        """The group whose elements have these `_keying` keys, in order; the
+        caller has checked their number against its cap.  `images`, if
+        given, holds per generator the keys of keys[i] * g; `tables`, if
+        given, the generator tables themselves."""
         G = cls.__new__(cls)
-        G._setup(keys, keying, op, identity, inv, generators, name, cap,
-                 images, tables)
+        G._setup(keys, keying, op, identity, inv, generators, name, images, tables)
         return G
 
-    def _setup(self, keys, keying, op, identity, inv, generators, name, cap,
+    def _setup(self, keys, keying, op, identity, inv, generators, name,
                images=None, tables=None):
         keys = tuple(keys)
         n = len(keys)
-        if cap is not None and n > cap:
-            raise CapExceededError(
-                f"group {name or '<anonymous>'} has {n} elements, cap is "
-                f"{cap}; pass a larger cap= (--cap on the command line) to raise it")
         self._keys = keys
         self._keying = keying
         self._key_index = index = dict(zip(keys, range(n)))
@@ -114,7 +121,6 @@ class FiniteGroup:
         self.identity = identity
         self._inv = inv
         self.name = name
-        self.cap = cap
         self._inv_cache = {}
         self._abelian = None
         self._right_tables = None
@@ -316,16 +322,17 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
                                [keying.step(g) for g in gens], cap, keying.order, name)
     return FiniteGroup._from_keys(ordered, keying, mul, identity,
                                   inv=lambda a: a.inverse(), generators=gens,
-                                  name=name, cap=cap, images=images)
+                                  name=name, images=images)
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
-    """Subgroup of G generated by `gens`, ordered by BFS with parent-index ties."""
+    """Subgroup of G generated by `gens`, ordered by BFS with parent-index
+    ties; no larger than G, so it needs no cap."""
     gens = [g for g in gens if g != G.identity]
     ordered, images = _closure(G._keys[G._start], [G._keying.step(g) for g in gens],
-                               G.cap, G._key_index.__getitem__, name)
+                               None, G._key_index.__getitem__, name)
     return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity, inv=G.inv,
-                                  generators=gens, name=name, cap=G.cap, images=images)
+                                  generators=gens, name=name, images=images)
 
 
 def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
@@ -356,7 +363,8 @@ def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
-    """G/N with cosets as frozensets, ordered by first representative in G."""
+    """G/N with cosets as frozensets, ordered by first representative in G;
+    no larger than G, so it needs no cap."""
     if not is_normal(G, N):
         raise WorkbenchError("subgroup is not normal; quotient undefined")
     coset_of = {}
@@ -379,7 +387,7 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
 
     return FiniteGroup(cosets, op, coset_of[G.identity], inv=inv,
                        generators=dict.fromkeys(coset_of[g] for g in G.generators),
-                       name=f"{G.name or 'G'}/{N.name or 'N'}", cap=G.cap)
+                       name=f"{G.name or 'G'}/{N.name or 'N'}", cap=None)
 
 
 @dataclass(frozen=True)

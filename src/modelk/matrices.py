@@ -30,11 +30,14 @@ from .rings import MatRing
 
 
 def _sum(terms) -> str:
-    """Source text of the ring sum of terms, each a source text."""
-    acc, *rest = terms
-    for t in rest:
-        acc = f"A[{acc}][{t}]"
-    return acc
+    """Source text of the ring sum of terms, each a source text: n - 1
+    lookups in the add table, paired off level by level so that they nest
+    only ceil(log2 n) deep, which the compiler accepts for any n."""
+    terms = list(terms)
+    while len(terms) > 1:
+        pairs = [f"A[{x}][{y}]" for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs):]
+    return terms[0]
 
 
 def _dot(xs, ys) -> str:
@@ -70,21 +73,27 @@ class _OnDemand(dict):
 
 class _Kernels:
     """Straight-line product, apply and characteristic polynomial for n x n
-    matrices over a ring, and the kernels on codes."""
+    matrices over a ring, and the kernels on codes, each compiled on first
+    use."""
 
     def __init__(self, ring: MatRing, n: int):
         self.ring, self.n = ring, n
         self.a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
         self.unpack_a = f"{_tuple(map(_tuple, self.a))} = a"
-        b = [[f"b{i}_{j}" for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def mul(self):
+        b = [[f"b{i}_{j}" for j in range(self.n)] for i in range(self.n)]
         rows = _tuple(_tuple(_dot(row, col) for col in zip(*b)) for row in self.a)
-        self.mul = _compile("mul", "a, b", [self.unpack_a,
-                                            f"{_tuple(map(_tuple, b))} = b",
-                                            f"return {rows}"], ring)
-        v = [f"v{j}" for j in range(n)]
+        return _compile("mul", "a, b", [self.unpack_a, f"{_tuple(map(_tuple, b))} = b",
+                                        f"return {rows}"], self.ring)
+
+    @cached_property
+    def apply(self):
+        v = [f"v{j}" for j in range(self.n)]
         entries = _tuple(_dot(row, v) for row in self.a)
-        self.apply = _compile("apply", "a, v", [self.unpack_a, f"{_tuple(v)} = v",
-                                                f"return {entries}"], ring)
+        return _compile("apply", "a, v", [self.unpack_a, f"{_tuple(v)} = v",
+                                          f"return {entries}"], self.ring)
 
     @cached_property
     def charpoly(self):

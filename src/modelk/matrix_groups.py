@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import CapExceededError, WorkbenchError
-from .groups import (DEFAULT_CAP, AbInvariants, FiniteGroup, abelianization,
+from .errors import DEFAULT_CAP, WorkbenchError
+from .groups import (AbInvariants, FiniteGroup, abelianization, check_order,
                      enumerate_group, invariants_from_factors)
 from .matrices import Mat
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
@@ -154,9 +154,7 @@ def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
     orders, checked, prove it is that group.  CapExceededError before any
     generator is built when `order` is over the cap; WorkbenchError when a
     check fails."""
-    if cap is not None and order > cap:
-        raise CapExceededError(f"{name} has order {order}, cap is {cap}; pass a "
-                               f"larger cap= (--cap on the command line) to raise it")
+    check_order(order, cap, name)
     gens = generators() or [Mat.identity(ring, n)]
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")

@@ -19,8 +19,8 @@ from .constructions import (check_semidirect_ab, check_wreath_ab,
                             lifts_are_even, symmetric_group)
 from .cosets import AffineCoset, LinearSystem
 from .defsets import And, Not, Or, make_block
-from .errors import WorkbenchError
-from .groups import DEFAULT_CAP, FiniteGroup, GroupAction, abelianization
+from .errors import DEFAULT_CAP, WorkbenchError
+from .groups import FiniteGroup, GroupAction, abelianization
 from .matrix_groups import (affine_group, check_gl_ab, elementary_closure,
                             gl_group, gl_order)
 from .perms import Perm
@@ -243,7 +243,7 @@ def _suite_semiab(seed: int, cases: int, cap: int) -> VerificationReport:
     report = VerificationReport(f"semidirect abelianization suite (seed {seed})")
     for i in range(cases):
         action = random_semidirect_action(rng)
-        sub = check_semidirect_ab(action)
+        sub = check_semidirect_ab(action, cap=cap)
         size = action.target.order * action.acting.order
         report.add(f"case {i + 1}: {action.name} (order {size})", sub.passed,
                    "; ".join(sub.failures) if not sub.passed else "")
@@ -256,7 +256,7 @@ def _suite_wreath(seed: int, cases: int, cap: int) -> VerificationReport:
              ("cyclic:4", "Z_4"), ("sym:3", "Sym(3)")]
     for spec, label in bases:
         for k in (2, 3):
-            sub = check_wreath_ab(by_name(spec), k)
+            sub = check_wreath_ab(by_name(spec, cap), k, cap=cap)
             report.add(f"{label} wr Sym({k})", sub.passed,
                        "; ".join(sub.failures) if not sub.passed else "")
     return report
@@ -269,7 +269,7 @@ def _suite_perm(seed: int, cases: int, cap: int) -> VerificationReport:
 
     report = VerificationReport("symmetric group suite")
     for k in range(2, 7):
-        G = symmetric_group(k)
+        G = symmetric_group(k, cap=cap)
         report.add(f"order of Sym({k})", G.order == factorial(k),
                    f"got {G.order}")
         ab = abelianization(G).factors
@@ -324,8 +324,7 @@ def _suite_lift(seed: int, cases: int, cap: int) -> VerificationReport:
                    f"got {got}, want {want}")
     for n in (1, 2, 3, 4):
         for m in range(n, 13, n):
-            G = symmetric_group(n) if n >= 2 else None
-            sigmas = G.elements if G else [Perm((0,))]
+            sigmas = symmetric_group(n, cap=cap).elements
             hom = all(
                 lift_permutation(n, m, a) * lift_permutation(n, m, b)
                 == lift_permutation(n, m, a * b)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedRingError, WorkbenchError, int_token
+from .errors import DEFAULT_CAP, UnsupportedRingError, WorkbenchError, int_token
 
 COUNTABLE = "countable"
 
@@ -483,7 +483,7 @@ def _atoms_to_factors(atoms) -> tuple | None:
 
 
 def truncation_consistency(ring: RingDescriptor, n: int,
-                           cap: int = 20000):
+                           cap: int = DEFAULT_CAP):
     """Check the symbolic truncation levels against brute-force group theory.
 
     For each level i <= n over a finite field this compares the predicted

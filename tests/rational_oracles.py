@@ -1,13 +1,15 @@
 """Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
 no modelk elimination underneath, the plain all-pairs form of
-`make_block`, matrix groups as determinant filters over every matrix, and
-group multiplication tables from the group's own operation."""
+`make_block`, matrix groups as determinant filters over every matrix,
+group multiplication tables from the group's own operation, and direct
+products of two groups on pairs."""
 
 from fractions import Fraction
 from itertools import product
 
 from modelk.defsets import Block
 from modelk.errors import WorkbenchError
+from modelk.groups import FiniteGroup
 from modelk.matrices import Mat
 
 
@@ -92,3 +94,18 @@ def product_tables(G, gens) -> list[list[int]]:
     """Entry i of table j is the index of elements[i] * gens[j], each product
     taken with G's operation."""
     return [[G.index_of(G.op(x, g)) for x in G.elements] for g in gens]
+
+
+def direct_product(G, H) -> FiniteGroup:
+    """G x H on pairs (g, h), componentwise, generated by the pairs of a
+    generator of one factor and the identity of the other."""
+    def op(a, b):
+        return (G.op(a[0], b[0]), H.op(a[1], b[1]))
+
+    def inv(a):
+        return (G.inv(a[0]), H.inv(a[1]))
+
+    elements = [(g, h) for g in G.elements for h in H.elements]
+    gens = [(g, H.identity) for g in G.generators] + [(G.identity, h) for h in H.generators]
+    return FiniteGroup(elements, op, (G.identity, H.identity), inv=inv,
+                       generators=gens, name=f"{G.name}x{H.name}", cap=None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelk.catalogue import cyclic, klein_four, sl2
+from modelk.catalogue import by_name, cyclic, klein_four
 from modelk.constructions import semidirect
 from modelk.groups import (GroupAction, abelianization, coinvariants,
                            commutator_subgroup, enumerate_group,
@@ -64,8 +64,8 @@ def test_abelianization_of_gl2_over_zmod(m):
 # index of its non-cyclic answer.
 @pytest.mark.parametrize("build, factors", [
     (lambda: elementary_closure(3, GF(2)), ()),
-    (lambda: sl2(4), ()),
-    (lambda: sl2(5), ()),
+    (lambda: by_name("sl2:4"), ()),
+    (lambda: by_name("sl2:5"), ()),
     (lambda: gl_group(2, Zmod(8)), (2, 2, 2)),
 ], ids=["E_3(F_2)", "SL_2(F_4)", "SL_2(F_5)", "GL_2(Z_8)"])
 def test_abelianization_where_the_modulus_shrinks(build, factors):

@@ -426,6 +426,43 @@ def test_over_cap_linear_groups_say_how_to_raise_the_cap(capsys):
                    "cap= (--cap on the command line) to raise it\n")
 
 
+@pytest.mark.parametrize("spec, name, order", [
+    ("sym:7", "Sym(7)", 5040), ("cyclic:50", "Z_50", 50),
+    ("sl2:3", "SL_2(F_3)", 24), ("wreath:cyclic:2:3", "Z_2 wr Sym(3)", 48)])
+def test_every_group_spec_honors_the_cap(capsys, spec, name, order):
+    code, out, err = run(capsys, "--cap", "10", "abelianize", "--group", spec)
+    assert code == 1 and out == ""
+    assert err == (f"error: {name} has order {order}, cap is 10; pass a larger "
+                   "cap= (--cap on the command line) to raise it\n")
+
+
+def test_groups_closed_without_a_known_order_stop_at_the_cap(capsys):
+    code, _, err = run(capsys, "--cap", "10", "abelianize", "--group", "dihedral:20")
+    assert code == 1
+    assert err == ("error: D_10: closure exceeded the element cap of 10; pass a "
+                   "larger cap= (--cap on the command line) to raise it\n")
+
+
+def test_a_cap_above_the_default_admits_a_larger_group(capsys):
+    code, out, _ = run(capsys, "--cap", "100000", "--json", "abelianize",
+                       "--group", "cyclic:50000")
+    doc = json.loads(out)
+    assert code == 0 and doc["order"] == 50000 and doc["abelianization"] == [50000]
+
+
+def test_suites_that_build_groups_honor_the_cap(capsys):
+    code, _, err = run(capsys, "--cap", "10", "verify", "--suite", "perm")
+    assert code == 1 and "Sym(4) has order 24, cap is 10" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "x"])
+def test_a_cap_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as info:
+        main(["--cap", cap, "abelianize", "--group", "klein"])
+    assert info.value.code == 2
+    assert "--cap: need an integer of at least 1" in capsys.readouterr().err
+
+
 # --- group helpers ------------------------------------------------------------------
 
 def test_abelianize_catalogue_and_extended_specs(capsys):

@@ -1,15 +1,17 @@
 import random
+import time
+from math import factorial
 
 import pytest
 
-from modelk.catalogue import by_name, cyclic
+from modelk.catalogue import by_name, cyclic, klein_four
 from modelk.constructions import (check_semidirect_ab, check_wreath_ab,
-                                  direct_power, direct_product,
-                                  index_permutation_action, semidirect,
-                                  symmetric_group, wreath)
-from modelk.errors import WorkbenchError
-from modelk.groups import GroupAction, abelianization
+                                  direct_power, index_permutation_action,
+                                  semidirect, symmetric_group, wreath)
+from modelk.errors import CapExceededError, WorkbenchError
+from modelk.groups import GroupAction, abelianization, generated_subgroup
 from modelk.suites import random_semidirect_action
+from rational_oracles import direct_product
 
 
 def test_direct_product_order_and_ab():
@@ -56,11 +58,45 @@ def test_trivial_action_gives_direct_product_abelianization():
 
 
 def test_symmetric_group_bounds():
+    assert symmetric_group(1).order == 1
     with pytest.raises(WorkbenchError):
-        symmetric_group(1)
-    with pytest.raises(WorkbenchError):
+        symmetric_group(0)
+    with pytest.raises(CapExceededError, match=r"^Sym\(9\) has order 362880, cap is 20000"):
         symmetric_group(9)
     assert symmetric_group(4).order == 24
+
+
+def test_klein_four_is_the_direct_product_of_two_z2():
+    V, P = klein_four(), direct_product(cyclic(2), cyclic(2))
+    assert V.elements == P.elements and V.generators == P.generators
+    assert V._tables == P._tables and V.name == P.name == "Z_2xZ_2"
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: symmetric_group(12), factorial(12)),
+    (lambda: direct_power(cyclic(10), 9), 10 ** 9),
+    (lambda: wreath(cyclic(2), 30), 2 ** 30 * factorial(30)),
+], ids=["Sym(12)", "Z_10^9", "Z_2 wr Sym(30)"])
+def test_over_cap_constructions_are_refused_before_listing(build, order):
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match=f"has order {order}, cap is 20000; "):
+        build()
+    assert time.process_time() - start < 0.1
+
+
+def test_an_over_cap_semidirect_product_never_calls_its_action():
+    calls = []
+    action = GroupAction(cyclic(2), cyclic(30),
+                         lambda k, h: calls.append(1) or (-h if k else h) % 30)
+    with pytest.raises(CapExceededError, match="has order 60, cap is 59"):
+        semidirect(action, cap=59)
+    assert calls == []
+    assert semidirect(action, cap=60).order == 60 and calls
+
+
+def test_subgroups_of_a_group_over_the_default_cap_need_no_cap():
+    G = cyclic(30000, cap=30000)
+    assert generated_subgroup(G, [1]).order == 30000
 
 
 def test_wreath_orders():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelk.catalogue import by_name, quaternion8, sl2
+from modelk.catalogue import by_name
 from modelk.constructions import direct_power, semidirect, wreath
 from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import (FiniteGroup, GroupAction, _closure, element_key,
@@ -86,8 +86,8 @@ def test_code_tables_of_linear_groups(case):
 
 
 def test_code_tables_of_catalogue_matrix_groups():
-    for G in (sl2(3), sl2(4), sl2(5), sl2(7), quaternion8()):
-        _check_tables(G)
+    for spec in ("sl2:3", "sl2:4", "sl2:5", "sl2:7", "q8"):
+        _check_tables(by_name(spec))
 
 
 @st.composite

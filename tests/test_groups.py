@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modelk.catalogue import by_name, cyclic, dihedral, quaternion8, sl2
+from modelk.catalogue import by_name, cyclic, dihedral, quaternion8
 from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import (FiniteGroup, abelianization, AbInvariants,
                            coinvariants, commutator_subgroup, element_key, enumerate_group, generated_subgroup,
@@ -38,7 +38,7 @@ def test_cap_is_enforced():
     with pytest.raises(CapExceededError):
         enumerate_group([r], cap=3)
     # a group given its elements says how to raise the cap too
-    with pytest.raises(CapExceededError, match=r"group Z_5 has 5 elements, cap is 3; "
+    with pytest.raises(CapExceededError, match=r"^Z_5 has order 5, cap is 3; "
                        r"pass a larger cap= \(--cap on the command line\)"):
         FiniteGroup(range(5), lambda a, b: (a + b) % 5, 0, generators=[1],
                     name="Z_5", cap=3)
@@ -89,7 +89,7 @@ def _all_pairs_commutator_subgroup(G):
 
 def test_commutator_subgroup_matches_all_pairs_closure():
     # GL_2(Z_6) is past the order where the all-pairs route used to stop
-    for G in (dihedral(12), by_name("sym:4"), quaternion8(), sl2(3),
+    for G in (dihedral(12), by_name("sym:4"), quaternion8(), by_name("sl2:3"),
               gl_group(2, GF(3)), gl_group(2, Zmod(6))):
         assert set(commutator_subgroup(G).elements) == \
             _all_pairs_commutator_subgroup(G), G.name
@@ -127,7 +127,7 @@ def test_quotient_and_abelianization():
     assert abelianization(quaternion8()).factors == (2, 2)
     assert abelianization(by_name("sym:4")).factors == (2,)
     assert abelianization(cyclic(12)).factors == (12,)
-    assert abelianization(sl2(3)).factors == (3,)
+    assert abelianization(by_name("sl2:3")).factors == (3,)
 
 
 def test_normality_on_generators_agrees_with_every_element():

@@ -3,13 +3,15 @@ generated arithmetic kernels against an entrywise reference and, past the
 reference's reach, against the laws of det and inverse."""
 
 import random
+import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.errors import WorkbenchError
-from modelk.matrices import Mat
+from modelk.matrices import Mat, _compile, _sum, _tuple
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 
@@ -176,6 +178,28 @@ def test_non_unit_det_over_zmod_is_named(m):
         assert A.det() == 2
         with pytest.raises(WorkbenchError, match=f"singular over Z_{m}: det = 2$"):
             A.inverse()
+
+
+def test_kernels_are_compiled_on_first_use():
+    start = time.process_time()
+    big = Mat.identity(GF(2), 40)
+    assert time.process_time() - start < 0.05
+    assert not {"mul", "apply", "charpoly"} & set(big._k.__dict__)
+    # a size no other test uses, so that this kernel object is new here
+    m = Mat.identity(Zmod(10), 9)
+    assert m.det() == 1
+    assert "charpoly" in m._k.__dict__
+    assert not {"mul", "apply"} & set(m._k.__dict__)
+
+
+@pytest.mark.parametrize("ring", [GF(4), Zmod(6)], ids=str)
+def test_a_long_generated_sum_compiles_and_adds_in_the_ring(ring):
+    rng = random.Random(300)
+    xs = [rng.randrange(ring.size) for _ in range(300)]
+    names = [f"x{i}" for i in range(300)]
+    total = _compile("total", "xs", [f"{_tuple(names)} = xs", f"return {_sum(names)}"],
+                     ring)
+    assert total(xs) == reduce(ring.add, xs)
 
 
 def test_perm_rejects_a_non_bijection():
