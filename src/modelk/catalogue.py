@@ -25,7 +25,6 @@ def cyclic(n: int, cap=DEFAULT_CAP) -> FiniteGroup:
         raise WorkbenchError("order must be positive")
     check_order(n, cap, f"Z_{n}")
     return FiniteGroup(range(n), lambda a, b: (a + b) % n, 0,
-                       inv=lambda a: (-a) % n,
                        generators=[1] if n > 1 else [0], name=f"Z_{n}", cap=None)
 
 

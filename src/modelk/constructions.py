@@ -37,9 +37,6 @@ def direct_power(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteG
     def op(a, b):
         return tuple(K.op(x, y) for x, y in zip(a, b))
 
-    def inv(a):
-        return tuple(K.inv(x) for x in a)
-
     identity = (K.identity,) * k
     elements = list(product(K.elements, repeat=k))
     gens = []
@@ -48,26 +45,28 @@ def direct_power(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteG
             t = [K.identity] * k
             t[i] = g
             gens.append(tuple(t))
-    return FiniteGroup(elements, op, identity, inv=inv, generators=gens,
-                       name=name, cap=None)
+    return FiniteGroup(elements, op, identity, generators=gens, name=name, cap=None)
 
 
 def _semidirect_tables(action: GroupAction) -> list[array]:
     """Generator tables of the semidirect product from its factors' tables
     and the checked action's index table, on pair indices i * |K| + j for
     (H.elements[i], K.elements[j]).  Right multiplication by (h', 1) takes
-    (h, k) to (h * act(k, h'), k), one right-multiplication table in H per
-    distinct act(k, h'), composed from H's generator tables; by (1, k') it
-    takes (h, k) to (h, k k').  No element of H or K is multiplied."""
+    (h, k) to (h * act(k, h'), k).  Each act(k, -) is an automorphism, so
+    with h = act(k, x) that is (act(k, x * h'), k): the column of pairs
+    with second entry k is H's table for h' conjugated by the action's row
+    for k.  Right multiplication by (1, k') takes (h, k) to (h, k k').  No
+    element of H or K is multiplied."""
     H, K, rows = action.target, action.acting, action._table
     size, n = K.order, H.order * K.order
-    tables = []
-    for h in H.generators:
-        j = H.index_of(h)
-        table = array("l", [0]) * n
-        for k, row in enumerate(rows):
-            table[k::size] = array("l", [i * size + k for i in H._right_table(row[j])])
-        tables.append(table)
+    tables = [array("l", [0]) * n for _ in H._tables]
+    for k, row in enumerate(rows):
+        pairs = [i * size + k for i in row]
+        for table, right in zip(tables, H._tables):
+            column = [0] * H.order
+            for x, y in zip(row, right):
+                column[x] = pairs[y]
+            table[k::size] = array("l", column)
     for right in K._tables:
         tables.append(array("l", [i * size + r for i in range(H.order) for r in right]))
     return tables
@@ -84,15 +83,11 @@ def semidirect(action: GroupAction, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
     def op(a, b):
         return (H.op(a[0], act(a[1], b[0])), K.op(a[1], b[1]))
 
-    def inv(a):
-        kinv = K.inv(a[1])
-        return (act(kinv, H.inv(a[0])), kinv)
-
     elements = [(h, k) for h in H.elements for k in K.elements]
     identity = (H.identity, K.identity)
     gens = [(h, K.identity) for h in H.generators] + [(H.identity, k) for k in K.generators]
     return FiniteGroup._from_keys(elements, _keying(op, identity, elements), op,
-                                  identity, inv=inv, generators=gens, name=name,
+                                  identity, generators=gens, name=name,
                                   tables=_semidirect_tables(action))
 
 
@@ -105,7 +100,6 @@ def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     name = f"Sym({k})"
     check_order(factorial(k), cap, name)
     return FiniteGroup(map(Perm, permutations(range(k))), mul, Perm.identity(k),
-                       inv=lambda a: a.inverse(),
                        generators=[Perm.transposition(k, i, i + 1) for i in range(k - 1)],
                        name=name, cap=None)
 

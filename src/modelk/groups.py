@@ -14,9 +14,9 @@ tables off those images; a group given its elements steps every key with
 each generator.  A group is made valid in one place, `FiniteGroup._setup`:
 it builds the generator tables and a breadth-first spanning tree over them,
 and refuses generators that do not generate it, so every abelianization,
-normality test and action check may rely on them.  Any other right
-multiplication table is composed from the generator tables along the
-tree's word for the element.
+normality test and action check may rely on them.  The generators' left
+multiplication tables and all inverses are read off that tree, each in one
+pass over the elements.
 """
 
 from __future__ import annotations
@@ -82,30 +82,31 @@ class FiniteGroup:
     which raises WorkbenchError when an operation leaves the elements or
     the generators reach only some of them.  The constructor refuses more
     elements than `cap` (see `check_order`); a group is not capped after it
-    is made.
+    is made.  `_left_tables` (per generator g, entry i is the index of
+    g * elements[i]) and `_inverses` (the index of each element's inverse,
+    which `inv` looks up) are read off the tree on first use.
     """
 
-    def __init__(self, elements, op, identity, inv=None, generators=(),
-                 name="", cap=DEFAULT_CAP):
+    def __init__(self, elements, op, identity, generators=(), name="",
+                 cap=DEFAULT_CAP):
         elements = tuple(elements)
         check_order(len(elements), cap, name)
         keying = _keying(op, identity, elements)
-        self._setup(keying.encode(elements), keying, op, identity, inv,
-                    generators, name)
+        self._setup(keying.encode(elements), keying, op, identity, generators, name)
 
     @classmethod
-    def _from_keys(cls, keys, keying, op, identity, *, inv, generators=(),
-                   name="", images=None, tables=None) -> "FiniteGroup":
+    def _from_keys(cls, keys, keying, op, identity, *, generators=(), name="",
+                   images=None, tables=None) -> "FiniteGroup":
         """The group whose elements have these `_keying` keys, in order; the
         caller has checked their number against its cap.  `images`, if
         given, holds per generator the keys of keys[i] * g; `tables`, if
         given, the generator tables themselves."""
         G = cls.__new__(cls)
-        G._setup(keys, keying, op, identity, inv, generators, name, images, tables)
+        G._setup(keys, keying, op, identity, generators, name, images, tables)
         return G
 
-    def _setup(self, keys, keying, op, identity, inv, generators, name,
-               images=None, tables=None):
+    def _setup(self, keys, keying, op, identity, generators, name, images=None,
+               tables=None):
         keys = tuple(keys)
         n = len(keys)
         self._keys = keys
@@ -119,11 +120,8 @@ class FiniteGroup:
         self._start = start
         self.op = op
         self.identity = identity
-        self._inv = inv
         self.name = name
-        self._inv_cache = {}
         self._abelian = None
-        self._right_tables = None
         generators = tuple(generators)
         if not generators and n > 1:
             raise WorkbenchError(f"{name or 'a group'} of {n} elements was "
@@ -188,20 +186,42 @@ class FiniteGroup:
     def index_of(self, x) -> int:
         return self._index[x]
 
+    def _left_multiplications(self, firsts) -> list[list[int]]:
+        """For each index c in `firsts` the list whose entry i is the index
+        of elements[c] * elements[i].  Left and right multiplications
+        commute, so along the tree c * e = c and c * (p * g_j) =
+        (c * p) * g_j: each entry is one lookup in a generator table."""
+        reached, parent, via = self._tree
+        steps = [(y, parent[y], self._tables[via[y]]) for y in reached[1:]]
+        tables = []
+        for c in firsts:
+            table = [0] * self.order
+            table[self._start] = c
+            for y, p, right in steps:
+                table[y] = right[table[p]]
+            tables.append(table)
+        return tables
+
+    @cached_property
+    def _left_tables(self) -> list[list[int]]:
+        """For each generator g the list whose entry i is the index of
+        g * elements[i]."""
+        return self._left_multiplications([t[self._start] for t in self._tables])
+
+    @cached_property
+    def _inverses(self) -> list[int]:
+        """The index of each element's inverse, along the tree: e^-1 = e
+        and (p * g_j)^-1 = g_j^-1 * p^-1, a lookup in the left table of
+        g_j^-1, the element that g_j's table takes to e."""
+        reached, parent, via = self._tree
+        undo = self._left_multiplications([t.index(self._start) for t in self._tables])
+        inverses = [self._start] * self.order
+        for y in reached[1:]:
+            inverses[y] = undo[via[y]][inverses[parent[y]]]
+        return inverses
+
     def inv(self, a):
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            if self._inv is not None:
-                cached = self._inv(a)
-            else:
-                # cycle a until the identity reappears; its predecessor
-                # is the inverse
-                prev, x = a, self.op(a, a)
-                while x != self.identity:
-                    prev, x = x, self.op(x, a)
-                cached = prev
-            self._inv_cache[a] = cached
-        return cached
+        return self.elements[self._inverses[self.index_of(a)]]
 
     def element_order(self, a) -> int:
         n, x = 1, a
@@ -218,27 +238,6 @@ class FiniteGroup:
             self._abelian = all(op(a, b) == op(b, a)
                                 for i, a in enumerate(gens) for b in gens[i + 1:])
         return self._abelian
-
-    def _right_table(self, j: int) -> array:
-        """The array whose entry i is the index of elements[i] * elements[j].
-
-        The spanning tree reaches elements[j] along a word g_1 ... g_r in
-        the generators, so the table is the generator tables composed along
-        that word.  Every table on the way is kept.
-        """
-        tables = self._right_tables
-        if tables is None:
-            tables = self._right_tables = {self._start: array("l", range(self.order))}
-        if j not in tables:
-            _, parent, via = self._tree
-            path, y = [], j
-            while y not in tables:
-                path.append(y)
-                y = parent[y]
-            for y in reversed(path):
-                tables[y] = array("l", map(self._tables[via[y]].__getitem__,
-                                           tables[parent[y]]))
-        return tables[j]
 
     def conjugate(self, g, x):
         return self.op(self.op(g, x), self.inv(g))
@@ -305,8 +304,8 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
     levels from the identity, each level sorted by `element_key`.
 
-    Generators must share a representation and expose __mul__, inverse()
-    and identity_like(); permutations and matrices both qualify.
+    Generators must share a representation and expose __mul__ and
+    identity_like(); permutations and matrices both qualify.
     """
     gens = list(generators)
     if not gens:
@@ -320,8 +319,7 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     keying = _keying(mul, identity, gens)
     ordered, images = _closure(keying.encode([identity])[0],
                                [keying.step(g) for g in gens], cap, keying.order, name)
-    return FiniteGroup._from_keys(ordered, keying, mul, identity,
-                                  inv=lambda a: a.inverse(), generators=gens,
+    return FiniteGroup._from_keys(ordered, keying, mul, identity, generators=gens,
                                   name=name, images=images)
 
 
@@ -331,7 +329,7 @@ def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
     gens = [g for g in gens if g != G.identity]
     ordered, images = _closure(G._keys[G._start], [G._keying.step(g) for g in gens],
                                None, G._key_index.__getitem__, name)
-    return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity, inv=G.inv,
+    return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity,
                                   generators=gens, name=name, images=images)
 
 
@@ -382,10 +380,7 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     def op(c1, c2):
         return coset_of[G.op(reps[c1], reps[c2])]
 
-    def inv(c):
-        return coset_of[G.inv(reps[c])]
-
-    return FiniteGroup(cosets, op, coset_of[G.identity], inv=inv,
+    return FiniteGroup(cosets, op, coset_of[G.identity],
                        generators=dict.fromkeys(coset_of[g] for g in G.generators),
                        name=f"{G.name or 'G'}/{N.name or 'N'}", cap=None)
 
@@ -561,20 +556,24 @@ class GroupAction:
         runs on integers:
         - every act(k, h) lies in H;
         - each generator g of G gives a bijection r(g);
-        - r(g) is a homomorphism in the form r(g)(x * h) = r(g)(x) * r(g)(h),
-          for all x and each generator h of H;
+        - r(g) is a homomorphism: it fixes e, and for each generator h of H,
+          P_h = r(g) o R_h o r(g)^-1 (R_h right multiplication by h) commutes
+          with left multiplication by each generator of H;
         - r(k * g) = r(k) o r(g) for all k and each generator g of G.
-        Generators suffice, and the right-multiplication forms are equivalent
-        to the two-sided laws.  By induction on the length of a word w in
-        the generators, the third gives r(g)(x * w) = r(g)(x) * r(g)(w) and
-        the fourth r(k * w) = r(k) o r(w); every element of a finite group
-        that its generators generate, as every group's do, is such a word.  So each r(g) is an
+        A permutation P that commutes with those commutes with every left
+        multiplication L_x, their composite, so P(x) = P(L_x(e)) = x * P(e).
+        As r(g) fixes e, P_h(e) = r(g)(h), so the third check holds exactly
+        when r(g)(x * h) = r(g)(x) * r(g)(h) for all x and each generator h.
+        By induction on the length of a word w in the generators, that
+        gives r(g)(x * w) = r(g)(x) * r(g)(w), and the fourth r(k * w) =
+        r(k) o r(w); every element of a finite group that its generators
+        generate, as every group's do, is such a word.  So each r(g) is an
         automorphism of H, and r is a homomorphism from G into maps of H
         whose values are products of automorphisms; r(e) is then the
         identity, since r(g) = r(e) o r(g) with r(g) bijective.  Conversely
-        an action by automorphisms passes every check.  The right
-        multiplications by r(g)(h) are H's composed tables (see
-        `FiniteGroup._right_table`), so the check multiplies no elements.
+        an action by automorphisms passes every check.  H's left tables
+        come from its spanning tree (see `FiniteGroup._left_tables`), so the
+        check multiplies no elements.
         """
         if self._checked:
             return
@@ -591,10 +590,16 @@ class GroupAction:
             row = table[G.index_of(g)]
             if len(set(row)) != H.order:
                 raise InvalidActionError("generator does not act bijectively")
-            for h, right in zip(H.generators, H._tables):
-                image = H._right_table(row[H.index_of(h)])
-                if [row[j] for j in right] != [image[j] for j in row]:
-                    raise InvalidActionError("generator does not act by a homomorphism")
+            if row[H._start] != H._start:
+                raise InvalidActionError("generator does not act by a homomorphism")
+            for right in H._tables:
+                conjugated = [0] * H.order
+                for x, y in zip(row, right):
+                    conjugated[x] = row[y]
+                for left in H._left_tables:
+                    if [conjugated[y] for y in left] != [left[y] for y in conjugated]:
+                        raise InvalidActionError(
+                            "generator does not act by a homomorphism")
         for g, right in zip(G.generators, G._tables):
             row = table[G.index_of(g)]
             for k, row_k in enumerate(table):

@@ -136,8 +136,8 @@ def _check_field_axioms(ring: MatRing) -> None:
 def Zmod(m: int) -> MatRing:
     if m < 2:
         raise WorkbenchError(f"modulus must be at least 2, got {m}")
-    add, mul, neg, inv = _build_tables(m, lambda a, b: (a + b) % m, lambda a, b: (a * b) % m)
-    return MatRing("zmod", m, char=m, _add=add, _mul=mul, _neg=neg, _inv=inv)
+    return MatRing("zmod", m, m, *_build_tables(m, lambda a, b: (a + b) % m,
+                                                lambda a, b: (a * b) % m))
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +186,7 @@ def GF(q: int) -> MatRing:
             return encode(prod[:e])
 
         add, mul, neg, inv = _build_tables(q, add_fn, mul_fn)
-    ring = MatRing("gf", q, char=p, _add=add, _mul=mul, _neg=neg, _inv=inv)
+    ring = MatRing("gf", q, p, add, mul, neg, inv)
     if q <= _AXIOM_CHECK_LIMIT:
         _check_field_axioms(ring)
     return ring

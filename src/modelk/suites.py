@@ -66,7 +66,6 @@ def _factor_swap_action(rng: random.Random) -> GroupAction:
     base = by_name(rng.choice(["sym:3", "dihedral:8", "q8", "dihedral:10"]))
     swap = FiniteGroup([Perm.identity(2), Perm.transposition(2, 0, 1)],
                        mul, Perm.identity(2),
-                       inv=lambda a: a.inverse(),
                        generators=[Perm.transposition(2, 0, 1)], name="swap")
     return index_permutation_action(base, 2, swap)
 

@@ -1,8 +1,8 @@
 """Oracles shared by the tests: textbook Fraction and mod-p arithmetic, with
 no modelk elimination underneath, the plain all-pairs form of
 `make_block`, matrix groups as determinant filters over every matrix,
-group multiplication tables from the group's own operation, and direct
-products of two groups on pairs."""
+group multiplication tables and inverses from the group's own operation,
+and direct products of two groups on pairs."""
 
 from fractions import Fraction
 from itertools import product
@@ -96,16 +96,31 @@ def product_tables(G, gens) -> list[list[int]]:
     return [[G.index_of(G.op(x, g)) for x in G.elements] for g in gens]
 
 
+def left_tables(G) -> list[list[int]]:
+    """Entry i of table j is the index of generators[j] * elements[i], each
+    product taken with G's operation."""
+    return [[G.index_of(G.op(g, x)) for x in G.elements] for g in G.generators]
+
+
+def inverse_indices(G) -> list[int]:
+    """The index of each element's inverse: the last power of the element
+    before the identity, found by multiplying with G's operation."""
+    out = []
+    for x in G.elements:
+        prev, y = G.identity, x
+        while y != G.identity:
+            prev, y = y, G.op(y, x)
+        out.append(G.index_of(prev))
+    return out
+
+
 def direct_product(G, H) -> FiniteGroup:
     """G x H on pairs (g, h), componentwise, generated by the pairs of a
     generator of one factor and the identity of the other."""
     def op(a, b):
         return (G.op(a[0], b[0]), H.op(a[1], b[1]))
 
-    def inv(a):
-        return (G.inv(a[0]), H.inv(a[1]))
-
     elements = [(g, h) for g in G.elements for h in H.elements]
     gens = [(g, H.identity) for g in G.generators] + [(G.identity, h) for h in H.generators]
-    return FiniteGroup(elements, op, (G.identity, H.identity), inv=inv,
+    return FiniteGroup(elements, op, (G.identity, H.identity),
                        generators=gens, name=f"{G.name}x{H.name}", cap=None)

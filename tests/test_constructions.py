@@ -94,6 +94,18 @@ def test_an_over_cap_semidirect_product_never_calls_its_action():
     assert semidirect(action, cap=60).order == 60 and calls
 
 
+def test_a_semidirect_product_over_a_long_cyclic_group_builds_in_linear_time():
+    # negation on Z_20000: the action check and the product's tables must
+    # cost O(|G|); an O(|G|^2) route takes minutes at this order
+    n = 20000
+    start = time.process_time()
+    G = semidirect(GroupAction(cyclic(2), cyclic(n, cap=n),
+                               lambda k, h: (-h) % n if k else h), cap=2 * n)
+    assert time.process_time() - start < 1.0
+    assert G.order == 2 * n
+    assert abelianization(G).factors == (2, 2)
+
+
 def test_subgroups_of_a_group_over_the_default_cap_need_no_cap():
     G = cyclic(30000, cap=30000)
     assert generated_subgroup(G, [1]).order == 30000

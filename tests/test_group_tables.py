@@ -6,9 +6,10 @@ them, from integer codes of their elements.  Each must equal the table read
 off the group's own operation (`product_tables`): entry i of table j is the
 index of elements[i] * generators[j].  Matrix closures run on codes too;
 their element order must equal that of the same closure loop fed steps that
-multiply Mat values, kept here as the oracle.  A right-multiplication table
-is composed from the generator tables; the oracle is again
-`product_tables`.  A group is refused when it is made if its operation
+multiply Mat values, kept here as the oracle.  The generators' left
+multiplication tables and the inverses are read off the spanning tree;
+their oracles, `left_tables` and `inverse_indices`, multiply with the
+group's operation.  A group is refused when it is made if its operation
 leaves its elements or its generators do not generate it.  A group held on
 codes must answer membership and indices as a group held on its Mats does.
 """
@@ -31,7 +32,7 @@ from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
-from rational_oracles import product_tables
+from rational_oracles import inverse_indices, left_tables, product_tables
 
 RINGS = [Zmod(m) for m in range(2, 10)] + [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
 # GL_3 fits the default cap over the rings of size 2 and 3 only
@@ -48,7 +49,7 @@ def test_tables_of_seeded_semidirect_products(seed):
 
 
 def test_tables_passed_to_a_semidirect_product_are_its_products():
-    # conjugation on a nonabelian target: the tables compose H's right tables
+    # conjugation on a nonabelian target: H's tables conjugated by the action
     S = by_name("sym:3")
     HK = semidirect(GroupAction(S, S, S.conjugate, name="conjugation"))
     assert HK.order == 36
@@ -187,10 +188,11 @@ def test_row_images_of_a_small_row_space_are_listed_in_full():
     assert [len(t) for t in tables] == [27] * 3
 
 
-def _check_right_tables(G):
-    for j in range(G.order):
-        assert list(G._right_table(j)) == product_tables(G, (G.elements[j],))[0], \
-            (G.name, j)
+def _check_left_tables_and_inverses(G):
+    assert G._left_tables == left_tables(G), G.name
+    inverses = inverse_indices(G)
+    assert G._inverses == inverses, G.name
+    assert [G.inv(x) for x in G.elements] == [G.elements[i] for i in inverses]
 
 
 @st.composite
@@ -203,40 +205,41 @@ def _permutations(draw):
 
 @settings(max_examples=30)
 @given(_permutations())
-def test_right_tables_of_seeded_permutation_groups(gens):
-    _check_right_tables(enumerate_group(gens))
+def test_left_tables_and_inverses_of_seeded_permutation_groups(gens):
+    _check_left_tables_and_inverses(enumerate_group(gens))
 
 
 @settings(max_examples=12)
 @given(st.sampled_from(("cyclic:3", "cyclic:4", "sym:3", "klein", "q8")),
        st.integers(1, 2))
-def test_right_tables_of_direct_powers(base, k):
-    _check_right_tables(direct_power(by_name(base), k))
+def test_left_tables_and_inverses_of_direct_powers(base, k):
+    _check_left_tables_and_inverses(direct_power(by_name(base), k))
 
 
 @settings(max_examples=20)
 @given(st.integers(0, 2 ** 32))
-def test_right_tables_of_seeded_semidirect_products(seed):
-    _check_right_tables(semidirect(random_semidirect_action(random.Random(seed))))
+def test_left_tables_and_inverses_of_seeded_semidirect_products(seed):
+    action = random_semidirect_action(random.Random(seed))
+    _check_left_tables_and_inverses(semidirect(action))
 
 
 @settings(max_examples=30)
 @given(_matrix_generators())
-def test_right_tables_of_seeded_matrix_groups(gens):
+def test_left_tables_and_inverses_of_seeded_matrix_groups(gens):
     try:
         G = enumerate_group(gens, cap=500)
     except CapExceededError:
         return
-    _check_right_tables(G)
+    _check_left_tables_and_inverses(G)
 
 
 @pytest.mark.parametrize("G", [gl_group(2, Zmod(4)), special_linear(2, GF(4)),
                                gl_group(3, GF(2))], ids=repr)
-def test_right_tables_of_linear_groups(G):
-    _check_right_tables(G)
+def test_left_tables_and_inverses_of_linear_groups(G):
+    _check_left_tables_and_inverses(G)
 
 
-def test_right_tables_need_generators_that_generate():
+def test_groups_need_generators_that_generate():
     G = gl_group(2, GF(3))
     with pytest.raises(WorkbenchError, match="reach 3 of its 48 elements"):
         FiniteGroup(G.elements, G.op, G.identity, generators=G.generators[:1],

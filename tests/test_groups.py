@@ -101,7 +101,7 @@ def test_generators_that_span_a_proper_subgroup_are_rejected():
     # when it is made
     with pytest.raises(WorkbenchError, match="reach 3 of its 6 elements"):
         FiniteGroup(range(6), lambda a, b: (a + b) % 6, 0,
-                    inv=lambda a: (-a) % 6, generators=[2], name="Z_6")
+                    generators=[2], name="Z_6")
     with pytest.raises(WorkbenchError, match="reach 1 of its 2 elements"):
         FiniteGroup(range(2), lambda a, b: (a + b) % 2, 0, generators=[0])
 
@@ -221,11 +221,23 @@ def test_action_check_catches_non_automorphism():
     # each power of 2 is an automorphism of Z_5, but 2^3 = 3 is not 2^0 = 1
     (3, 5, lambda k, h: h * 2 ** k % 5,
      r"action map is not a homomorphism into Aut\(H\)"),
+    # inversion fixes e but reverses products on a nonabelian target
+    (2, "sym:3", lambda k, h: h.inverse() if k else h,
+     "generator does not act by a homomorphism"),
+    (2, "q8", lambda k, h: h.inverse() if k else h,
+     "generator does not act by a homomorphism"),
+    # right translation by a transposition conjugates each right
+    # multiplication to another, but moves e
+    (2, "sym:3", lambda k, h: h * Perm.transposition(3, 0, 1) if k else h,
+     "generator does not act by a homomorphism"),
 ])
 def test_action_check_rejects_each_broken_law(acting, target, mapping, message):
     from modelk.errors import InvalidActionError
 
-    bad = GroupAction(cyclic(acting), cyclic(target), mapping)
+    # an int is the order of a cyclic group, a string a group spec
+    acting, target = (cyclic(x) if isinstance(x, int) else by_name(x)
+                      for x in (acting, target))
+    bad = GroupAction(acting, target, mapping)
     with pytest.raises(InvalidActionError, match=message):
         bad.check()
 

@@ -137,7 +137,7 @@ def _semidirect_affine(n, ring, copies):
             for i in range(length) for c in _additive_generators(ring)]
     V = FiniteGroup(product(ring.elements, repeat=length),
                     lambda a, b: tuple(map(ring.add, a, b)), zero,
-                    inv=lambda a: tuple(map(ring.neg, a)), generators=gens,
+                    generators=gens,
                     name=f"({ring})^{length}", cap=None)
 
     def act(m, vec):

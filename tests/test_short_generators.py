@@ -39,7 +39,7 @@ def _long_gl_generators(n, ring):
 def _regenerated(G, gens):
     """G's elements with another list of generators, which must generate
     them."""
-    return FiniteGroup(G.elements, G.op, G.identity, inv=G.inv,
+    return FiniteGroup(G.elements, G.op, G.identity,
                        generators=gens, name=G.name, cap=None)
 
 
