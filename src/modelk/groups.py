@@ -17,6 +17,15 @@ and refuses generators that do not generate it, so every abelianization,
 normality test and action check may rely on them.  The generators' left
 multiplication tables and all inverses are read off that tree, each in one
 pass over the elements.
+
+`abelianization` reduces the exponent sums of a complete set of relators
+on a group's generators, which the group gives (`_relators`) from one of
+two sources.  A listed group gives its Cayley-edge relators, read off the
+tree: the Schreier relators of the one-level chain for its regular
+action.  GL_n, SL_n and Aff_n give those of a stabilizer chain for their
+action on column vectors (see `matrix_groups`): such a group is an
+`_UnlistedGroup`, made from its order and those relators, and it runs the
+closure and `_setup` only when something first needs its elements.
 """
 
 from __future__ import annotations
@@ -78,9 +87,10 @@ class FiniteGroup:
     `_tree` is a breadth-first spanning tree of that graph from the
     identity: the indices in the order reached, and two lists with
     parent[y] = x and via[y] = i where elements[x] * g_i = elements[y] (the
-    identity is its own parent).  Both are built when the group is made,
-    which raises WorkbenchError when an operation leaves the elements or
-    the generators reach only some of them.  The constructor refuses more
+    identity is its own parent).  Both are built when the group is made
+    (an `_UnlistedGroup` builds them on first use), which raises
+    WorkbenchError when an operation leaves the elements or the generators
+    reach only some of them.  The constructor refuses more
     elements than `cap` (see `check_order`); a group is not capped after it
     is made.  `_left_tables` (per generator g, entry i is the index of
     g * elements[i]) and `_inverses` (the index of each element's inverse,
@@ -223,6 +233,11 @@ class FiniteGroup:
     def inv(self, a):
         return self.elements[self._inverses[self.index_of(a)]]
 
+    def _relators(self):
+        """Exponent-sum rows, over the generators, of a complete set of
+        relators for `abelianization`: the Cayley-edge relators."""
+        return _cayley_relators(self)
+
     def element_order(self, a) -> int:
         n, x = 1, a
         while x != self.identity:
@@ -300,6 +315,17 @@ def _closure(start, steps, cap, key, name=""):
     return ordered, images
 
 
+def _generator_closure(gens, cap, name):
+    """The closure of `gens` under `mul`, in `enumerate_group`'s order, as
+    `_setup` takes it: its keys, their keying, the identity and the
+    generators' images of the keys."""
+    identity = gens[0].identity_like()
+    keying = _keying(mul, identity, gens)
+    ordered, images = _closure(keying.encode([identity])[0],
+                               [keying.step(g) for g in gens], cap, keying.order, name)
+    return ordered, keying, identity, images
+
+
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
     levels from the identity, each level sorted by `element_key`.
@@ -315,12 +341,47 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
         # permutation is a bijection by construction
         if not getattr(g, "is_invertible", lambda: True)():
             g.inverse()
-    identity = gens[0].identity_like()
-    keying = _keying(mul, identity, gens)
-    ordered, images = _closure(keying.encode([identity])[0],
-                               [keying.step(g) for g in gens], cap, keying.order, name)
+    ordered, keying, identity, images = _generator_closure(gens, cap, name)
     return FiniteGroup._from_keys(ordered, keying, mul, identity, generators=gens,
                                   name=name, images=images)
+
+
+class _UnlistedGroup(FiniteGroup):
+    """The closure of `generators` under `mul`, made from its order and the
+    exponent-sum rows of a complete set of relators on its generators
+    (a stabilizer chain's, see `matrix_groups`) before any element is
+    listed.  The first read of an attribute that `_setup` sets, which
+    `elements`, `index_of`, `in`, `_tables` and `_tree` all make, runs
+    `enumerate_group`'s closure and `_setup`, so the elements come in the
+    order that `enumerate_group` lists them."""
+
+    # what FiniteGroup._setup sets from the keys
+    _LISTING = frozenset({"_keys", "_keying", "_key_index", "_start", "_tables",
+                          "_tree"})
+
+    def __init__(self, generators, order, relators, name):
+        self.generators = tuple(generators)
+        self.op, self.identity = mul, self.generators[0].identity_like()
+        self.name, self._abelian = name, None
+        self._order, self._relator_rows = order, relators
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    def __len__(self) -> int:
+        return self._order
+
+    def _relators(self):
+        return self._relator_rows
+
+    def __getattr__(self, attr):
+        if attr not in self._LISTING:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        ordered, keying, identity, images = _generator_closure(self.generators, None,
+                                                               self.name)
+        self._setup(ordered, keying, mul, identity, self.generators, self.name, images)
+        return getattr(self, attr)
 
 
 def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
@@ -454,34 +515,77 @@ def abelianization(G: FiniteGroup, action: GroupAction | None = None) -> AbInvar
     """Invariant factors of G^ab, or of its coinvariants under `action` on G,
     which it checks (see `GroupAction.check`) and which must target G.
 
-    A breadth-first search from the identity over G's k generators reaches
-    each element x along a word whose exponent sums form v(x) in Z^k.  Each
-    Cayley edge x * g_i = y gives the relator v(x) + e_i - v(y), and G^ab is
-    Z^k modulo the lattice L these relators span (Reidemeister-Schreier).
-    An action adds the rows v(act(g, h_i)) - e_i over acting generators g
-    and G's generators h_i.  The Smith form of a basis of L gives the
-    invariant factors.
+    G^ab is Z^k, k the number of G's generators, modulo the lattice L of
+    exponent sums of its relators, and a complete set of relators spans L.
+    G gives them (`_relators`): a group listed from the start gives its
+    Cayley-edge relators (`_cayley_relators`), and one made from a
+    stabilizer chain gives the chain's (see `matrix_groups`).  An action
+    adds rows to the Cayley-edge relators, which lists G first.  The Smith
+    form of a basis of L gives the invariant factors.
 
     L is kept as an upper-triangular Hermite basis B mod a modulus m with
-    m * Z^k in L.  At first m = |G|, which is sound because the g_i-cycle
-    through x puts ord(g_i) * e_i, hence |G| * e_i, in L.  The product d of
-    B's pivots is the index of span(B) in Z^k, so d * Z^k lies in span(B),
-    inside L; hence so does gcd(d, m) * Z^k.  Whenever that gcd falls below
-    m it becomes the modulus: B is reduced mod it, and so is each relator
-    after.  A reduced relator equal to one already added lies in L and is
-    skipped, so at most m^k relators are reduced at modulus m.
+    m * Z^k in L.  At first m = |G|, which is sound because |G| kills G^ab
+    and its quotients.  The product d of B's pivots is the index of span(B)
+    in Z^k, so d * Z^k lies in span(B), inside L; hence so does
+    gcd(d, m) * Z^k.  Whenever that gcd falls below m it becomes the
+    modulus: B is reduced mod it, and so is each relator after.  A reduced
+    relator equal to one already added lies in L and is skipped, so at most
+    m^k relators are reduced at modulus m.
+    """
+    if action is None:
+        relators = G._relators()
+    else:
+        if action.target is not G and action.target != G:
+            raise WorkbenchError("action does not target the given group")
+        action.check()
+        relators = _cayley_relators(G, action)
+    k = len(G.generators)
+    m = G.order
+    basis = _scaled_identity(k, m)
+    seen = {(0,) * k}
+    for r in relators:
+        row = tuple([x % m for x in r])
+        if row in seen:
+            continue
+        seen.add(row)
+        if _add_relator(basis, row, m):
+            d = gcd(m, prod(basis[j][j] for j in range(k)))
+            if d < m:
+                m, old = d, basis
+                basis = _scaled_identity(k, m)
+                for b in old:
+                    _add_relator(basis, b, m)
+                if m == 1:
+                    break
+    # Z^k / (span(B) + m * Z^k) depends only on B's Smith form, shared by its
+    # transpose: alternating row and column Hermite bases reach a diagonal
+    while any(basis[i][j] for i in range(k) for j in range(i + 1, k)):
+        columns = zip(*basis)
+        basis = _scaled_identity(k, m)
+        for column in columns:
+            _add_relator(basis, column, m)
+    return invariants_from_factors(basis[j][j] for j in range(k))
+
+
+def _cayley_relators(G: FiniteGroup, action: GroupAction | None = None):
+    """The exponent-sum rows of G's Cayley-edge relators, and of an
+    action's, each distinct row once.
+
+    A breadth-first search from the identity over G's k generators reaches
+    each element x along a word whose exponent sums form v(x) in Z^k.  Each
+    Cayley edge x * g_i = y gives the relator v(x) + e_i - v(y)
+    (Reidemeister-Schreier): these are the Schreier relators of the chain
+    for G's regular action, which has one level, orbit G and trivial
+    stabilizer.  An action adds the rows v(act(g, h_i)) - e_i over acting
+    generators g and G's generators h_i.
 
     The search is G's spanning tree and the edges are its generator tables,
     with each vector packed into one int of k digits of s bits.  Each v(x)
     has coordinates in [0, D], D the depth of the search tree, taken at
     least 1, so a relator's coordinates lie in [-D, D + 1]; with D added to
     each digit they fit in s = (2D + 1).bit_length() bits.  Only the
-    distinct relators are unpacked.
+    distinct relators are unpacked, as they are read.
     """
-    if action is not None:
-        if action.target is not G and action.target != G:
-            raise WorkbenchError("action does not target the given group")
-        action.check()
     tables = G._tables
     reached, parent, via = G._tree
     k, n = len(tables), G.order
@@ -505,32 +609,9 @@ def abelianization(G: FiniteGroup, action: GroupAction | None = None) -> AbInvar
                              for unit, h in zip(units, G.generators)])
     offset, mask = sum(depth * unit for unit in units), (1 << s) - 1
     shifts = [s * i for i in range(k)]
-    m = n
-    basis = _scaled_identity(k, m)
-    seen = {(0,) * k}
     for r in relators:
         r += offset
-        row = tuple([((r >> shift & mask) - depth) % m for shift in shifts])
-        if row in seen:
-            continue
-        seen.add(row)
-        if _add_relator(basis, row, m):
-            d = gcd(m, prod(basis[j][j] for j in range(k)))
-            if d < m:
-                m, old = d, basis
-                basis = _scaled_identity(k, m)
-                for b in old:
-                    _add_relator(basis, b, m)
-                if m == 1:
-                    break
-    # Z^k / (span(B) + m * Z^k) depends only on B's Smith form, shared by its
-    # transpose: alternating row and column Hermite bases reach a diagonal
-    while any(basis[i][j] for i in range(k) for j in range(i + 1, k)):
-        columns = zip(*basis)
-        basis = _scaled_identity(k, m)
-        for column in columns:
-            _add_relator(basis, column, m)
-    return invariants_from_factors(basis[j][j] for j in range(k))
+        yield tuple([(r >> shift & mask) - depth for shift in shifts])
 
 
 class GroupAction:

@@ -1,24 +1,32 @@
 """Linear and affine groups over small rings, all held on matrix codes (see
 `matrices`), and their abelianization checks.
 
-Every group here is the closure (`groups.enumerate_group`) of a short
-generating set: e_12 over an additive basis of the ring, one signed
-n-cycle, and for GL one diagonal per generator of the unit group.  GL_n,
-SL_n and Aff_n check the closure's order against a closed form, which
-proves that the generators generate the whole group, and refuse an order
-over the cap before they build any generator.
+Every group here is generated by a short set: e_12 over an additive basis
+of the ring, one signed n-cycle, and for GL one diagonal per generator of
+the unit group.  E_n is listed as their closure (`groups.enumerate_group`)
+when it is made.  GL_n, SL_n and Aff_n refuse an order over the cap from a
+closed form before they build any generator, and then build a stabilizer
+chain of the generators for their action on column vectors
+(`_stabilizer_chain`) instead of listing them.  The product of its orbit
+lengths, checked against the closed form, proves that the generators
+generate the whole group, and its Schreier generators give the relators
+that `groups.abelianization` reduces.  Such a group lists its elements,
+in the closure's order, only when a caller first asks for them (see
+`groups._UnlistedGroup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from .errors import DEFAULT_CAP, WorkbenchError
-from .groups import (AbInvariants, FiniteGroup, abelianization, check_order,
-                     enumerate_group, invariants_from_factors)
+from .groups import (AbInvariants, FiniteGroup, _UnlistedGroup, abelianization,
+                     check_order, enumerate_group, invariants_from_factors)
 from .matrices import Mat
-from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
+from .rings import (GF, MatRing, UnitSumWitness, _factor_prime_power, _prime_powers,
+                    unit_sum_witness)
 
 
 def gl_order_field(n: int, q: int) -> int:
@@ -147,35 +155,149 @@ def gl_order(n: int, ring: MatRing) -> int:
                 for p, k in _prime_powers(ring.size))
 
 
+class _Orbit:
+    """Level l of a stabilizer chain: the orbit of e_l under the strong
+    generators that fix e_1, ..., e_(l-1) (`gens`, indices into the chain's
+    list).  Point i has a transversal element u_i with u_i e_l = points[i]:
+    `columns[i]` holds u_i e_c for c >= l (its first entry is the point),
+    `inverses[i]` the rows of u_i^-1 (None for u_0, the identity) and
+    `sums[i]` the exponent sums of its word.  `done[i]` counts the generators paired with point i so far, and
+    every point before `cursor` is paired with all of them."""
+
+    def __init__(self, columns, zero):
+        self.points, self.index = [columns[0]], {columns[0]: 0}
+        self.columns, self.inverses, self.sums = [columns], [None], [zero]
+        self.done, self.gens, self.cursor = [0], [], 0
+
+
+def _stabilizer_chain(gens: list[Mat]) -> tuple[int, list[tuple[int, ...]]]:
+    """The order of the group that the matrices `gens` generate, and the
+    exponent-sum rows, over `gens`, of a complete set of its relators.
+
+    Deterministic Schreier-Sims (C. C. Sims, Computation with Finitely
+    Presented Groups, 1994; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4) on column vectors, with base
+    e_1, ..., e_n: only the identity fixes them all, so the order is the
+    product of the orbit lengths.  Products come from the `mul` kernel and
+    images of points from `apply`; no element of the group is listed.
+
+    Level l pairs each orbit point w with each of its generators s.  When
+    s w is new, it joins the orbit with u_(s w) = s u_w.  Otherwise the
+    Schreier generator h = u_(s w)^-1 s u_w fixes e_1, ..., e_l and sifts
+    through the deeper levels: at level j, if h e_j is a point x, h becomes
+    u_x^-1 h.  Only the images h e_c of the later base vectors are kept, so
+    a sift multiplies vectors, not matrices.  A sift that finds a point at
+    every deeper level leaves the identity, and the relator h = u_x ... u_y
+    of Sims' presentation (ch. 6 of the Handbook): its row is the exponent
+    sums of h's word less those of the transversals it passed.  A sift
+    that stops at level j, where h e_j is no point, leaves a residue that
+    fixes e_1, ..., e_(j-1).  It joins the strong generators of levels 1
+    to j, carrying the exponent sums of its word, which substitutes it out
+    of every relator, and the search resumes at level j.  The levels are
+    finished from the last to the first, so the levels below the one being
+    paired are always complete, and each residue grows an orbit.  A
+    generator equal to the identity gives the row e_i.
+    """
+    first = gens[0]
+    ring, n, k = first.ring, first.n, len(gens)
+    mul, apply = first._k.mul, first._k.apply
+    basis = Mat.identity(ring, n).rows  # row c is e_c
+    zero = (0,) * k
+    levels = [_Orbit(basis[l:], zero) for l in range(n)]
+    strong, relators = [], []
+
+    def add_strong(rows, inverse, sums):
+        level = next((c for c, column in enumerate(zip(*rows)) if column != basis[c]),
+                     None)
+        if level is None:
+            relators.append(sums)
+            return None
+        strong.append((rows, inverse, sums))
+        for orbit in levels[:level + 1]:
+            orbit.gens.append(len(strong) - 1)
+            orbit.cursor = 0
+        return level
+
+    def finish(i):
+        """Pair level i's points with its generators; the level of a new
+        strong generator, or None when every pair is done."""
+        orbit = levels[i]
+        points, index, columns = orbit.points, orbit.index, orbit.columns
+        inverses, sums, done = orbit.inverses, orbit.sums, orbit.done
+        p = orbit.cursor
+        while p < len(points):
+            for t in orbit.gens[done[p]:]:
+                done[p] += 1
+                s, s_inverse, s_sums = strong[t]
+                moved = [apply(s, c) for c in columns[p]]
+                q = index.get(moved[0])
+                if q is None:
+                    index[moved[0]] = len(points)
+                    points.append(moved[0])
+                    columns.append(moved)
+                    inverses.append(mul(inverses[p], s_inverse) if p else s_inverse)
+                    sums.append(tuple(map(add, sums[p], s_sums)))
+                    done.append(0)
+                    continue
+                row = [a + b - c for a, b, c in zip(s_sums, sums[p], sums[q])]
+                images = moved[1:]
+                if q:
+                    images = [apply(inverses[q], v) for v in images]
+                for j, deeper in enumerate(levels[i + 1:], i + 1):
+                    x = deeper.index.get(images[0])
+                    if x is None:
+                        rows = tuple(zip(*(basis[:j] + tuple(images))))
+                        return add_strong(rows, Mat(ring, rows).inverse().rows,
+                                          tuple(row))
+                    del images[0]
+                    if x:
+                        images = [apply(deeper.inverses[x], v) for v in images]
+                        row = [a - b for a, b in zip(row, deeper.sums[x])]
+                if any(row):
+                    relators.append(tuple(row))
+            p += 1
+        orbit.cursor = p
+        return None
+
+    for i, g in enumerate(gens):
+        add_strong(g.rows, g.inverse().rows, tuple(int(i == j) for j in range(k)))
+    i = n - 1
+    while i >= 0:
+        level = finish(i)
+        i = i - 1 if level is None else level
+    return prod(len(orbit.points) for orbit in levels), relators
+
+
 def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
                        name: str, cap) -> FiniteGroup:
-    """The closure of generators(), n x n matrices checked to have dets in
-    `dets`, inside a group of `order` matrices that holds them; equal
-    orders, checked, prove it is that group.  CapExceededError before any
-    generator is built when `order` is over the cap; WorkbenchError when a
-    check fails."""
+    """The group that generators(), n x n matrices checked to have dets in
+    `dets`, generate inside a group of `order` matrices that holds them;
+    its stabilizer chain's order, checked equal, proves that it is that
+    group.  CapExceededError before any generator is built when `order` is
+    over the cap; WorkbenchError when a check fails.  The group lists its
+    elements on first use (see `groups._UnlistedGroup`)."""
     check_order(order, cap, name)
     gens = generators() or [Mat.identity(ring, n)]
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
-    G = enumerate_group(gens, cap=cap, name=name)
-    if G.order != order:
-        raise WorkbenchError(f"{name}'s generators reach {G.order} of {order} elements")
-    return G
+    reached, relators = _stabilizer_chain(gens)
+    if reached != order:
+        raise WorkbenchError(f"{name}'s generators reach {reached} of {order} elements")
+    return _UnlistedGroup(gens, order, relators, name)
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n over the ring: the closure of e_12(1), the signed n-cycle and
-    one diagonal per generator of R^x (see `_gl_generators`), checked to
-    have `gl_order` elements."""
+    """GL_n over the ring: the group generated by e_12(1), the signed
+    n-cycle and one diagonal per generator of R^x (see `_gl_generators`),
+    its chain checked to have `gl_order` elements."""
     return _closed_form_group(n, ring, lambda: _gl_generators(n, ring),
                               set(ring.units()), gl_order(n, ring),
                               name=f"GL_{n}({ring})", cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """SL_n over the ring: the closure of `_sl_generators`, checked to have
-    det 1 and |GL_n| / |R^x| elements, which proves E_n = SL_n."""
+    """SL_n over the ring: the group generated by `_sl_generators`, checked
+    to have det 1 and |GL_n| / |R^x| elements, which proves E_n = SL_n."""
     return _closed_form_group(n, ring, lambda: _sl_generators(n, ring), {ring.one},
                               gl_order(n, ring) // len(ring.units()),
                               name=f"SL_{n}({ring})", cap=cap)
@@ -249,11 +371,11 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     """GL_n acting diagonally on `copies` column blocks of R^n, as the
     (n + copies)-square block matrices [[A, V], [0, I]], A in GL_n.
 
-    It is closed from `_gl_generators`, embedded as diag(A, I), and the
+    It is generated by `_gl_generators`, embedded as diag(A, I), and the
     translations e_(1, n+j)(1), j = 1..copies.  Conjugating by diag(A, I)
     takes column v of block j to A v; GL_n is transitive on the unimodular
-    vectors, which span R^n, so the closure holds every translation, hence
-    is all of Aff.  Products keep the block form, so the closure lies in
+    vectors, which span R^n, so the group holds every translation, hence
+    is all of Aff.  Products keep the block form, so the group lies in
     Aff, and `_closed_form_group` confirms this by its order,
     |R|^(n copies) |GL_n| (see `gl_order`), refusing one over the cap before
     any generator is built.  No element of GL_n is listed.
@@ -271,3 +393,22 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
     return _closed_form_group(n + copies, ring, generators, set(ring.units()),
                               ring.size ** (n * copies) * gl_order(n, ring),
                               name=f"Aff_{n}({ring})^{copies}", cap=cap)
+
+
+# each kind of group over F_q: its constructor, and the name and closed-form
+# order that the constructor gives it, from n and q alone
+FIELD_GROUPS = {
+    "gl": (gl_group, "GL_{n}(F_{q})", gl_order_field),
+    "sl": (special_linear, "SL_{n}(F_{q})", lambda n, q: gl_order_field(n, q) // (q - 1)),
+    "aff": (affine_group, "Aff_{n}(F_{q})^1", lambda n, q: q ** n * gl_order_field(n, q)),
+}
+
+
+def field_group(kind: str, n: int, q: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
+    """GL_n(F_q), SL_n(F_q) or Aff_n(F_q) for kind gl, sl or aff.  When q is a
+    prime power and n >= 1, CapExceededError from the closed-form order
+    comes before GF(q), which fills two q x q tables, is made."""
+    make, name, order = FIELD_GROUPS[kind]
+    if n >= 1 and _factor_prime_power(q):
+        check_order(order(n, q), cap, name.format(n=n, q=q))
+    return make(n, GF(q), cap=cap)
