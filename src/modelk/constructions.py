@@ -11,18 +11,26 @@ is realized concretely as the index-permutation semidirect product, so both
 constructions share one source of truth.  A semidirect product's generator
 tables come from its factors' tables and the action's index table, not from
 products of pairs, and `semidirect` builds them with the group.
+
+Sym(k) and wreath products act faithfully on points (`_on_points`), and
+past a small order they take their relators from the stabilizer chain of
+that action (`groups.stabilizer_chain`), checked against their order, and
+list their elements, in the same order as a listing made at once, only on
+first use.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import permutations, product
 from math import factorial
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DEFAULT_CAP, WorkbenchError
-from .groups import (AbInvariants, FiniteGroup, GroupAction, _keying,
-                     abelianization, check_order)
+from .groups import (AbInvariants, FiniteGroup, GroupAction, PointAction,
+                     _index_action, _keying, _UnlistedGroup, abelianization,
+                     check_order, stabilizer_chain)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
@@ -34,18 +42,35 @@ def direct_power(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteG
     name = name or f"{K.name or 'K'}^{k}"
     check_order(K.order ** k, cap, name)
 
-    def op(a, b):
-        return tuple(K.op(x, y) for x, y in zip(a, b))
-
-    identity = (K.identity,) * k
     elements = list(product(K.elements, repeat=k))
+    return FiniteGroup(elements, _power_op(K.op), (K.identity,) * k,
+                       generators=_power_generators(K, k), name=name, cap=None)
+
+
+def _power_op(op):
+    """The componentwise product on tuples of a group's elements."""
+    def power_op(a, b):
+        return tuple(op(x, y) for x, y in zip(a, b))
+    return power_op
+
+
+def _power_generators(K: FiniteGroup, k: int) -> list[tuple]:
+    """The generators of K^k: each generator of K in each slot, the other
+    slots the identity."""
     gens = []
     for i in range(k):
         for g in K.generators:
             t = [K.identity] * k
             t[i] = g
             gens.append(tuple(t))
-    return FiniteGroup(elements, op, identity, generators=gens, name=name, cap=None)
+    return gens
+
+
+def _pair_op(h_op, act, k_op):
+    """(h, k)(h', k') = (h * act(k, h'), k k')."""
+    def pair_op(a, b):
+        return (h_op(a[0], act(a[1], b[0])), k_op(a[1], b[1]))
+    return pair_op
 
 
 def _semidirect_tables(action: GroupAction) -> list[array]:
@@ -80,9 +105,7 @@ def semidirect(action: GroupAction, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
     check_order(H.order * K.order, cap, name)
     action.check()
 
-    def op(a, b):
-        return (H.op(a[0], act(a[1], b[0])), K.op(a[1], b[1]))
-
+    op = _pair_op(H.op, act, K.op)
     elements = [(h, k) for h in H.elements for k in K.elements]
     identity = (H.identity, K.identity)
     gens = [(h, K.identity) for h in H.generators] + [(H.identity, k) for k in K.generators]
@@ -91,17 +114,44 @@ def semidirect(action: GroupAction, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
                                   tables=_semidirect_tables(action))
 
 
+def _on_points(gens, op, identity, order: int, name: str, points: PointAction,
+               listing) -> FiniteGroup:
+    """The group of `order` elements that `gens` generate, acting faithfully
+    through `points` (an `_index_action` on d points), which it keeps as
+    `_points`.  `listing` lists it.
+
+    When d^2 < order it is an `_UnlistedGroup` whose relators come, on first
+    use, from its stabilizer chain on the points, checked to reach `order`.
+    Otherwise it is listed now: a chain's first level alone can hold d
+    transversal elements of d images each, more than the group has
+    elements, and the listed group's Cayley-edge relators are the one-level
+    chain of its regular action."""
+    degree = len(points.base)
+    if degree * degree < order:
+        G = _UnlistedGroup(gens, order, partial(stabilizer_chain, gens, points), name,
+                           op=op, identity=identity, listing=listing)
+    else:
+        G = listing()
+    G._points = points
+    return G
+
+
 def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """Sym(k) on image tuples, adjacent transpositions as generators; Sym(1)
-    is the trivial group.  The element list is lexicographic in the images,
-    which is deterministic."""
+    is the trivial group.  It acts on its k points (see `_on_points`).  The
+    element list is lexicographic in the images, which is deterministic."""
     if k < 1:
         raise WorkbenchError(f"need a degree of at least 1, not {k}")
     name = f"Sym({k})"
-    check_order(factorial(k), cap, name)
-    return FiniteGroup(map(Perm, permutations(range(k))), mul, Perm.identity(k),
-                       generators=[Perm.transposition(k, i, i + 1) for i in range(k - 1)],
-                       name=name, cap=None)
+    order = factorial(k)
+    check_order(order, cap, name)
+    identity = Perm.identity(k)
+    gens = [Perm.transposition(k, i, i + 1) for i in range(k - 1)]
+    return _on_points(gens, mul, identity, order, name,
+                      _index_action(k, attrgetter("images")),
+                      lambda: FiniteGroup(map(Perm, permutations(range(k))), mul,
+                                          identity, generators=gens, name=name,
+                                          cap=None))
 
 
 def alternating_elements(k: int) -> set[Perm]:
@@ -119,21 +169,50 @@ def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup, *,
     return GroupAction(L, base, act, name=f"index permutation on {base.name}")
 
 
+def _regular_points(K: FiniteGroup) -> PointAction:
+    """K acting on its element indices by left multiplication, read off its
+    spanning tree (see `FiniteGroup._left_multiplications`)."""
+    return _index_action(K.order, lambda x: tuple(
+        K._left_multiplications([K.index_of(x)])[0]))
+
+
 def wreath(K: FiniteGroup, k: int, L: FiniteGroup | None = None, *,
            name="", cap=DEFAULT_CAP) -> FiniteGroup:
-    """Restricted wreath product K wr L with L <= Sym(k) (default Sym(k))."""
+    """Restricted wreath product K wr L with L <= Sym(k) (default Sym(k)),
+    listed as the index-permutation semidirect product.
+
+    It acts on d k points, block i of the d points of slot i, where K acts
+    on d points: through its own `_points` when it has them (Sym(k) and
+    wreath products) and by its regular action otherwise.  (h, l) takes
+    point x of block i to point h_(l(i)) x of block l(i); see `_on_points`.
+    L's generators must be permutations of degree k, and they generate it.
+    """
     if k < 1:
         raise WorkbenchError(f"need a degree of at least 1, not {k}")
     top = f"Sym({k})" if L is None else L.name
     name = name or f"{K.name or 'K'} wr {top}"
-    check_order(K.order ** k * (factorial(k) if L is None else L.order), cap, name)
+    order = K.order ** k * (factorial(k) if L is None else L.order)
+    check_order(order, cap, name)
     if L is None:
         L = symmetric_group(k, cap=cap)
-    for l in L.elements:
+    for l in L.generators:
         if not isinstance(l, Perm) or l.degree != k:
             raise WorkbenchError("top group must consist of degree-k permutations")
-    action = index_permutation_action(K, k, L, cap=cap)
-    return semidirect(action, name=name, cap=cap)
+    points = K._points or _regular_points(K)
+    d, slot = len(points.base), points.form
+
+    def form(pair):
+        t, l = pair
+        return tuple([j * d + y for j in l.images for y in slot(t[j])])
+
+    base_identity = (K.identity,) * k
+    gens = ([(t, L.identity) for t in _power_generators(K, k)]
+            + [(base_identity, l) for l in L.generators])
+    return _on_points(
+        gens, _pair_op(_power_op(K.op), permute_tuple, L.op), (base_identity, L.identity),
+        order, name, _index_action(d * k, form),
+        lambda: semidirect(index_permutation_action(K, k, L, cap=None), name=name,
+                           cap=None))
 
 
 def check_semidirect_ab(action: GroupAction, *, cap=DEFAULT_CAP) -> VerificationReport:

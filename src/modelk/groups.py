@@ -22,10 +22,14 @@ pass over the elements.
 on a group's generators, which the group gives (`_relators`) from one of
 two sources.  A listed group gives its Cayley-edge relators, read off the
 tree: the Schreier relators of the one-level chain for its regular
-action.  GL_n, SL_n and Aff_n give those of a stabilizer chain for their
-action on column vectors (see `matrix_groups`): such a group is an
-`_UnlistedGroup`, made from its order and those relators, and it runs the
-closure and `_setup` only when something first needs its elements.
+action.  A group made with a faithful action on points gives those of its
+stabilizer chain for that action (`stabilizer_chain`, one Schreier-Sims
+routine for any `PointAction`): GL_n, SL_n and Aff_n act on column
+vectors (see `matrix_groups`), and Sym(k) and wreath products on
+0, ..., d - 1 by index lookup (see `constructions`).  Such a group is an
+`_UnlistedGroup`, made from its order and a chain that runs on first use,
+and it lists itself, and runs `_setup`, only when something first needs
+its elements.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
+from operator import add, getitem, mul
 from typing import Callable, NamedTuple
 
 from .errors import (DEFAULT_CAP, CapExceededError, InvalidActionError,
@@ -95,7 +99,13 @@ class FiniteGroup:
     is made.  `_left_tables` (per generator g, entry i is the index of
     g * elements[i]) and `_inverses` (the index of each element's inverse,
     which `inv` looks up) are read off the tree on first use.
+
+    `_points` is None, or a `PointAction` on 0, ..., d - 1 that a
+    permutation group or wreath product is made with (see `constructions`);
+    a wreath product of the group acts through it.
     """
+
+    _points = None
 
     def __init__(self, elements, op, identity, generators=(), name="",
                  cap=DEFAULT_CAP):
@@ -315,17 +325,6 @@ def _closure(start, steps, cap, key, name=""):
     return ordered, images
 
 
-def _generator_closure(gens, cap, name):
-    """The closure of `gens` under `mul`, in `enumerate_group`'s order, as
-    `_setup` takes it: its keys, their keying, the identity and the
-    generators' images of the keys."""
-    identity = gens[0].identity_like()
-    keying = _keying(mul, identity, gens)
-    ordered, images = _closure(keying.encode([identity])[0],
-                               [keying.step(g) for g in gens], cap, keying.order, name)
-    return ordered, keying, identity, images
-
-
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
     levels from the identity, each level sorted by `element_key`.
@@ -341,29 +340,189 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
         # permutation is a bijection by construction
         if not getattr(g, "is_invertible", lambda: True)():
             g.inverse()
-    ordered, keying, identity, images = _generator_closure(gens, cap, name)
+    identity = gens[0].identity_like()
+    keying = _keying(mul, identity, gens)
+    ordered, images = _closure(keying.encode([identity])[0],
+                               [keying.step(g) for g in gens], cap, keying.order, name)
     return FiniteGroup._from_keys(ordered, keying, mul, identity, generators=gens,
                                   name=name, images=images)
 
 
+class PointAction(NamedTuple):
+    """A faithful action of a group on points, as `stabilizer_chain` reads
+    it.  form(g) is how the chain holds the group element g; base lists
+    points that only the identity fixes; apply(f, x) is the image of the
+    point x under the element held as f; mul(f, f') holds the product,
+    which acts as f' and then f; and element(images) holds the element
+    that takes base[c] to images[c], and its inverse, as a pair."""
+
+    form: Callable
+    base: tuple
+    apply: Callable
+    mul: Callable
+    element: Callable
+
+
+def _compose(f, g):
+    return tuple([f[y] for y in g])
+
+
+def _with_inverse(images):
+    inverse = [0] * len(images)
+    for x, y in enumerate(images):
+        inverse[y] = x
+    return tuple(images), tuple(inverse)
+
+
+def _index_action(degree: int, form: Callable) -> PointAction:
+    """An action on the points 0, ..., degree - 1, each element held as the
+    tuple of its images, which `form` gives; every point is a base point."""
+    return PointAction(form, tuple(range(degree)), getitem, _compose, _with_inverse)
+
+
+class _Orbit:
+    """Level l of a stabilizer chain: the orbit of base[l] under the strong
+    generators that fix base[0], ..., base[l-1] (`gens`, indices into the
+    chain's list).  Point i has a transversal element u_i with u_i base[l]
+    = points[i]: `columns[i]` holds u_i base[c] for c >= l (its first entry
+    is the point), `inverses[i]` the form of u_i^-1 (None for u_0, the
+    identity) and `sums[i]` the exponent sums of its word.  `done[i]`
+    counts the generators paired with point i so far, and every point
+    before `cursor` is paired with all of them."""
+
+    def __init__(self, columns, zero):
+        self.points, self.index = [columns[0]], {columns[0]: 0}
+        self.columns, self.inverses, self.sums = [columns], [None], [zero]
+        self.done, self.gens, self.cursor = [0], [], 0
+
+
+def stabilizer_chain(gens, action: PointAction) -> tuple[int, list[tuple[int, ...]]]:
+    """The order of the group that `gens` generate, and the exponent-sum
+    rows, over `gens`, of a complete set of its relators, from its
+    faithful action on points.
+
+    Deterministic Schreier-Sims (C. C. Sims, Computation with Finitely
+    Presented Groups, 1994; A. Seress, Permutation Group Algorithms, 2003,
+    ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005, ch. 4) on the action's base: only the identity fixes every base
+    point, so the order is the product of the orbit lengths.  Products and
+    images of points come from the action; no element of the group is
+    listed.  Matrices act on column vectors with base e_1, ..., e_n (see
+    `matrix_groups`), and permutations on their indices (`_index_action`).
+
+    Level l pairs each orbit point w with each of its generators s.  When
+    s w is new, it joins the orbit with u_(s w) = s u_w.  Otherwise the
+    Schreier generator h = u_(s w)^-1 s u_w fixes base[0], ..., base[l]
+    and sifts through the deeper levels: at level j, if h base[j] is a
+    point x, h becomes u_x^-1 h.  Only the images h base[c] of the later
+    base points are kept, so a sift moves points, not elements.  A sift
+    that finds a point at every deeper level leaves the identity, and the
+    relator h = u_x ... u_y of Sims' presentation (ch. 6 of the Handbook):
+    its row is the exponent sums of h's word less those of the
+    transversals it passed.  A sift that stops at level j, where h base[j]
+    is no point, leaves a residue that fixes base[0], ..., base[j-1].  It
+    joins the strong generators of levels 0 to j, carrying the exponent
+    sums of its word, which substitutes it out of every relator, and the
+    search resumes at level j.  The levels are finished from the last to
+    the first, so the levels below the one being paired are always
+    complete, and each residue grows an orbit.  A generator equal to the
+    identity gives the row e_i.
+    """
+    form, base, apply, mul, element = action
+    k = len(gens)
+    zero = (0,) * k
+    levels = [_Orbit(base[l:], zero) for l in range(len(base))]
+    strong, relators = [], []
+
+    def add_strong(images, sums):
+        """A strong generator from its images of the base points."""
+        level = next((c for c, (x, b) in enumerate(zip(images, base)) if x != b), None)
+        if level is None:
+            relators.append(sums)
+            return None
+        strong.append((*element(images), sums))
+        for orbit in levels[:level + 1]:
+            orbit.gens.append(len(strong) - 1)
+            orbit.cursor = 0
+        return level
+
+    def finish(i):
+        """Pair level i's points with its generators; the level of a new
+        strong generator, or None when every pair is done."""
+        orbit = levels[i]
+        points, index, columns = orbit.points, orbit.index, orbit.columns
+        inverses, sums, done = orbit.inverses, orbit.sums, orbit.done
+        p = orbit.cursor
+        while p < len(points):
+            for t in orbit.gens[done[p]:]:
+                done[p] += 1
+                s, s_inverse, s_sums = strong[t]
+                moved = [apply(s, c) for c in columns[p]]
+                q = index.get(moved[0])
+                if q is None:
+                    index[moved[0]] = len(points)
+                    points.append(moved[0])
+                    columns.append(moved)
+                    inverses.append(mul(inverses[p], s_inverse) if p else s_inverse)
+                    sums.append(tuple(map(add, sums[p], s_sums)))
+                    done.append(0)
+                    continue
+                row = [a + b - c for a, b, c in zip(s_sums, sums[p], sums[q])]
+                images = moved[1:]
+                if q:
+                    images = [apply(inverses[q], v) for v in images]
+                for j, deeper in enumerate(levels[i + 1:], i + 1):
+                    x = deeper.index.get(images[0])
+                    if x is None:
+                        return add_strong(base[:j] + tuple(images), tuple(row))
+                    del images[0]
+                    if x:
+                        images = [apply(deeper.inverses[x], v) for v in images]
+                        row = [a - b for a, b in zip(row, deeper.sums[x])]
+                if any(row):
+                    relators.append(tuple(row))
+            p += 1
+        orbit.cursor = p
+        return None
+
+    for i, g in enumerate(gens):
+        f = form(g)
+        add_strong([apply(f, b) for b in base], tuple(int(i == j) for j in range(k)))
+    i = len(base) - 1
+    while i >= 0:
+        level = finish(i)
+        i = i - 1 if level is None else level
+    return prod(len(orbit.points) for orbit in levels), relators
+
+
 class _UnlistedGroup(FiniteGroup):
-    """The closure of `generators` under `mul`, made from its order and the
-    exponent-sum rows of a complete set of relators on its generators
-    (a stabilizer chain's, see `matrix_groups`) before any element is
-    listed.  The first read of an attribute that `_setup` sets, which
-    `elements`, `index_of`, `in`, `_tables` and `_tree` all make, runs
-    `enumerate_group`'s closure and `_setup`, so the elements come in the
-    order that `enumerate_group` lists them."""
+    """A group made from its generators, its order and a complete set of
+    relators on those generators before any element is listed.
+
+    `relators` holds their exponent-sum rows, or is a chain: a thunk that
+    gives the order its generators reach and those rows (a
+    `stabilizer_chain`).  The first `_relators` call runs the chain and
+    raises WorkbenchError when it reaches another order, so a constructor
+    that must prove generation at once calls `_relators` when it makes the
+    group.  `listing` returns the same group listed, with the same
+    generators, by default `enumerate_group`'s closure of them under
+    `mul`.  The first read of an attribute that `_setup` sets, which
+    `elements`, `index_of`, `in`, `_tables` and `_tree` all make, calls it
+    once and takes those attributes from its result, so the elements come
+    in the listing's order."""
 
     # what FiniteGroup._setup sets from the keys
-    _LISTING = frozenset({"_keys", "_keying", "_key_index", "_start", "_tables",
-                          "_tree"})
+    _LISTING = ("_keys", "_keying", "_key_index", "_start", "_tables", "_tree")
 
-    def __init__(self, generators, order, relators, name):
-        self.generators = tuple(generators)
-        self.op, self.identity = mul, self.generators[0].identity_like()
+    def __init__(self, generators, order, relators, name, *, op=mul, identity=None,
+                 listing=None):
+        if identity is None:
+            identity = generators[0].identity_like()
+        self.generators = gens = tuple(generators) or (identity,)
+        self.op, self.identity = op, identity
         self.name, self._abelian = name, None
         self._order, self._relator_rows = order, relators
+        self._listing = listing or (lambda: enumerate_group(gens, cap=None, name=name))
 
     @property
     def order(self) -> int:
@@ -373,14 +532,20 @@ class _UnlistedGroup(FiniteGroup):
         return self._order
 
     def _relators(self):
+        if callable(self._relator_rows):
+            reached, rows = self._relator_rows()
+            if reached != self._order:
+                raise WorkbenchError(f"{self.name}'s generators reach {reached} of "
+                                     f"{self._order} elements")
+            self._relator_rows = rows
         return self._relator_rows
 
     def __getattr__(self, attr):
         if attr not in self._LISTING:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        ordered, keying, identity, images = _generator_closure(self.generators, None,
-                                                               self.name)
-        self._setup(ordered, keying, mul, identity, self.generators, self.name, images)
+        listed = vars(self._listing())
+        for name in self._LISTING:
+            setattr(self, name, listed[name])
         return getattr(self, attr)
 
 

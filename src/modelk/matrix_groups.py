@@ -7,24 +7,27 @@ the unit group.  E_n is listed as their closure (`groups.enumerate_group`)
 when it is made.  GL_n, SL_n and Aff_n refuse an order over the cap from a
 closed form before they build any generator, and then build a stabilizer
 chain of the generators for their action on column vectors
-(`_stabilizer_chain`) instead of listing them.  The product of its orbit
-lengths, checked against the closed form, proves that the generators
-generate the whole group, and its Schreier generators give the relators
-that `groups.abelianization` reduces.  Such a group lists its elements,
-in the closure's order, only when a caller first asks for them (see
-`groups._UnlistedGroup`).
+(`_stabilizer_chain`, through `groups.stabilizer_chain`, the routine that
+permutation groups share) instead of listing them.  The product of its
+orbit lengths, checked against the closed form when the group is made,
+proves that the generators generate the whole group, and its Schreier
+generators give the relators that `groups.abelianization` reduces.  Such
+a group lists its elements, in the closure's order, only when a caller
+first asks for them (see `groups._UnlistedGroup`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import prod
-from operator import add
+from operator import attrgetter
 
 from .errors import DEFAULT_CAP, WorkbenchError
-from .groups import (AbInvariants, FiniteGroup, _UnlistedGroup, abelianization,
-                     check_order, enumerate_group, invariants_from_factors)
-from .matrices import Mat
+from .groups import (AbInvariants, FiniteGroup, PointAction, _UnlistedGroup,
+                     abelianization, check_order, enumerate_group,
+                     invariants_from_factors, stabilizer_chain)
+from .matrices import Mat, _trusted
 from .rings import (GF, MatRing, UnitSumWitness, _factor_prime_power, _prime_powers,
                     unit_sum_witness)
 
@@ -155,117 +158,20 @@ def gl_order(n: int, ring: MatRing) -> int:
                 for p, k in _prime_powers(ring.size))
 
 
-class _Orbit:
-    """Level l of a stabilizer chain: the orbit of e_l under the strong
-    generators that fix e_1, ..., e_(l-1) (`gens`, indices into the chain's
-    list).  Point i has a transversal element u_i with u_i e_l = points[i]:
-    `columns[i]` holds u_i e_c for c >= l (its first entry is the point),
-    `inverses[i]` the rows of u_i^-1 (None for u_0, the identity) and
-    `sums[i]` the exponent sums of its word.  `done[i]` counts the generators paired with point i so far, and
-    every point before `cursor` is paired with all of them."""
-
-    def __init__(self, columns, zero):
-        self.points, self.index = [columns[0]], {columns[0]: 0}
-        self.columns, self.inverses, self.sums = [columns], [None], [zero]
-        self.done, self.gens, self.cursor = [0], [], 0
-
-
 def _stabilizer_chain(gens: list[Mat]) -> tuple[int, list[tuple[int, ...]]]:
-    """The order of the group that the matrices `gens` generate, and the
-    exponent-sum rows, over `gens`, of a complete set of its relators.
-
-    Deterministic Schreier-Sims (C. C. Sims, Computation with Finitely
-    Presented Groups, 1994; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005, ch. 4) on column vectors, with base
-    e_1, ..., e_n: only the identity fixes them all, so the order is the
-    product of the orbit lengths.  Products come from the `mul` kernel and
-    images of points from `apply`; no element of the group is listed.
-
-    Level l pairs each orbit point w with each of its generators s.  When
-    s w is new, it joins the orbit with u_(s w) = s u_w.  Otherwise the
-    Schreier generator h = u_(s w)^-1 s u_w fixes e_1, ..., e_l and sifts
-    through the deeper levels: at level j, if h e_j is a point x, h becomes
-    u_x^-1 h.  Only the images h e_c of the later base vectors are kept, so
-    a sift multiplies vectors, not matrices.  A sift that finds a point at
-    every deeper level leaves the identity, and the relator h = u_x ... u_y
-    of Sims' presentation (ch. 6 of the Handbook): its row is the exponent
-    sums of h's word less those of the transversals it passed.  A sift
-    that stops at level j, where h e_j is no point, leaves a residue that
-    fixes e_1, ..., e_(j-1).  It joins the strong generators of levels 1
-    to j, carrying the exponent sums of its word, which substitutes it out
-    of every relator, and the search resumes at level j.  The levels are
-    finished from the last to the first, so the levels below the one being
-    paired are always complete, and each residue grows an orbit.  A
-    generator equal to the identity gives the row e_i.
-    """
+    """`groups.stabilizer_chain` of n x n matrices acting on column vectors:
+    a matrix is held as its rows, images come from the `apply` kernel and
+    products from `mul`, and the base is e_1, ..., e_n, whose images are a
+    matrix's columns."""
     first = gens[0]
-    ring, n, k = first.ring, first.n, len(gens)
-    mul, apply = first._k.mul, first._k.apply
-    basis = Mat.identity(ring, n).rows  # row c is e_c
-    zero = (0,) * k
-    levels = [_Orbit(basis[l:], zero) for l in range(n)]
-    strong, relators = [], []
+    ring, kernels = first.ring, first._k
 
-    def add_strong(rows, inverse, sums):
-        level = next((c for c, column in enumerate(zip(*rows)) if column != basis[c]),
-                     None)
-        if level is None:
-            relators.append(sums)
-            return None
-        strong.append((rows, inverse, sums))
-        for orbit in levels[:level + 1]:
-            orbit.gens.append(len(strong) - 1)
-            orbit.cursor = 0
-        return level
-
-    def finish(i):
-        """Pair level i's points with its generators; the level of a new
-        strong generator, or None when every pair is done."""
-        orbit = levels[i]
-        points, index, columns = orbit.points, orbit.index, orbit.columns
-        inverses, sums, done = orbit.inverses, orbit.sums, orbit.done
-        p = orbit.cursor
-        while p < len(points):
-            for t in orbit.gens[done[p]:]:
-                done[p] += 1
-                s, s_inverse, s_sums = strong[t]
-                moved = [apply(s, c) for c in columns[p]]
-                q = index.get(moved[0])
-                if q is None:
-                    index[moved[0]] = len(points)
-                    points.append(moved[0])
-                    columns.append(moved)
-                    inverses.append(mul(inverses[p], s_inverse) if p else s_inverse)
-                    sums.append(tuple(map(add, sums[p], s_sums)))
-                    done.append(0)
-                    continue
-                row = [a + b - c for a, b, c in zip(s_sums, sums[p], sums[q])]
-                images = moved[1:]
-                if q:
-                    images = [apply(inverses[q], v) for v in images]
-                for j, deeper in enumerate(levels[i + 1:], i + 1):
-                    x = deeper.index.get(images[0])
-                    if x is None:
-                        rows = tuple(zip(*(basis[:j] + tuple(images))))
-                        return add_strong(rows, Mat(ring, rows).inverse().rows,
-                                          tuple(row))
-                    del images[0]
-                    if x:
-                        images = [apply(deeper.inverses[x], v) for v in images]
-                        row = [a - b for a, b in zip(row, deeper.sums[x])]
-                if any(row):
-                    relators.append(tuple(row))
-            p += 1
-        orbit.cursor = p
-        return None
-
-    for i, g in enumerate(gens):
-        add_strong(g.rows, g.inverse().rows, tuple(int(i == j) for j in range(k)))
-    i = n - 1
-    while i >= 0:
-        level = finish(i)
-        i = i - 1 if level is None else level
-    return prod(len(orbit.points) for orbit in levels), relators
+    def element(columns):
+        rows = tuple(zip(*columns))
+        return rows, _trusted(ring, rows, kernels).inverse().rows
+    basis = Mat.identity(ring, first.n).rows  # row c is e_c
+    return stabilizer_chain(gens, PointAction(attrgetter("rows"), basis, kernels.apply,
+                                              kernels.mul, element))
 
 
 def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
@@ -280,10 +186,9 @@ def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
     gens = generators() or [Mat.identity(ring, n)]
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
-    reached, relators = _stabilizer_chain(gens)
-    if reached != order:
-        raise WorkbenchError(f"{name}'s generators reach {reached} of {order} elements")
-    return _UnlistedGroup(gens, order, relators, name)
+    G = _UnlistedGroup(gens, order, partial(_stabilizer_chain, gens), name)
+    G._relators()  # runs the chain, which checks its order
+    return G
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:

@@ -2,15 +2,20 @@
 no modelk elimination underneath, the plain all-pairs form of
 `make_block`, matrix groups as determinant filters over every matrix,
 group multiplication tables and inverses from the group's own operation,
-and direct products of two groups on pairs."""
+direct products of two groups on pairs, and symmetric groups and wreath
+products listed element by element, as they were before they acted on
+points."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from operator import mul
 
+from modelk.constructions import index_permutation_action, semidirect
 from modelk.defsets import Block
 from modelk.errors import WorkbenchError
 from modelk.groups import FiniteGroup
 from modelk.matrices import Mat
+from modelk.perms import Perm
 
 
 def mat_inv(rows) -> list[list[Fraction]]:
@@ -124,3 +129,17 @@ def direct_product(G, H) -> FiniteGroup:
     gens = [(g, H.identity) for g in G.generators] + [(G.identity, h) for h in H.generators]
     return FiniteGroup(elements, op, (G.identity, H.identity),
                        generators=gens, name=f"{G.name}x{H.name}", cap=None)
+
+
+def listed_symmetric_group(k) -> FiniteGroup:
+    """Sym(k) given every permutation, in lexicographic order of the images,
+    with the adjacent transpositions as generators."""
+    return FiniteGroup(map(Perm, permutations(range(k))), mul, Perm.identity(k),
+                       generators=[Perm.transposition(k, i, i + 1) for i in range(k - 1)],
+                       name=f"Sym({k})", cap=None)
+
+
+def listed_wreath(K, k) -> FiniteGroup:
+    """K wr Sym(k) as the index-permutation semidirect product K^k x| Sym(k)."""
+    action = index_permutation_action(K, k, listed_symmetric_group(k), cap=None)
+    return semidirect(action, name=f"{K.name} wr Sym({k})", cap=None)
