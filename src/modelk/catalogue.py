@@ -3,8 +3,9 @@
 `by_name` is the one grammar for group specs.  It passes `cap` to every
 constructor, and each refuses a group of more elements before it lists an
 element: from its known order (see `groups.check_order`), or, for the
-dihedral groups and Q_8, as their closure grows; a gl, sl or aff spec
-before its field is made (see `matrix_groups.field_group`).
+dihedral groups and Q_8, as their closure grows.  A gl, sl or aff spec
+calls its constructor over GF(q), which refuses before the field fills a
+table (see `rings`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .constructions import direct_power, symmetric_group, wreath
 from .errors import DEFAULT_CAP, WorkbenchError, int_token
 from .groups import FiniteGroup, check_order, enumerate_group
 from .matrices import Mat
-from .matrix_groups import FIELD_GROUPS, field_group
+from .matrix_groups import affine_group, gl_group, special_linear
 from .perms import Perm
 from .rings import GF
 
@@ -59,6 +60,7 @@ def quaternion8(cap=DEFAULT_CAP) -> FiniteGroup:
 
 
 _SIZED = {"sym": symmetric_group, "cyclic": cyclic, "dihedral": dihedral}
+_LINEAR = {"gl": gl_group, "sl": special_linear, "aff": affine_group}
 _NAMED = {"klein": klein_four, "q8": quaternion8, "quaternion": quaternion8}
 
 
@@ -75,8 +77,9 @@ def by_name(spec: str, cap=DEFAULT_CAP) -> FiniteGroup:
                       cap=cap)
     if head in _SIZED and len(args) == 1:
         return _SIZED[head](int_token(args[0], spec), cap=cap)
-    if head in FIELD_GROUPS and len(args) == 2:
-        return field_group(head, *(int_token(arg, spec) for arg in args), cap=cap)
+    if head in _LINEAR and len(args) == 2:
+        n, q = (int_token(arg, spec) for arg in args)
+        return _LINEAR[head](n, GF(q), cap=cap)
     if head in _NAMED and not args:
         return _NAMED[head](cap)
     raise WorkbenchError(f"unknown group spec: {spec!r}")

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
 from operator import and_, mul, or_
 
 from .cosets import LinearSystem
@@ -197,8 +196,8 @@ def count_points_mod_p(expr, p: int) -> CountReport:
         raise WorkbenchError(
             f"{p}^{ambient} points is more than _POINT_LIMIT = 10^6 points "
             "to enumerate; no flag raises it")
-    # trial division, up to 1,000 once p^n <= 10^6
-    if p < 2 or not all(p % d for d in range(2, isqrt(p) + 1)):
+    from .rings import _factor_prime_power  # the sets layers import no ring
+    if _factor_prime_power(p) != (p, 1):
         raise WorkbenchError(f"the modulus p = {p} is not a prime")
 
     normal = boolean_normalize(expr, ambient)

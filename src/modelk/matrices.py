@@ -2,10 +2,11 @@
 characteristic polynomial.
 
 The public constructor `Mat(ring, rows)` validates its entries.  Products,
-inverses and identities are valid by construction and skip that check.  The
-arithmetic runs in straight-line functions generated once per (ring, n), the
-way `dataclasses` generates `__init__`, that index the ring's add, mul and
-neg tables directly.
+inverses and identities are valid by construction and skip that check.
+Products and images of vectors run in straight-line functions generated once
+per (ring, n), the way `dataclasses` generates `__init__`, that index the
+ring's add and mul tables directly.  Det and inverse run one plain loop,
+`_charpoly`, over the same tables.
 
 Groups of matrices hold their elements (see `groups._keying`) as a private
 integer form of a matrix, its code: the row-major entry tuple read as a
@@ -50,7 +51,7 @@ def _tuple(items) -> str:
 
 def _compile(name: str, args: str, body: list[str], ring: MatRing, **names):
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"A": ring._add, "M": ring._mul, "N": ring._neg, **names}
+    namespace = {"A": ring._add, "M": ring._mul, **names}
     exec(source, namespace)
     return namespace[name]
 
@@ -71,10 +72,36 @@ class _OnDemand(dict):
         return value
 
 
+def _charpoly(ring: MatRing, a) -> list[int]:
+    """[1, c_1, ..., c_n] of det(tI - a), by Berkowitz's division-free
+    recursion (Inf. Process. Lett. 18 (1984) 147-150), so it holds over Z_m
+    as over F_q, in O(n^4) table lookups.  If p holds the coefficients for
+    the leading k x k block B, and r, u and x are the rest of row k, column
+    k and their corner, then the leading (k + 1) x (k + 1) block has
+    p'_i = p_i - sum_(j<i) s_(i-1-j) p_j, with s = (x, r u, r B u, ...,
+    r B^(k-1) u) and p_(k+1) = 0."""
+    A, M, N = ring._add, ring._mul, ring._neg
+
+    def dot(xs, ys):
+        total = 0
+        for x, y in zip(xs, ys):
+            total = A[total][M[x][y]]
+        return total
+    p = [1]
+    for k, row in enumerate(a):
+        block = a[:k]  # zip cuts its rows, and row, to their first k entries
+        u, s = [b[k] for b in block], [row[k]]
+        for j in range(k):
+            if j:  # u becomes B^j u
+                u = [dot(b, u) for b in block]
+            s.append(dot(row, u))
+        p = [1] + [A[x][N[dot(s[i::-1], p)]] for i, x in enumerate(p[1:] + [0])]
+    return p
+
+
 class _Kernels:
-    """Straight-line product, apply and characteristic polynomial for n x n
-    matrices over a ring, and the kernels on codes, each compiled on first
-    use."""
+    """Straight-line product and apply for n x n matrices over a ring, and
+    the kernels on codes, each compiled on first use."""
 
     def __init__(self, ring: MatRing, n: int):
         self.ring, self.n = ring, n
@@ -94,35 +121,6 @@ class _Kernels:
         entries = _tuple(_dot(row, v) for row in self.a)
         return _compile("apply", "a, v", [self.unpack_a, f"{_tuple(v)} = v",
                                           f"return {entries}"], self.ring)
-
-    @cached_property
-    def charpoly(self):
-        """(1, c_1, ..., c_n) of det(tI - a), by Berkowitz's division-free
-        recursion (Inf. Process. Lett. 18 (1984) 147-150), so it holds over
-        Z_m as over F_q, unrolled into O(n^4) lookups on first use.  If p
-        holds the coefficients for the leading k x k block B, and r, u and x
-        are the rest of row k, column k and their corner, then the leading
-        (k + 1) x (k + 1) block has p'_i = p_i - sum_(j<i) s_(i-1-j) p_j, with
-        s = (x, r u, r B u, ..., r B^(k-1) u) and p_(k+1) = 0."""
-        a = self.a
-        body, p = [self.unpack_a], ["1"]
-        for k in range(self.n):
-            u, s = [row[k] for row in a[:k]], [a[k][k]]
-            for j in range(k):
-                if j:  # u becomes B^j u
-                    body += [f"u{k}_{j}_{i} = {_dot(row[:k], u)}"
-                             for i, row in enumerate(a[:k])]
-                    u = [f"u{k}_{j}_{i}" for i in range(k)]
-                body.append(f"s{k}_{j} = {_dot(a[k][:k], u)}")
-                s.append(f"s{k}_{j}")
-            p.append("0")
-            for i in range(1, k + 2):
-                rest = _sum([s[i - 1]] + [f"M[{s[i - 1 - j]}][{c}]"
-                                          for j, c in enumerate(p[1:i], 1)])
-                body.append(f"c{k}_{i} = A[{p[i]}][N[{rest}]]")
-            p = ["1"] + [f"c{k}_{i}" for i in range(1, k + 2)]
-        body.append(f"return {_tuple(p)}")
-        return _compile("charpoly", "a", body, self.ring)
 
     @cached_property
     def row_of(self) -> _OnDemand:
@@ -238,7 +236,7 @@ def _trusted(ring: MatRing, rows: tuple, kernels: _Kernels) -> "Mat":
 @dataclass(frozen=True, eq=False)
 class Mat:
     """An n x n matrix over a ring, of any size n; det and inverse come from
-    its characteristic polynomial (see `_Kernels.charpoly`)."""
+    its characteristic polynomial (see `_charpoly`)."""
 
     ring: MatRing
     rows: tuple[tuple[int, ...], ...]
@@ -293,25 +291,30 @@ class Mat:
         return _trusted(self.ring, k.mul(self.rows, other.rows), k)
 
     def det(self) -> int:
-        c = self._k.charpoly(self.rows)[-1]
+        c = _charpoly(self.ring, self.rows)[-1]
         return self.ring._neg[c] if self.n % 2 else c
 
     def inverse(self) -> "Mat":
         """-c_n^-1 (a^(n-1) + c_1 a^(n-2) + ... + c_(n-1) I), by Cayley-Hamilton
-        for (1, c_1, ..., c_n) = `charpoly`, by Horner's rule; WorkbenchError
-        when the det, (-1)^n c_n, is not a unit."""
-        R, k, n = self.ring, self._k, self.n
-        _, *c, last = k.charpoly(self.rows)
+        for [1, c_1, ..., c_n] = `_charpoly`, a column at a time by Horner's
+        rule: column j is v_n, with v_1 = e_j and v_(i+1) = a v_i + c_i e_j,
+        so it runs the `apply` kernel and never compiles the n^3 lookups of
+        `mul`; WorkbenchError when the det, (-1)^n c_n, is not a unit."""
+        R, n = self.ring, self.n
+        p = _charpoly(R, self.rows)
+        c, last = p[1:-1], p[-1]
         d = R._neg[last] if n % 2 else last
         if not R.is_unit(d):
             raise WorkbenchError(f"matrix is singular over {R}: det = {d}")
-        b = Mat.identity(R, n).rows
-        for ci in c:
-            b = [list(row) for row in k.mul(b, self.rows)]
-            for i, row in enumerate(b):
-                row[i] = R._add[row[i]][ci]
+        A, apply, a = R._add, self._k.apply, self.rows
         scale = R._mul[R._neg[R.inv(last)]]
-        return _trusted(R, tuple(tuple(scale[x] for x in row) for row in b), k)
+        columns = []
+        for j, v in enumerate(Mat.identity(R, n).rows):
+            for ci in c:
+                v = list(apply(a, v))
+                v[j] = A[v[j]][ci]
+            columns.append([scale[x] for x in v])
+        return _trusted(R, tuple(zip(*columns)), self._k)
 
     def is_invertible(self) -> bool:
         return self.ring.is_unit(self.det())

@@ -5,7 +5,9 @@ Every group here is generated by a short set: e_12 over an additive basis
 of the ring, one signed n-cycle, and for GL one diagonal per generator of
 the unit group.  E_n is listed as their closure (`groups.enumerate_group`)
 when it is made.  GL_n, SL_n and Aff_n refuse an order over the cap from a
-closed form before they build any generator, and then build a stabilizer
+closed form in n and the ring's size before they build any generator, so
+before the ring fills a table (see `rings`): this one check guards every
+caller, `catalogue.by_name` included.  They then build a stabilizer
 chain of the generators for their action on column vectors
 (`_stabilizer_chain`, through `groups.stabilizer_chain`, the routine that
 permutation groups share) instead of listing them.  The product of its
@@ -28,8 +30,7 @@ from .groups import (AbInvariants, FiniteGroup, PointAction, _UnlistedGroup,
                      abelianization, check_order, enumerate_group,
                      invariants_from_factors, stabilizer_chain)
 from .matrices import Mat, _trusted
-from .rings import (GF, MatRing, UnitSumWitness, _factor_prime_power, _prime_powers,
-                    unit_sum_witness)
+from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
 
 def gl_order_field(n: int, q: int) -> int:
@@ -177,13 +178,15 @@ def _stabilizer_chain(gens: list[Mat]) -> tuple[int, list[tuple[int, ...]]]:
 def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
                        name: str, cap) -> FiniteGroup:
     """The group that generators(), n x n matrices checked to have dets in
-    `dets`, generate inside a group of `order` matrices that holds them;
+    dets(), generate inside a group of `order` matrices that holds them;
     its stabilizer chain's order, checked equal, proves that it is that
-    group.  CapExceededError before any generator is built when `order` is
-    over the cap; WorkbenchError when a check fails.  The group lists its
-    elements on first use (see `groups._UnlistedGroup`)."""
+    group.  CapExceededError before any generator is built or any table of
+    the ring is read when `order` is over the cap; WorkbenchError when a
+    check fails.  The group lists its elements on first use (see
+    `groups._UnlistedGroup`)."""
     check_order(order, cap, name)
     gens = generators() or [Mat.identity(ring, n)]
+    dets = set(dets())
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
     G = _UnlistedGroup(gens, order, partial(_stabilizer_chain, gens), name)
@@ -195,16 +198,17 @@ def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """GL_n over the ring: the group generated by e_12(1), the signed
     n-cycle and one diagonal per generator of R^x (see `_gl_generators`),
     its chain checked to have `gl_order` elements."""
-    return _closed_form_group(n, ring, lambda: _gl_generators(n, ring),
-                              set(ring.units()), gl_order(n, ring),
+    return _closed_form_group(n, ring, lambda: _gl_generators(n, ring), ring.units,
+                              gl_order(n, ring),
                               name=f"GL_{n}({ring})", cap=cap)
 
 
 def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """SL_n over the ring: the group generated by `_sl_generators`, checked
-    to have det 1 and |GL_n| / |R^x| elements, which proves E_n = SL_n."""
-    return _closed_form_group(n, ring, lambda: _sl_generators(n, ring), {ring.one},
-                              gl_order(n, ring) // len(ring.units()),
+    to have det 1 and |GL_n| / |GL_1| = |GL_n| / |R^x| elements, which
+    proves E_n = SL_n."""
+    return _closed_form_group(n, ring, lambda: _sl_generators(n, ring),
+                              lambda: [ring.one], gl_order(n, ring) // gl_order(1, ring),
                               name=f"SL_{n}({ring})", cap=cap)
 
 
@@ -295,25 +299,6 @@ def affine_group(n: int, ring: MatRing, copies: int = 1, *,
                  for g in _gl_generators(n, ring)]
                 + [Mat.transvection(ring, size, 0, n + j, ring.one)
                    for j in range(copies)])
-    return _closed_form_group(n + copies, ring, generators, set(ring.units()),
+    return _closed_form_group(n + copies, ring, generators, ring.units,
                               ring.size ** (n * copies) * gl_order(n, ring),
                               name=f"Aff_{n}({ring})^{copies}", cap=cap)
-
-
-# each kind of group over F_q: its constructor, and the name and closed-form
-# order that the constructor gives it, from n and q alone
-FIELD_GROUPS = {
-    "gl": (gl_group, "GL_{n}(F_{q})", gl_order_field),
-    "sl": (special_linear, "SL_{n}(F_{q})", lambda n, q: gl_order_field(n, q) // (q - 1)),
-    "aff": (affine_group, "Aff_{n}(F_{q})^1", lambda n, q: q ** n * gl_order_field(n, q)),
-}
-
-
-def field_group(kind: str, n: int, q: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
-    """GL_n(F_q), SL_n(F_q) or Aff_n(F_q) for kind gl, sl or aff.  When q is a
-    prime power and n >= 1, CapExceededError from the closed-form order
-    comes before GF(q), which fills two q x q tables, is made."""
-    make, name, order = FIELD_GROUPS[kind]
-    if n >= 1 and _factor_prime_power(q):
-        check_order(order(n, q), cap, name.format(n=n, q=q))
-    return make(n, GF(q), cap=cap)

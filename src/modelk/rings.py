@@ -4,6 +4,11 @@ Elements are encoded as integers in [0, size).  For GF(p^e) with e > 1 the
 encoding is base-p digits, little-endian, of the representative polynomial;
 the modulus polynomials are fixed once and for all so that element encodings
 are stable across runs.
+
+`Zmod(m)` and `GF(q)` check only their argument: m >= 2, or q a prime power
+with a modulus on file.  A ring fills its q x q add and mul tables on the
+first read of any table, so a caller that needs only a ring's size, such as
+a group constructor refusing an order over its cap, builds none.
 """
 
 from __future__ import annotations
@@ -48,18 +53,30 @@ def _factor_prime_power(q: int):
 
 @dataclass(frozen=True)
 class MatRing:
-    """Z/m ("zmod") or GF(q) ("gf"); arithmetic via precomputed exact tables."""
+    """Z/m ("zmod") or GF(q) ("gf"); arithmetic via exact tables, built on
+    first use (see `__getattr__`).  `modulus` is the fixed modulus of GF(p^e)
+    for e > 1, and empty otherwise."""
 
     kind: str
     size: int
     char: int = field(compare=False, default=0)
-    _add: tuple = field(compare=False, repr=False, default=())
-    _mul: tuple = field(compare=False, repr=False, default=())
-    _neg: tuple = field(compare=False, repr=False, default=())
-    _inv: dict = field(compare=False, repr=False, default_factory=dict)
+    modulus: tuple = field(compare=False, repr=False, default=())
 
     zero = 0
     one = 1
+
+    def __getattr__(self, name):
+        """Runs only for an attribute the instance lacks: on the first read of
+        a table, build all four, check the field axioms of GF(q) for
+        q <= 16, and store them on the instance, where later reads find
+        them as plain attributes."""
+        if name not in ("_add", "_mul", "_neg", "_inv"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        add, mul, neg, inv = _build_tables(self)
+        if self.kind == "gf" and self.size <= _AXIOM_CHECK_LIMIT:
+            _check_field_axioms(add, mul, inv)
+        self.__dict__.update(_add=add, _mul=mul, _neg=neg, _inv=inv)
+        return self.__dict__[name]
 
     @property
     def elements(self) -> range:
@@ -95,63 +112,15 @@ class MatRing:
         return self.pretty()
 
 
-def _build_tables(size, add_fn, mul_fn):
-    add = tuple(tuple(add_fn(a, b) for b in range(size)) for a in range(size))
-    mul = tuple(tuple(mul_fn(a, b) for b in range(size)) for a in range(size))
-    neg = [0] * size
-    for a in range(size):
-        for b in range(size):
-            if add[a][b] == 0:
-                neg[a] = b
-                break
-    inv = {}
-    for a in range(size):
-        for b in range(size):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
-    return add, mul, tuple(neg), inv
-
-
-def _check_field_axioms(ring: MatRing) -> None:
-    els = list(ring.elements)
-    for a in els:
-        if ring.add(a, 0) != a or ring.mul(a, 1) != a:
-            raise WorkbenchError("identity axiom fails")
-        if a != 0 and not ring.is_unit(a):
-            raise WorkbenchError(f"nonzero element {a} has no inverse")
-        for b in els:
-            if ring.add(a, b) != ring.add(b, a) or ring.mul(a, b) != ring.mul(b, a):
-                raise WorkbenchError("commutativity fails")
-            for c in els:
-                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-                    raise WorkbenchError("additive associativity fails")
-                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-                    raise WorkbenchError("multiplicative associativity fails")
-                if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-                    raise WorkbenchError("distributivity fails")
-
-
-@lru_cache(maxsize=None)
-def Zmod(m: int) -> MatRing:
-    if m < 2:
-        raise WorkbenchError(f"modulus must be at least 2, got {m}")
-    return MatRing("zmod", m, m, *_build_tables(m, lambda a, b: (a + b) % m,
-                                                lambda a, b: (a * b) % m))
-
-
-@lru_cache(maxsize=None)
-def GF(q: int) -> MatRing:
-    pe = _factor_prime_power(q)
-    if pe is None:
-        raise WorkbenchError(f"{q} is not a prime power")
-    p, e = pe
-    if e == 1:
-        add, mul, neg, inv = _build_tables(q, lambda a, b: (a + b) % p, lambda a, b: (a * b) % p)
+def _build_tables(ring: MatRing):
+    """The add, mul and neg tables and the inverse dict: arithmetic mod the
+    size over Z_m and F_p, and over F_(p^e) on polynomials in x, encoded by
+    their base-p digits, reduced by the fixed monic modulus."""
+    size, p, modulus = ring.size, ring.char, ring.modulus
+    if not modulus:
+        add_fn, mul_fn = (lambda a, b: (a + b) % size), (lambda a, b: (a * b) % size)
     else:
-        if q not in _MODULUS:
-            raise WorkbenchError(f"no fixed modulus polynomial on file for GF({q})")
-        modulus = _MODULUS[q]
+        e = len(modulus) - 1
 
         def digits(a):
             out = []
@@ -176,7 +145,6 @@ def GF(q: int) -> MatRing:
             for i, x in enumerate(da):
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-            # reduce by the fixed monic modulus
             for top in range(len(prod) - 1, e - 1, -1):
                 c = prod[top]
                 if c:
@@ -185,11 +153,48 @@ def GF(q: int) -> MatRing:
                         prod[top - e + k] = (prod[top - e + k] - c * modulus[k]) % p
             return encode(prod[:e])
 
-        add, mul, neg, inv = _build_tables(q, add_fn, mul_fn)
-    ring = MatRing("gf", q, p, add, mul, neg, inv)
-    if q <= _AXIOM_CHECK_LIMIT:
-        _check_field_axioms(ring)
-    return ring
+    add = tuple(tuple(add_fn(a, b) for b in range(size)) for a in range(size))
+    mul = tuple(tuple(mul_fn(a, b) for b in range(size)) for a in range(size))
+    neg = tuple(row.index(0) for row in add)
+    inv = {a: row.index(1) for a, row in enumerate(mul) if 1 in row}
+    return add, mul, neg, inv
+
+
+def _check_field_axioms(add, mul, inv) -> None:
+    els = range(len(add))
+    for a in els:
+        if add[a][0] != a or mul[a][1] != a:
+            raise WorkbenchError("identity axiom fails")
+        if a != 0 and a not in inv:
+            raise WorkbenchError(f"nonzero element {a} has no inverse")
+        for b in els:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                raise WorkbenchError("commutativity fails")
+            for c in els:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    raise WorkbenchError("additive associativity fails")
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise WorkbenchError("multiplicative associativity fails")
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    raise WorkbenchError("distributivity fails")
+
+
+@lru_cache(maxsize=None)
+def Zmod(m: int) -> MatRing:
+    if m < 2:
+        raise WorkbenchError(f"modulus must be at least 2, got {m}")
+    return MatRing("zmod", m, m)
+
+
+@lru_cache(maxsize=None)
+def GF(q: int) -> MatRing:
+    pe = _factor_prime_power(q)
+    if pe is None:
+        raise WorkbenchError(f"{q} is not a prime power")
+    p, e = pe
+    if e > 1 and q not in _MODULUS:
+        raise WorkbenchError(f"no fixed modulus polynomial on file for GF({q})")
+    return MatRing("gf", q, p, _MODULUS.get(q, ()))
 
 
 @dataclass(frozen=True)

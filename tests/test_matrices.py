@@ -181,15 +181,41 @@ def test_non_unit_det_over_zmod_is_named(m):
 
 
 def test_kernels_are_compiled_on_first_use():
+    # sizes no other test uses, so that these kernel objects are new here
     start = time.process_time()
-    big = Mat.identity(GF(2), 40)
+    big = Mat.identity(GF(2), 48)
     assert time.process_time() - start < 0.05
-    assert not {"mul", "apply", "charpoly"} & set(big._k.__dict__)
-    # a size no other test uses, so that this kernel object is new here
+    assert not {"mul", "apply"} & set(big._k.__dict__)
     m = Mat.identity(Zmod(10), 9)
+    fresh = set(m._k.__dict__)
     assert m.det() == 1
-    assert "charpoly" in m._k.__dict__
-    assert not {"mul", "apply"} & set(m._k.__dict__)
+    assert set(m._k.__dict__) == fresh  # a det compiles no kernel
+
+
+def test_a_40_square_identity_has_det_1_and_is_its_own_inverse():
+    start = time.process_time()
+    one = Mat.identity(GF(2), 40)
+    assert one.det() == 1
+    assert one.inverse() == one
+    assert time.process_time() - start < 1
+
+
+def test_the_0_square_matrix_is_its_own_inverse():
+    empty = Mat(GF(2), ())
+    assert empty.det() == 1
+    assert empty.inverse() == empty
+
+
+def test_a_24_square_product_of_transvections_times_its_inverse_is_one():
+    start = time.process_time()
+    R, n, rng = Zmod(6), 24, random.Random(24)
+    a = Mat.identity(R, n)
+    for _ in range(60):
+        i, j = rng.sample(range(n), 2)
+        a = a * Mat.transvection(R, n, i, j, rng.randrange(1, R.size))
+    assert a != Mat.identity(R, n)
+    assert a * a.inverse() == Mat.identity(R, n)
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("ring", [GF(4), Zmod(6)], ids=str)

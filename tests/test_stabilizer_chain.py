@@ -8,6 +8,7 @@ reads its Cayley-edge relators), the closed-form orders and
 `enumerate_group`, whose element order the lazily listed groups must keep.
 """
 
+import re
 import time
 from operator import mul
 
@@ -22,7 +23,7 @@ from modelk.groups import (DEFAULT_CAP, FiniteGroup, _UnlistedGroup, abelianizat
                            enumerate_group)
 from modelk.matrices import Mat
 from modelk.matrix_groups import (_stabilizer_chain, affine_group, gl_group, gl_order,
-                                  special_linear)
+                                  gl_order_field, special_linear)
 from modelk.rings import GF, Zmod
 from test_group_tables import MATRIX_CASES, RINGS
 
@@ -148,22 +149,43 @@ def test_an_element_query_lists_the_group_once():
         G.no_such_attribute
 
 
+def _tables_built(ring):
+    return {"_add", "_mul", "_neg", "_inv"} & set(vars(ring))
+
+
 def test_linear_specs_are_refused_before_the_field_is_made():
-    fields = GF.cache_info().currsize
     start = time.process_time()
     with pytest.raises(CapExceededError, match=r"^GL_2\(F_10007\) has order \d+, cap is "
                        f"{DEFAULT_CAP}; pass a larger cap="):
         by_name("gl:2:10007")
     assert time.process_time() - start < 0.1
-    assert GF.cache_info().currsize == fields
+    assert not _tables_built(GF(10007))
+
+
+def _linear_names_and_orders(n, q):
+    return {"gl": (f"GL_{n}(F_{q})", gl_order_field(n, q)),
+            "sl": (f"SL_{n}(F_{q})", gl_order_field(n, q) // (q - 1)),
+            "aff": (f"Aff_{n}(F_{q})^1", q ** n * gl_order_field(n, q))}
 
 
 @pytest.mark.parametrize("head", ["gl", "sl", "aff"])
 def test_linear_spec_orders_are_the_constructors(head):
-    make, name, order = matrix_groups.FIELD_GROUPS[head]
     for n, q in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 2)):
         G = by_name(f"{head}:{n}:{q}")
-        assert (G.name, G.order) == (name.format(n=n, q=q), order(n, q))
+        assert (G.name, G.order) == _linear_names_and_orders(n, q)[head]
         with pytest.raises(CapExceededError, match=f"has order {G.order}, cap is"):
             by_name(f"{head}:{n}:{q}", cap=G.order - 1)
 
+
+@pytest.mark.parametrize("head, make", [("gl", gl_group), ("sl", special_linear),
+                                        ("aff", affine_group)])
+def test_each_linear_constructor_refuses_before_its_field_fills_a_table(head, make):
+    q = 10007
+    name, order = _linear_names_and_orders(2, q)[head]
+    for build in (lambda: make(2, GF(q)), lambda: by_name(f"{head}:2:{q}")):
+        start = time.process_time()
+        with pytest.raises(CapExceededError,
+                           match=f"^{re.escape(name)} has order {order}, cap is {DEFAULT_CAP};"):
+            build()
+        assert time.process_time() - start < 0.1
+    assert not _tables_built(GF(q))
