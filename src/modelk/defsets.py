@@ -8,6 +8,9 @@ underpins both the normal form and the witness-point construction.
 The Grothendieck class of a definable set is an integer polynomial: a coset
 of dimension d contributes X^d and holes are handled by inclusion-exclusion,
 walked so that terms that cancel in pairs are never visited (`block_class`).
+Each node of that walk meets only the holes that meet its parent, and a
+node that is a point meets none: it compares itself with its parent's
+meets.
 Two definable sets are definably isomorphic exactly when their classes agree.
 
 A boolean tree is built from `Not`, binary `And` and `Or`, and leaves that
@@ -318,28 +321,45 @@ def block_class(block: Block) -> K0Class:
     contains F, that is when F meet H_j keeps the dimension of F: the
     subsets S u T and S u (T symmetric-difference {j}), for T over the
     indices after `last`, meet in the same coset with opposite signs, so
-    the subtree sums to zero.  The walk computes F meet H_j for every
-    j > last anyway, so the test costs nothing.  Along every path that
+    the subtree sums to zero.  The walk computes F meet H_j for the later
+    holes anyway, so the test costs nothing.  Along every path that
     survives the dimension drops at each step, so a carrier of dimension d
     with h holes has at most sum over k <= d of C(h, k) nodes, whatever the
     arrangement.  Without the test a pencil of h planes through one line
-    would reach all 2^h subsets."""
-    holes = block.holes
+    would reach all 2^h subsets.
+
+    A node P keeps the later holes that meet it as (H_j, P meet H_j)
+    pairs, and its child F = P meet H_i intersects only the pairs after
+    H_i's: a hole that misses P misses F, and a hole that contains F meets
+    P.  A child whose F is a point p intersects nothing: p lies in H_j
+    exactly when it lies in P meet H_j, so it is cancelled when one of
+    those meets contains p, and otherwise it has no children.  In a block
+    from `make_block` (an antichain sorted by falling dimension) those
+    meets are points, so equality decides."""
     coeffs = [0] * (block.ambient + 1)
-    # (largest hole index in the subset, intersection, (-1)^size)
-    stack = [] if block.carrier.empty else [(-1, block.carrier, 1)]
+    # (intersection, (-1)^size, pairs of the parent, index of the first
+    # pair after the subset's largest hole); the carrier's parent is Q^n
+    stack = [] if block.carrier.empty else [
+        (block.carrier, 1, [(h, h) for h in block.holes], 0)]
     while stack:
-        last, coset, sign = stack.pop()
-        children = []
-        for i in range(last + 1, len(holes)):
-            meet = coset.intersect(holes[i])
-            if meet.dim == coset.dim:  # hole i contains the intersection
+        coset, sign, pairs, start = stack.pop()
+        dim, later = coset.dim, pairs[start:]
+        if dim == 0:
+            if not any(coset == m if m.dim == 0 else coset.is_subset(m)
+                       for _, m in later):
+                coeffs[0] += sign
+            continue
+        meets = []
+        for hole, _ in later:
+            meet = coset.intersect(hole)
+            if meet.dim == dim:  # the hole contains the intersection
                 break
             if not meet.empty:
-                children.append((i, meet, -sign))
+                meets.append((hole, meet))
         else:
-            coeffs[coset.dim] += sign
-            stack += children
+            coeffs[dim] += sign
+            stack += [(meet, -sign, meets, k + 1)
+                      for k, (_, meet) in enumerate(meets)]
     return K0Class.make(coeffs)
 
 

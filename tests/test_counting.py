@@ -1,12 +1,16 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelk import counting
 from modelk.counting import count_points_mod_p
 from modelk.cosets import AffineCoset, LinearSystem
-from modelk.defsets import And, Not, Or, boolean_normalize, expr_leaves
+from modelk.defsets import (And, Not, Or, boolean_normalize, expr_leaves,
+                            k0_class)
 from modelk.errors import WorkbenchError
 from modelk.formulas import parse_formula
 from modelk.linalg import rank, rank_mod_p
@@ -290,3 +294,62 @@ def test_degenerate_arrangements_count_their_class():
                     assert rep.count == rep.predicted, (text, p)
                     good.append(p)
             assert good, text
+
+
+@st.composite
+def _arrangement_formula(draw):
+    """The union or the complement of up to 7 hyperplanes of Q^2 or Q^3 with
+    integer data, drawn from one or two families: general position
+    (x1 + t x2 + ... = t^n), a pencil through one flat of codimension 2,
+    hyperplanes through one point, and parallels."""
+    n = draw(st.integers(2, 3))
+    small = st.integers(-3, 3)
+    normal = st.lists(small, min_size=n, max_size=n).filter(any)
+    point = draw(st.lists(small, min_size=n, max_size=n))
+    u, v, w = draw(normal), draw(normal), draw(normal)
+    families = draw(st.lists(st.sampled_from(
+        ("general", "pencil", "concurrent", "parallel")),
+        min_size=1, max_size=2, unique=True))
+    leaves = []
+    for _ in range(draw(st.integers(1, 7))):
+        family = draw(st.sampled_from(families))
+        if family == "general":
+            t = draw(st.integers(-4, 4))
+            a, rhs = [t ** i for i in range(n)], t ** n
+        elif family == "parallel":
+            a, rhs = w, draw(small)
+        else:
+            if family == "pencil":
+                s, t = draw(small), draw(small)
+                a = [s * x + t * y for x, y in zip(u, v)]
+            else:
+                a = draw(normal)
+            rhs = sum(x * c for x, c in zip(a, point))
+        if any(a):
+            leaves.append(LinearSystem.make(n, 0, [a + [rhs]]))
+    if not leaves:
+        leaves.append(LinearSystem.make(n, 0, [w + [0]]))
+    if draw(st.booleans()):
+        return n, reduce(Or, leaves)
+    return n, reduce(And, map(Not, leaves))
+
+
+def test_counts_at_good_primes_are_the_class_on_drawn_arrangements():
+    runs = good = 0
+
+    @settings(max_examples=200)
+    @given(_arrangement_formula())
+    def check(case):
+        nonlocal runs, good
+        n, expr = case
+        cls = k0_class(boolean_normalize(expr, n))
+        for p in (5, 7, 11, 13):
+            rep = count_points_mod_p(expr, p)
+            runs += 1
+            if rep.good_prime:
+                good += 1
+                assert rep.count == cls.evaluate(p), (expr, p)
+
+    check()
+    assert runs == 800
+    assert good > runs // 2, (good, runs)

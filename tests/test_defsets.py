@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.cosets import NEG_INF, AffineCoset, LinearSystem
-from modelk.defsets import (And, DefinableSet, K0Class, Not, Or,
+from modelk.defsets import (And, Block, DefinableSet, K0Class, Not, Or,
                             block_class, boolean_normalize, definable_dim,
                             definably_isomorphic, k0_class, make_block,
                             shift_witness, witness_point)
@@ -175,10 +175,13 @@ def test_block_class_inclusion_exclusion():
 
 def _class_over_all_subsets(block):
     """Inclusion-exclusion over every subset of holes, each intersection
-    stacked from the rational rows."""
+    stacked from the rational rows (an empty coset has none, and meets
+    nothing)."""
     coeffs = [0] * (block.ambient + 1)
     for size in range(len(block.holes) + 1):
         for subset in itertools.combinations(block.holes, size):
+            if any(c.empty for c in (block.carrier, *subset)):
+                continue
             rows = [r for c in (block.carrier, *subset) for r in c.rows]
             meet = AffineCoset.from_rows(block.ambient, rows)
             if not meet.empty:
@@ -248,6 +251,88 @@ def test_block_class_matches_every_subset_up_to_twelve_holes():
         assert len(b.holes) <= 12
         assert block_class(b) == _class_over_all_subsets(b)
     assert max(len(b.holes) for b in blocks) == 12
+
+
+@st.composite
+def _arrangement(draw):
+    """A carrier in Q^1..Q^3 and up to 8 holes of mixed dimension, in the
+    order drawn: cosets through one centre, so that several pairs meet in
+    one point; translates of earlier holes, which miss them; points, half
+    of them the centre; and free cosets.  The carrier is any coset, through
+    the centre or not."""
+    n = draw(st.integers(1, 3))
+    centre = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    normal = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+
+    def rows(codim, through=None):
+        out = []
+        for _ in range(codim):
+            a = draw(normal)
+            out.append(a + [draw(st.integers(-2, 2)) if through is None
+                            else sum(x * c for x, c in zip(a, through))])
+        return out
+
+    carrier = rows(draw(st.integers(0, n)),
+                   centre if draw(st.booleans()) else None)
+    holes = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("through", "parallel", "point", "free")))
+        if kind == "parallel" and holes:
+            shift = draw(st.integers(1, 2))
+            holes.append([r[:-1] + [r[-1] + shift]
+                          for r in draw(st.sampled_from(holes))])
+        elif kind == "point":
+            at = centre if draw(st.booleans()) else draw(
+                st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+            holes.append([[int(i == j) for j in range(n)] + [at[i]]
+                          for i in range(n)])
+        else:
+            holes.append(rows(draw(st.integers(1, n)),
+                              centre if kind == "through" else None))
+    return (AffineCoset.from_rows(n, carrier),
+            tuple(AffineCoset.from_rows(n, r) for r in holes))
+
+
+def _arrangement_features(b):
+    """What a block shows of the cases the walk must get right."""
+    seen = {("carrier", b.carrier.dim)} | {("hole", h.dim) for h in b.holes}
+    clipped = [b.carrier.intersect(h) for h in b.holes]
+    meets = [clipped[i].intersect(clipped[j])
+             for i, j in itertools.combinations(range(len(b.holes)), 2)
+             if clipped[i].dim >= 1 and clipped[j].dim >= 1]
+    points = [m for m in meets if m.dim == 0]
+    if len(points) > len(set(points)):
+        seen.add("pairs meeting in one point")
+    if any(m.empty for m in meets):
+        seen.add("parallel")
+    # the carrier, or a hole's point in it, inside a later hole that is a
+    # line or a plane
+    if any(p.dim == 0 and any(h.dim >= 1 and p.is_subset(h)
+                              for h in b.holes[i + 1:])
+           for i, p in enumerate([b.carrier] + clipped, -1)):
+        seen.add("point on a later hole")
+    return seen
+
+
+def test_block_class_matches_every_subset_on_drawn_arrangements():
+    """Both the canonical block and the block of the holes as drawn: only
+    the second has points inside later holes, since `make_block` keeps an
+    antichain sorted by falling dimension."""
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(_arrangement())
+    def check(case):
+        carrier, holes = case
+        for b in (make_block(carrier, holes), Block(carrier, holes)):
+            if b is not None:
+                assert block_class(b) == _class_over_all_subsets(b)
+                seen.update(_arrangement_features(b))
+
+    check()
+    assert seen >= {("carrier", 0), ("carrier", 1), ("hole", 0), ("hole", 1),
+                    ("hole", 2), "pairs meeting in one point", "parallel",
+                    "point on a later hole"}
 
 
 @st.composite
