@@ -21,8 +21,7 @@ _LAYER_OF = {name: layer for layer, names in {
                "UnsupportedRingError", "WorkbenchError"),
     "formulas": ("elaborate", "format_formula", "parse_formula"),
     "groups": ("AbInvariants", "FiniteGroup", "GroupAction", "abelianization",
-               "coinvariants", "commutator_subgroup", "enumerate_group",
-               "generated_subgroup", "quotient_group"),
+               "enumerate_group"),
     "report": ("VerificationReport",),
     "symbolic": ("Atom", "FormalAbGroup", "RingDescriptor", "TheoryFlags",
                  "derive_flags", "embedding_target", "k1_algebraic",

@@ -27,20 +27,22 @@ def cyclic(n: int, cap=DEFAULT_CAP) -> FiniteGroup:
         raise WorkbenchError("order must be positive")
     check_order(n, cap, f"Z_{n}")
     return FiniteGroup(range(n), lambda a, b: (a + b) % n, 0,
-                       generators=[1] if n > 1 else [0], name=f"Z_{n}", cap=None)
+                       generators=[1] if n > 1 else [0], name=f"Z_{n}")
 
 
 @lru_cache(maxsize=None)
 def dihedral(order: int, cap=DEFAULT_CAP) -> FiniteGroup:
-    """Dihedral group of the given (even, >= 4) order, as polygon symmetries."""
-    if order < 4 or order % 2:
-        raise WorkbenchError(f"dihedral groups here have even order >= 4, got {order}")
+    """Dihedral group of the given even order >= 6, as the symmetries of a
+    polygon.  The 2-gon's reflection i -> -i fixes both of its vertices, so
+    order 4 is refused; that group is `klein_four`."""
+    if order < 6 or order % 2:
+        klein = "; for order 4 use klein, the same group" if order == 4 else ""
+        raise WorkbenchError(f"dihedral groups here have even order >= 6, got "
+                             f"{order}{klein}")
     n = order // 2
     rotation = Perm(tuple((i + 1) % n for i in range(n)))
     reflection = Perm(tuple((-i) % n for i in range(n)))
-    G = enumerate_group([rotation, reflection], cap=cap, name=f"D_{n}")
-    assert G.order == order
-    return G
+    return enumerate_group([rotation, reflection], cap=cap, name=f"D_{n}")
 
 
 @lru_cache(maxsize=None)

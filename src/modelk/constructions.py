@@ -44,7 +44,7 @@ def direct_power(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteG
 
     elements = list(product(K.elements, repeat=k))
     return FiniteGroup(elements, _power_op(K.op), (K.identity,) * k,
-                       generators=_power_generators(K, k), name=name, cap=None)
+                       generators=_power_generators(K, k), name=name)
 
 
 def _power_op(op):
@@ -150,8 +150,7 @@ def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     return _on_points(gens, mul, identity, order, name,
                       _index_action(k, attrgetter("images")),
                       lambda: FiniteGroup(map(Perm, permutations(range(k))), mul,
-                                          identity, generators=gens, name=name,
-                                          cap=None))
+                                          identity, generators=gens, name=name))
 
 
 def alternating_elements(k: int) -> set[Perm]:
@@ -219,8 +218,8 @@ def check_semidirect_ab(action: GroupAction, *, cap=DEFAULT_CAP) -> Verification
     """Abelianization of a semidirect product against its two-factor formula.
 
     The product's abelianization must equal the acting group's abelianization
-    plus the coinvariants of the target's abelianization under the induced
-    action.
+    plus the target's abelianization modulo every act(k, h) * h^-1, which
+    `abelianization` gives with the action.
     """
     report = VerificationReport(
         f"semidirect abelianization: {action.name or action.target.name}")

@@ -8,15 +8,15 @@ key, so every downstream tie-break is reproducible.
 A group holds its elements as keys, which `_keying` picks once, when the
 group is made: integer codes for matrices under `mul` that share a ring and
 size (see `matrices`), and the elements themselves otherwise.  One loop
-closes generators into a group (`_closure`), on keys.  It images every
-element under every generator, and a group it makes reads its generator
+closes generators into a group (`enumerate_group`), on keys.  It images
+every element under every generator, and the group reads its generator
 tables off those images; a group given its elements steps every key with
 each generator.  A group is made valid in one place, `FiniteGroup._setup`:
 it builds the generator tables and a breadth-first spanning tree over them,
-and refuses generators that do not generate it, so every abelianization,
-normality test and action check may rely on them.  The generators' left
-multiplication tables and all inverses are read off that tree, each in one
-pass over the elements.
+and refuses generators that do not generate it, so every abelianization
+and action check may rely on them.  The generators' left multiplication
+tables and all inverses are read off that tree, each in one pass over the
+elements.
 
 `abelianization` reduces the exponent sums of a complete set of relators
 on a group's generators, which the group gives (`_relators`) from one of
@@ -48,7 +48,9 @@ from .errors import (DEFAULT_CAP, CapExceededError, InvalidActionError,
 def check_order(order: int, cap, name: str) -> None:
     """CapExceededError when a group of this order is over the cap (None
     for no cap).  Every constructor that knows its order calls this before
-    it lists an element; `_closure` checks as it grows instead."""
+    it lists an element; `enumerate_group` checks as its closure grows
+    instead.  A `FiniteGroup` given its elements is not checked: they are
+    listed already."""
     if cap is not None and order > cap:
         raise CapExceededError(
             f"{name or 'the group'} has order {order}, cap is {cap}; pass a "
@@ -94,11 +96,12 @@ class FiniteGroup:
     identity is its own parent).  Both are built when the group is made
     (an `_UnlistedGroup` builds them on first use), which raises
     WorkbenchError when an operation leaves the elements or the generators
-    reach only some of them.  The constructor refuses more
-    elements than `cap` (see `check_order`); a group is not capped after it
-    is made.  `_left_tables` (per generator g, entry i is the index of
-    g * elements[i]) and `_inverses` (the index of each element's inverse,
-    which `inv` looks up) are read off the tree on first use.
+    reach only some of them.  The constructor takes the elements it is
+    given, however many: a constructor that lists them checks their number
+    before it does (see `check_order`).  `_left_tables` (per generator g,
+    entry i is the index of g * elements[i]) and `_inverses` (the index of
+    each element's inverse, which `inv` looks up) are read off the tree on
+    first use.
 
     `_points` is None, or a `PointAction` on 0, ..., d - 1 that a
     permutation group or wreath product is made with (see `constructions`);
@@ -107,10 +110,8 @@ class FiniteGroup:
 
     _points = None
 
-    def __init__(self, elements, op, identity, generators=(), name="",
-                 cap=DEFAULT_CAP):
+    def __init__(self, elements, op, identity, generators=(), name=""):
         elements = tuple(elements)
-        check_order(len(elements), cap, name)
         keying = _keying(op, identity, elements)
         self._setup(keying.encode(elements), keying, op, identity, generators, name)
 
@@ -141,7 +142,6 @@ class FiniteGroup:
         self.op = op
         self.identity = identity
         self.name = name
-        self._abelian = None
         generators = tuple(generators)
         if not generators and n > 1:
             raise WorkbenchError(f"{name or 'a group'} of {n} elements was "
@@ -255,21 +255,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        """Whether the generators, which generate the group, commute
-        pairwise."""
-        if self._abelian is None:
-            gens, op = self.generators, self.op
-            self._abelian = all(op(a, b) == op(b, a)
-                                for i, a in enumerate(gens) for b in gens[i + 1:])
-        return self._abelian
-
-    def conjugate(self, g, x):
-        return self.op(self.op(g, x), self.inv(g))
-
-    def commutator(self, a, b):
-        return self.op(self.op(self.inv(a), self.inv(b)), self.op(a, b))
-
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"<{label} of order {self.order}>"
@@ -301,33 +286,13 @@ def _keying(op, identity, elements) -> _Keys:
     return _Keys(tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key)
 
 
-def _closure(start, steps, cap, key, name=""):
-    """Breadth-first closure of [start] under the steps, in levels, each
-    level's new keys sorted by `key`.  Returns the keys in that order and,
-    per step, the list of their images in the same order.
-    CapExceededError names `name`."""
-    ordered, seen, level = [start], {start}, [start]
-    images = [[] for _ in steps]
-    while level:
-        fresh = set()
-        for step, out in zip(steps, images):
-            image = step(level)
-            out += image
-            fresh.update(image)
-        fresh -= seen
-        if cap is not None and len(seen) + len(fresh) > cap:
-            raise CapExceededError(
-                f"{name or 'the group'}: closure exceeded the element cap of {cap}; "
-                f"pass a larger cap= (--cap on the command line) to raise it")
-        level = sorted(fresh, key=key)
-        seen.update(level)
-        ordered += level
-    return ordered, images
-
-
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
-    levels from the identity, each level sorted by `element_key`.
+    levels from the identity, each level's new elements sorted by
+    `element_key`.  The closure runs on keys: it images every key of a
+    level under every generator, and the group reads its generator tables
+    off those images.  CapExceededError, naming `name`, as soon as the
+    closure grows past `cap` (None for no cap).
 
     Generators must share a representation and expose __mul__ and
     identity_like(); permutations and matrices both qualify.
@@ -342,8 +307,24 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
             g.inverse()
     identity = gens[0].identity_like()
     keying = _keying(mul, identity, gens)
-    ordered, images = _closure(keying.encode([identity])[0],
-                               [keying.step(g) for g in gens], cap, keying.order, name)
+    steps = [keying.step(g) for g in gens]
+    start = keying.encode([identity])[0]
+    ordered, seen, level = [start], {start}, [start]
+    images = [[] for _ in steps]
+    while level:
+        fresh = set()
+        for step, out in zip(steps, images):
+            image = step(level)
+            out += image
+            fresh.update(image)
+        fresh -= seen
+        if cap is not None and len(seen) + len(fresh) > cap:
+            raise CapExceededError(
+                f"{name or 'the group'}: closure exceeded the element cap of {cap}; "
+                f"pass a larger cap= (--cap on the command line) to raise it")
+        level = sorted(fresh, key=keying.order)
+        seen.update(level)
+        ordered += level
     return FiniteGroup._from_keys(ordered, keying, mul, identity, generators=gens,
                                   name=name, images=images)
 
@@ -520,7 +501,7 @@ class _UnlistedGroup(FiniteGroup):
             identity = generators[0].identity_like()
         self.generators = gens = tuple(generators) or (identity,)
         self.op, self.identity = op, identity
-        self.name, self._abelian = name, None
+        self.name = name
         self._order, self._relator_rows = order, relators
         self._listing = listing or (lambda: enumerate_group(gens, cap=None, name=name))
 
@@ -547,68 +528,6 @@ class _UnlistedGroup(FiniteGroup):
         for name in self._LISTING:
             setattr(self, name, listed[name])
         return getattr(self, attr)
-
-
-def generated_subgroup(G: FiniteGroup, gens, *, name="") -> FiniteGroup:
-    """Subgroup of G generated by `gens`, ordered by BFS with parent-index
-    ties; no larger than G, so it needs no cap."""
-    gens = [g for g in gens if g != G.identity]
-    ordered, images = _closure(G._keys[G._start], [G._keying.step(g) for g in gens],
-                               None, G._key_index.__getitem__, name)
-    return FiniteGroup._from_keys(ordered, G._keying, G.op, G.identity,
-                                  generators=gens, name=name, images=images)
-
-
-def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
-    """The subgroup generated by all commutators [a, b] = a^-1 b^-1 a b.
-
-    It is the normal closure of the commutators of G's generators, which
-    generate G.  Conjugates of its generators that fall outside it join them
-    until none do (see `is_normal`).
-    """
-    name = f"[{G.name or 'G'},{G.name or 'G'}]"
-    seeds = {G.commutator(a, b) for a in G.generators for b in G.generators}
-    seeds.discard(G.identity)
-    while True:
-        H = generated_subgroup(G, sorted(seeds, key=G.index_of), name=name)
-        new = {y for x in seeds for g in G.generators
-               if (y := G.conjugate(g, x)) not in H}
-        if not new:
-            return H
-        seeds |= new
-
-
-def is_normal(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Whether the subgroup H (sharing G's operation) is normal in G = <T>:
-    whether t s t^-1 lies in H = <S> for all t in T and s in S, since then
-    t H t^-1 lies in H and, being finite of the same order, equals it.
-    T and S generate G and H, as every group's generators do."""
-    return all(G.conjugate(t, s) in H for t in G.generators for s in H.generators)
-
-
-def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
-    """G/N with cosets as frozensets, ordered by first representative in G;
-    no larger than G, so it needs no cap."""
-    if not is_normal(G, N):
-        raise WorkbenchError("subgroup is not normal; quotient undefined")
-    coset_of = {}
-    cosets = []
-    reps = {}
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        coset = frozenset(G.op(g, n) for n in N.elements)
-        cosets.append(coset)
-        reps[coset] = g
-        for x in coset:
-            coset_of[x] = coset
-
-    def op(c1, c2):
-        return coset_of[G.op(reps[c1], reps[c2])]
-
-    return FiniteGroup(cosets, op, coset_of[G.identity],
-                       generators=dict.fromkeys(coset_of[g] for g in G.generators),
-                       name=f"{G.name or 'G'}/{N.name or 'N'}", cap=None)
 
 
 @dataclass(frozen=True)
@@ -677,8 +596,9 @@ def _scaled_identity(k, n):
 
 
 def abelianization(G: FiniteGroup, action: GroupAction | None = None) -> AbInvariants:
-    """Invariant factors of G^ab, or of its coinvariants under `action` on G,
-    which it checks (see `GroupAction.check`) and which must target G.
+    """Invariant factors of G^ab, or, given an `action` on G, of G^ab modulo
+    every act(g, x) * x^-1: the action is checked (see `GroupAction.check`)
+    and must target G.
 
     G^ab is Z^k, k the number of G's generators, modulo the lattice L of
     exponent sums of its relators, and a complete set of relators spans L.
@@ -859,15 +779,3 @@ class GroupAction:
         label = self.name or "action"
         return f"<{label}: {self.acting!r} on {self.target!r}>"
 
-
-def coinvariants(H: FiniteGroup, action: GroupAction) -> AbInvariants:
-    """Invariant factors of H / <act(g, h) * h^-1>, for abelian H.
-
-    The relators for generators g of the acting group and h_i of H join H's
-    own in the Smith-form route.  Generators suffice: the relator for a
-    product of acting elements is a product of conjugated relators, and
-    h -> act(g, h) * h^-1 is a homomorphism on abelian H.
-    """
-    if not H.is_abelian():
-        raise WorkbenchError("coinvariants need an abelian target")
-    return abelianization(H, action)

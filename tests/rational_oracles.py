@@ -4,7 +4,10 @@ no modelk elimination underneath, the plain all-pairs form of
 group multiplication tables and inverses from the group's own operation,
 direct products of two groups on pairs, and symmetric groups and wreath
 products listed element by element, as they were before they acted on
-points."""
+points.  The subgroup oracles for the commutator route of abelianization
+(`generated_subgroup`, `commutator_subgroup`, `is_normal` and
+`quotient_group`) close elements under a group's own operation, breadth
+first, and hand the result to `FiniteGroup` as a list of elements."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -13,7 +16,7 @@ from operator import mul
 from modelk.constructions import index_permutation_action, semidirect
 from modelk.defsets import Block
 from modelk.errors import WorkbenchError
-from modelk.groups import FiniteGroup
+from modelk.groups import FiniteGroup, element_key
 from modelk.matrices import Mat
 from modelk.perms import Perm
 
@@ -128,7 +131,7 @@ def direct_product(G, H) -> FiniteGroup:
     elements = [(g, h) for g in G.elements for h in H.elements]
     gens = [(g, H.identity) for g in G.generators] + [(G.identity, h) for h in H.generators]
     return FiniteGroup(elements, op, (G.identity, H.identity),
-                       generators=gens, name=f"{G.name}x{H.name}", cap=None)
+                       generators=gens, name=f"{G.name}x{H.name}")
 
 
 def listed_symmetric_group(k) -> FiniteGroup:
@@ -136,10 +139,85 @@ def listed_symmetric_group(k) -> FiniteGroup:
     with the adjacent transpositions as generators."""
     return FiniteGroup(map(Perm, permutations(range(k))), mul, Perm.identity(k),
                        generators=[Perm.transposition(k, i, i + 1) for i in range(k - 1)],
-                       name=f"Sym({k})", cap=None)
+                       name=f"Sym({k})")
 
 
 def listed_wreath(K, k) -> FiniteGroup:
     """K wr Sym(k) as the index-permutation semidirect product K^k x| Sym(k)."""
     action = index_permutation_action(K, k, listed_symmetric_group(k), cap=None)
     return semidirect(action, name=f"{K.name} wr Sym({k})", cap=None)
+
+
+def closure(identity, op, gens, key=element_key, cap=None):
+    """The closure of [identity] under right multiplication by `gens`, in
+    breadth-first levels, each level's new elements sorted by `key`; None
+    once it holds more than `cap` elements."""
+    ordered, seen, level = [identity], {identity}, [identity]
+    while level:
+        level = sorted({op(x, g) for x in level for g in gens} - seen, key=key)
+        seen.update(level)
+        ordered += level
+        if cap is not None and len(ordered) > cap:
+            return None
+    return ordered
+
+
+def conjugate(G, g, x):
+    """g x g^-1 in G."""
+    return G.op(G.op(g, x), G.inv(g))
+
+
+def commutator(G, a, b):
+    """[a, b] = a^-1 b^-1 a b in G."""
+    return G.op(G.op(G.inv(a), G.inv(b)), G.op(a, b))
+
+
+def generated_subgroup(G, gens, *, name="") -> FiniteGroup:
+    """The subgroup of G that `gens` generate, listed by `closure` with
+    ties in G's element order."""
+    gens = [g for g in gens if g != G.identity]
+    return FiniteGroup(closure(G.identity, G.op, gens, key=G.index_of), G.op,
+                       G.identity, generators=gens, name=name)
+
+
+def commutator_subgroup(G) -> FiniteGroup:
+    """The subgroup generated by all commutators of G: the normal closure of
+    the commutators of G's generators, which generate G.  Conjugates of its
+    generators that fall outside it join them until none do."""
+    name = f"[{G.name or 'G'},{G.name or 'G'}]"
+    seeds = {commutator(G, a, b) for a in G.generators for b in G.generators}
+    seeds.discard(G.identity)
+    while True:
+        H = generated_subgroup(G, sorted(seeds, key=G.index_of), name=name)
+        new = {y for x in seeds for g in G.generators
+               if (y := conjugate(G, g, x)) not in H}
+        if not new:
+            return H
+        seeds |= new
+
+
+def is_normal(G, H) -> bool:
+    """Whether the subgroup H = <S> is normal in G = <T>: whether t s t^-1
+    lies in H for all t in T and s in S, since then t H t^-1 lies in H and,
+    being finite of the same order, equals it."""
+    return all(conjugate(G, t, s) in H for t in G.generators for s in H.generators)
+
+
+def quotient_group(G, N) -> FiniteGroup:
+    """G/N on cosets as frozensets, in the order of their first elements in
+    G, generated by the cosets of G's generators."""
+    if not is_normal(G, N):
+        raise WorkbenchError("subgroup is not normal; quotient undefined")
+    coset_of, reps = {}, {}
+    for g in G.elements:
+        if g not in coset_of:
+            coset = frozenset(G.op(g, n) for n in N.elements)
+            reps[coset] = g
+            coset_of.update(dict.fromkeys(coset, coset))
+
+    def op(c1, c2):
+        return coset_of[G.op(reps[c1], reps[c2])]
+
+    return FiniteGroup(reps, op, coset_of[G.identity],
+                       generators=dict.fromkeys(coset_of[g] for g in G.generators),
+                       name=f"{G.name or 'G'}/{N.name or 'N'}")

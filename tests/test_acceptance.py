@@ -15,7 +15,7 @@ from modelk.constructions import (alternating_elements, check_semidirect_ab,
                                   symmetric_group, wreath)
 from modelk.counting import count_points_mod_p
 from modelk.errors import UnsupportedRingError
-from modelk.groups import abelianization, commutator_subgroup
+from modelk.groups import abelianization
 from modelk.matrix_groups import (affine_group, check_gl_ab,
                                   elementary_closure, gl_group)
 from modelk.perms import Perm
@@ -26,7 +26,7 @@ from modelk.symbolic import (COUNTABLE, FormalAbGroup, RingDescriptor,
                              TheoryFlags, k1_free_module, k1_truncation,
                              truncation_consistency, units_of, zmod)
 from modelk.catalogue import by_name
-from rational_oracles import det_filter
+from rational_oracles import commutator_subgroup, det_filter
 
 
 def test_criterion_01_semidirect_abelianization_formula():

@@ -507,6 +507,19 @@ def test_abelianize_rejects_malformed_catalogue_integers(capsys):
     assert err.startswith("error:") and "'sym:x'" in err
 
 
+def test_dihedral_order_4_is_refused_and_points_to_klein(capsys):
+    # the 2-gon's reflection i -> -i is the identity, so the closure of
+    # D_2's generators reaches only 2 of its 4 elements
+    code, out, err = run(capsys, "abelianize", "--group", "dihedral:4")
+    assert code == 1 and out == ""
+    assert err == ("error: dihedral groups here have even order >= 6, got 4; "
+                   "for order 4 use klein, the same group\n")
+    # the refusal holds with asserts stripped too
+    optimized = _python("-O", "-m", "modelk", "abelianize", "--group", "dihedral:4")
+    assert optimized.returncode == 1 and optimized.stdout == ""
+    assert optimized.stderr == err
+
+
 # --- usage errors --------------------------------------------------------------------
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,7 @@ from modelk.constructions import (check_semidirect_ab, check_wreath_ab,
                                   direct_power, index_permutation_action,
                                   semidirect, symmetric_group, wreath)
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import GroupAction, abelianization, generated_subgroup
+from modelk.groups import GroupAction, abelianization
 from modelk.suites import random_semidirect_action
 from rational_oracles import direct_product
 
@@ -104,11 +104,6 @@ def test_a_semidirect_product_over_a_long_cyclic_group_builds_in_linear_time():
     assert time.process_time() - start < 1.0
     assert G.order == 2 * n
     assert abelianization(G).factors == (2, 2)
-
-
-def test_subgroups_of_a_group_over_the_default_cap_need_no_cap():
-    G = cyclic(30000, cap=30000)
-    assert generated_subgroup(G, [1]).order == 30000
 
 
 def test_wreath_orders():

@@ -5,11 +5,11 @@ factors' tables, and groups of matrices under `mul`, affine groups among
 them, from integer codes of their elements.  Each must equal the table read
 off the group's own operation (`product_tables`): entry i of table j is the
 index of elements[i] * generators[j].  Matrix closures run on codes too;
-their element order must equal that of the same closure loop fed steps that
-multiply Mat values, kept here as the oracle.  The generators' left
-multiplication tables and the inverses are read off the spanning tree;
-their oracles, `left_tables` and `inverse_indices`, multiply with the
-group's operation.  A group is refused when it is made if its operation
+their element order must equal that of the oracle `closure`, which
+multiplies Mat values breadth first and sorts each level by `element_key`.
+The generators' left multiplication tables and the inverses are read off
+the spanning tree; their oracles, `left_tables` and `inverse_indices`,
+multiply with the group's operation.  A group is refused when it is made if its operation
 leaves its elements or its generators do not generate it.  A group held on
 codes must answer membership and indices as a group held on its Mats does.
 """
@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 from modelk.catalogue import by_name
 from modelk.constructions import direct_power, semidirect, wreath
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import (FiniteGroup, GroupAction, _closure, element_key,
-                           enumerate_group, generated_subgroup)
+from modelk.groups import FiniteGroup, GroupAction, enumerate_group
 from modelk.matrices import Mat
 from modelk.matrix_groups import (affine_group, elementary_closure, gl_group,
                                   special_linear)
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from modelk.suites import random_semidirect_action
-from rational_oracles import inverse_indices, left_tables, product_tables
+from rational_oracles import (closure, conjugate, inverse_indices, left_tables,
+                              product_tables)
 
 RINGS = [Zmod(m) for m in range(2, 10)] + [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
 # GL_3 fits the default cap over the rings of size 2 and 3 only
@@ -51,7 +51,8 @@ def test_tables_of_seeded_semidirect_products(seed):
 def test_tables_passed_to_a_semidirect_product_are_its_products():
     # conjugation on a nonabelian target: H's tables conjugated by the action
     S = by_name("sym:3")
-    HK = semidirect(GroupAction(S, S, S.conjugate, name="conjugation"))
+    HK = semidirect(GroupAction(S, S, lambda g, x: conjugate(S, g, x),
+                                name="conjugation"))
     assert HK.order == 36
     _check_tables(HK)
 
@@ -105,10 +106,8 @@ def _matrix_generators(draw):
 @given(_matrix_generators())
 def test_code_closure_order_matches_the_closure_on_matrices(gens):
     cap = 2000
-    steps = [lambda xs, g=g: [x * g for x in xs] for g in gens]
-    try:
-        oracle, _ = _closure(gens[0].identity_like(), steps, cap, element_key)
-    except CapExceededError:
+    oracle = closure(gens[0].identity_like(), mul, gens, cap=cap)
+    if oracle is None:
         with pytest.raises(CapExceededError):
             enumerate_group(gens, cap=cap)
         return
@@ -159,7 +158,8 @@ def test_groups_on_codes_refuse_a_generator_over_another_ring():
     # Z_4 and F_4 have the same size, so the codes would mix silently
     G = gl_group(2, GF(4))
     with pytest.raises(ValueError, match="cannot multiply 2x2 matrices over F_4"):
-        generated_subgroup(G, [Mat.transvection(Zmod(4), 2, 0, 1, 1)])
+        FiniteGroup(G.elements, mul, G.identity,
+                    generators=[Mat.transvection(Zmod(4), 2, 0, 1, 1)])
     with pytest.raises(ValueError, match="cannot multiply 2x2 matrices over F_4"):
         FiniteGroup(G.elements, mul, G.identity,
                     generators=[Mat.transvection(GF(4), 3, 0, 1, 1)])
@@ -263,13 +263,12 @@ def test_groups_on_codes_answer_like_groups_on_mats(case):
     for G in (gl_group(n, R), elementary_closure(n, R)):
         # a group under another operation holds its Mats as its keys
         eager = FiniteGroup(G.elements, lambda a, b: a * b, G.identity,
-                            generators=G.generators, cap=None)
+                            generators=G.generators)
         assert G.order == eager.order and G.elements == eager.elements
         for x in eager.elements:
             fresh = Mat(R, x.rows)
             assert fresh in G and G.index_of(fresh) == eager.index_of(x)
-        public = FiniteGroup(G.elements, mul, G.identity, generators=G.generators,
-                             cap=None)
+        public = FiniteGroup(G.elements, mul, G.identity, generators=G.generators)
         assert public._keys == G._keys and public.elements == G.elements
         # a code, and a Mat over another ring or of another size whose code
         # is a member's, are not members

@@ -138,7 +138,7 @@ def _semidirect_affine(n, ring, copies):
     V = FiniteGroup(product(ring.elements, repeat=length),
                     lambda a, b: tuple(map(ring.add, a, b)), zero,
                     generators=gens,
-                    name=f"({ring})^{length}", cap=None)
+                    name=f"({ring})^{length}")
 
     def act(m, vec):
         return sum((m.apply(vec[c * n:(c + 1) * n]) for c in range(copies)), ())

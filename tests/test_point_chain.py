@@ -34,7 +34,7 @@ def _listed(G):
 
 def _cayley_ab(G):
     return abelianization(FiniteGroup(G.elements, G.op, G.identity,
-                                      generators=G.generators, cap=None)).factors
+                                      generators=G.generators)).factors
 
 
 def _chain_ab(G, points):

@@ -40,7 +40,7 @@ def _regenerated(G, gens):
     """G's elements with another list of generators, which must generate
     them."""
     return FiniteGroup(G.elements, G.op, G.identity,
-                       generators=gens, name=G.name, cap=None)
+                       generators=gens, name=G.name)
 
 
 def _check_against_long_set(G, long_gens):

@@ -48,7 +48,7 @@ def _listed(G):
 
 def _cayley_ab(G):
     return abelianization(FiniteGroup(G.elements, mul, G.identity,
-                                      generators=G.generators, cap=None)).factors
+                                      generators=G.generators)).factors
 
 
 @pytest.mark.parametrize("make, n, ring", CHAIN_CASES,
