@@ -2,8 +2,10 @@
 
 A PAMap is a finite list of (block, affine map) pieces.  It is a member of
 the automorphism group of its domain when the piece blocks partition the
-domain and the image blocks partition it again.  All checks are exact coset
-algebra; nothing is sampled.
+domain and the image blocks partition it again.  `validate` tests a tiling:
+no two pieces meet, no two images meet, and the images lie inside the
+domain, which they then fill, since their classes in K_0 add up to the
+domain's.  All checks are exact coset algebra; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -48,7 +51,7 @@ class AffineMap:
             raise WorkbenchError("offset length mismatch")
         # the primitive integer row [P | q | d] of the whole map
         *flat, d = integer_row([x for row in rows for x in row] + offset + [1])
-        linear = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+        linear = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
         if rank(linear) != n:
             raise WorkbenchError("matrix is singular over Q")
         return AffineMap(linear, tuple(flat[n * n:]), d)
@@ -147,6 +150,12 @@ class AffineMap:
         return moved
 
 
+def _overlap(blocks) -> bool:
+    """Whether two of the blocks meet; stops at the first pair that does."""
+    return any(block_intersect(a, b) is not None
+               for a, b in combinations(blocks, 2))
+
+
 def _reduced(linear, shift, d: int) -> AffineMap:
     """The map x -> (P x + q) / d with its integers divided by their gcd."""
     g = gcd(d, *shift, *(x for row in linear for x in row))
@@ -155,7 +164,7 @@ def _reduced(linear, shift, d: int) -> AffineMap:
 
 
 class PAMap:
-    """Piecewise-affine map; pieces sorted canonically, validity memoized."""
+    """Piecewise-affine map; pieces sorted canonically, validity report memoized."""
 
     def __init__(self, ambient: int, pieces):
         self.ambient = ambient
@@ -168,7 +177,7 @@ class PAMap:
             items.append((block, mapping))
         items.sort(key=lambda bm: bm[0].sort_key())
         self.pieces = tuple(items)
-        self._valid: bool | None = None
+        self._report: VerificationReport | None = None
 
     @staticmethod
     def from_affine(mapping: AffineMap, ambient: int | None = None) -> "PAMap":
@@ -182,9 +191,6 @@ class PAMap:
     def domain(self) -> DefinableSet:
         return DefinableSet.from_blocks(self.ambient, [b for b, _ in self.pieces])
 
-    def image_blocks(self) -> list[Block]:
-        return [m.image_block(b) for b, m in self.pieces]
-
     def apply(self, point):
         for block, mapping in self.pieces:
             if block.contains(point):
@@ -192,38 +198,36 @@ class PAMap:
         raise WorkbenchError("point outside the domain")
 
     def validate(self) -> VerificationReport:
+        """Whether the pieces tile the domain and their images tile it again.
+
+        With both lists disjoint, the images need only lie inside the domain:
+        an affine bijection keeps the dimension of every intersection, so
+        each image has its piece's class, and the disjoint images have class
+        sum [piece] = [domain].  The rest of the domain then has class 0, and
+        a nonempty set has a nonzero class (its degree is its dimension), so
+        the rest is empty.  No class is computed."""
         report = VerificationReport(f"piecewise-affine map on Q^{self.ambient}")
         report.add("has-pieces", bool(self.pieces))
-        disjoint = True
-        blocks = [b for b, _ in self.pieces]
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if block_intersect(blocks[i], blocks[j]) is not None:
-                    disjoint = False
+        disjoint = not _overlap([b for b, _ in self.pieces])
         report.add("domain-pieces-disjoint", disjoint)
-        images = self.image_blocks()
-        img_disjoint = True
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if block_intersect(images[i], images[j]) is not None:
-                    img_disjoint = False
+        images = [m.image_block(b) for b, m in self.pieces]
+        img_disjoint = not _overlap(images)
         report.add("image-pieces-disjoint", img_disjoint)
         if disjoint and img_disjoint:
-            domain = DefinableSet.from_blocks(self.ambient, blocks)
             image = DefinableSet.from_blocks(self.ambient, images)
-            report.add("image-equals-domain", image.same_set(domain))
+            report.add("image-equals-domain",
+                       image.difference(self.domain()).is_empty)
         else:
             report.add("image-equals-domain", False,
                        "skipped: pieces overlap")
-        self._valid = report.passed
+        self._report = report
         return report
 
     def require_valid(self):
-        if self._valid is None:
-            self.validate()
-        if not self._valid:
+        report = self._report or self.validate()
+        if not report.passed:
             raise WorkbenchError("map is not a bijection of its domain: "
-                                 + "; ".join(self.validate().failures))
+                                 + "; ".join(report.failures))
 
     def support(self) -> DefinableSet:
         """Points moved by the map, as a normalized definable set."""
@@ -294,8 +298,7 @@ def decompose_affine(f: PAMap) -> tuple[AffineMap, PAMap]:
     h = g^-1 o f fixes the full piece pointwise.
     """
     f.require_valid()
-    full = DefinableSet.full_space(f.ambient)
-    if not f.domain().same_set(full):
+    if not f.domain().complement().is_empty:
         raise WorkbenchError("decomposition needs the whole space as domain")
     tops = [(b, m) for b, m in f.pieces if b.carrier.is_full]
     assert len(tops) == 1, "exactly one full-carrier piece must exist"

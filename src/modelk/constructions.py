@@ -161,11 +161,7 @@ def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup, *,
                              cap=DEFAULT_CAP) -> GroupAction:
     """L <= Sym(k) permuting the coordinates of K^k: l moves slot x to slot l(x)."""
     base = direct_power(K, k, cap=cap)
-
-    def act(l: Perm, t):
-        return permute_tuple(l, t)
-
-    return GroupAction(L, base, act, name=f"index permutation on {base.name}")
+    return GroupAction(L, base, permute_tuple, name=f"index permutation on {base.name}")
 
 
 def _regular_points(K: FiniteGroup) -> PointAction:

@@ -2,8 +2,9 @@
 
 Elements are opaque hashable values (permutations, matrices, pairs, cosets);
 each group carries its own operation.  Enumerations are deterministic: BFS
-from the identity, the new elements of each level sorted by a structural
-key, so every downstream tie-break is reproducible.
+from the identity, the new elements of each level sorted by their keys'
+own order (a permutation's images, a matrix's code, which orders matrices
+as their rows), so every downstream tie-break is reproducible.
 
 A group holds its elements as keys, which `_keying` picks once, when the
 group is made: integer codes for matrices under `mul` that share a ring and
@@ -55,24 +56,6 @@ def check_order(order: int, cap, name: str) -> None:
         raise CapExceededError(
             f"{name or 'the group'} has order {order}, cap is {cap}; pass a "
             f"larger cap= (--cap on the command line) to raise it")
-
-
-def element_key(x):
-    """Total, deterministic sort key over the element kinds we enumerate."""
-    sk = getattr(x, "sort_key", None)
-    if sk is not None:
-        return ("o", element_key(sk))
-    if isinstance(x, tuple):
-        return ("t", tuple(element_key(y) for y in x))
-    if isinstance(x, frozenset):
-        return ("f", tuple(sorted(element_key(y) for y in x)))
-    if isinstance(x, bool):
-        return ("b", x)
-    if isinstance(x, int):
-        return ("i", x)
-    if isinstance(x, str):
-        return ("s", x)
-    raise TypeError(f"no sort key for {type(x)!r}")
 
 
 class FiniteGroup:
@@ -263,14 +246,11 @@ class FiniteGroup:
 class _Keys(NamedTuple):
     """How a group holds its elements as keys.  encode maps a list of
     elements to their keys and decode maps keys back; step(g) maps a list of
-    keys to the keys of their products with g on the right; `order` is the
-    sort key that orders keys as `element_key` orders their elements, None
-    for codes, whose numeric order is that order."""
+    keys to the keys of their products with g on the right."""
 
     encode: Callable
     step: Callable
     decode: Callable
-    order: Callable | None
 
 
 def _keying(op, identity, elements) -> _Keys:
@@ -283,13 +263,13 @@ def _keying(op, identity, elements) -> _Keys:
     if op is mul and k is not None and all(getattr(x, "_k", None) is k for x in elements):
         return _Keys(*k.code_keys())
     # tuple() returns a tuple unchanged, so a tuple of elements is its own keys
-    return _Keys(tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple, element_key)
+    return _Keys(tuple, lambda g: lambda xs: [op(x, g) for x in xs], tuple)
 
 
 def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     """Close a generator list under its own multiplication, in breadth-first
-    levels from the identity, each level's new elements sorted by
-    `element_key`.  The closure runs on keys: it images every key of a
+    levels from the identity, each level's new elements sorted by their
+    keys' own order.  The closure runs on keys: it images every key of a
     level under every generator, and the group reads its generator tables
     off those images.  CapExceededError, naming `name`, as soon as the
     closure grows past `cap` (None for no cap).
@@ -322,7 +302,7 @@ def enumerate_group(generators, *, cap=DEFAULT_CAP, name="") -> FiniteGroup:
             raise CapExceededError(
                 f"{name or 'the group'}: closure exceeded the element cap of {cap}; "
                 f"pass a larger cap= (--cap on the command line) to raise it")
-        level = sorted(fresh, key=keying.order)
+        level = sorted(fresh)
         seen.update(level)
         ordered += level
     return FiniteGroup._from_keys(ordered, keying, mul, identity, generators=gens,

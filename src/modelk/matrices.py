@@ -201,10 +201,10 @@ class _Kernels:
                 for i in range(n - 1)] + [last]
 
     def code_keys(self):
-        """Codes as the keys of `groups._keying`: (encode, step, decode,
-        None), with encode taking Mats to codes and decode taking codes back
-        to Mats, and step(g) imaging codes under right multiplication by g.
-        A g over another ring or of another size raises ValueError, as its
+        """Codes as the keys of `groups._keying`: (encode, step, decode),
+        with encode taking Mats to codes and decode taking codes back to
+        Mats, and step(g) imaging codes under right multiplication by g.  A
+        g over another ring or of another size raises ValueError, as its
         product would."""
         ring, encode, decode, image = self.ring, self.encode, self.decode, self.image
 
@@ -215,8 +215,7 @@ class _Kernels:
             tables = self.row_images(g)
             return lambda codes: image(codes, *tables)
         return (lambda mats: encode([m.rows for m in mats]), step,
-                lambda codes: [_trusted(ring, rows, self) for rows in decode(codes)],
-                None)
+                lambda codes: [_trusted(ring, rows, self) for rows in decode(codes)])
 
 
 _kernels = lru_cache(maxsize=None)(_Kernels)

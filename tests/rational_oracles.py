@@ -7,18 +7,23 @@ products listed element by element, as they were before they acted on
 points.  The subgroup oracles for the commutator route of abelianization
 (`generated_subgroup`, `commutator_subgroup`, `is_normal` and
 `quotient_group`) close elements under a group's own operation, breadth
-first, and hand the result to `FiniteGroup` as a list of elements."""
+first, each level sorted by `element_key`, and hand the result to
+`FiniteGroup` as a list of elements.  `validate_two_way` is the validity
+test of a piecewise-affine map with the image compared to the domain both
+ways."""
 
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
 
+from modelk.automorphisms import PAMap
 from modelk.constructions import index_permutation_action, semidirect
-from modelk.defsets import Block
+from modelk.defsets import Block, DefinableSet, block_intersect
 from modelk.errors import WorkbenchError
-from modelk.groups import FiniteGroup, element_key
+from modelk.groups import FiniteGroup
 from modelk.matrices import Mat
 from modelk.perms import Perm
+from modelk.report import VerificationReport
 
 
 def mat_inv(rows) -> list[list[Fraction]]:
@@ -148,6 +153,25 @@ def listed_wreath(K, k) -> FiniteGroup:
     return semidirect(action, name=f"{K.name} wr Sym({k})", cap=None)
 
 
+def element_key(x):
+    """Total, deterministic sort key over elements, their tuples and
+    frozensets (the cosets of a quotient), bools, ints and strings."""
+    sk = getattr(x, "sort_key", None)
+    if sk is not None:
+        return ("o", element_key(sk))
+    if isinstance(x, tuple):
+        return ("t", tuple(element_key(y) for y in x))
+    if isinstance(x, frozenset):
+        return ("f", tuple(sorted(element_key(y) for y in x)))
+    if isinstance(x, bool):
+        return ("b", x)
+    if isinstance(x, int):
+        return ("i", x)
+    if isinstance(x, str):
+        return ("s", x)
+    raise TypeError(f"no sort key for {type(x)!r}")
+
+
 def closure(identity, op, gens, key=element_key, cap=None):
     """The closure of [identity] under right multiplication by `gens`, in
     breadth-first levels, each level's new elements sorted by `key`; None
@@ -221,3 +245,32 @@ def quotient_group(G, N) -> FiniteGroup:
     return FiniteGroup(reps, op, coset_of[G.identity],
                        generators=dict.fromkeys(coset_of[g] for g in G.generators),
                        name=f"{G.name or 'G'}/{N.name or 'N'}")
+
+
+def validate_two_way(f: PAMap) -> VerificationReport:
+    """`PAMap.validate` as a plain two-way test: every pair of pieces and
+    every pair of images is intersected, and the image must equal the
+    domain as sets, both differences computed in full."""
+    report = VerificationReport(f"piecewise-affine map on Q^{f.ambient}")
+    report.add("has-pieces", bool(f.pieces))
+    disjoint = True
+    blocks = [b for b, _ in f.pieces]
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if block_intersect(blocks[i], blocks[j]) is not None:
+                disjoint = False
+    report.add("domain-pieces-disjoint", disjoint)
+    images = [m.image_block(b) for b, m in f.pieces]
+    img_disjoint = True
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            if block_intersect(images[i], images[j]) is not None:
+                img_disjoint = False
+    report.add("image-pieces-disjoint", img_disjoint)
+    if disjoint and img_disjoint:
+        domain = DefinableSet.from_blocks(f.ambient, blocks)
+        image = DefinableSet.from_blocks(f.ambient, images)
+        report.add("image-equals-domain", image.same_set(domain))
+    else:
+        report.add("image-equals-domain", False, "skipped: pieces overlap")
+    return report

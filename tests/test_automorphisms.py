@@ -5,10 +5,10 @@ import pytest
 
 from modelk.automorphisms import AffineMap, PAMap, conjugate, decompose_affine
 from modelk.cosets import NEG_INF, AffineCoset
-from modelk.defsets import DefinableSet, make_block
+from modelk.defsets import DefinableSet, block_intersect, make_block, witness_point
 from modelk.errors import WorkbenchError
-from modelk.suites import random_affine_map, random_pamap
-from rational_oracles import mat_inv
+from modelk.suites import random_affine_map, random_pamap, random_point
+from rational_oracles import mat_inv, validate_two_way
 
 
 def swap_map(ambient, a, b):
@@ -43,6 +43,10 @@ def test_affine_make_rejects_bad_input():
         AffineMap.make([[1, 2], [2, 4]], [0, 0])
     with pytest.raises(WorkbenchError):
         AffineMap.make([[1]], [0, 0])
+
+
+def test_affine_map_on_q0_is_the_identity():
+    assert AffineMap.make([], []) == AffineMap.identity(0)
 
 
 def test_affine_apply_compose_inverse():
@@ -152,6 +156,72 @@ def test_image_must_equal_domain():
     rep = shrunk.validate()
     assert not rep.passed and "image-equals-domain" in rep.failures
     assert f.validate().passed
+
+
+def test_require_valid_names_the_failures_of_one_validate_run(monkeypatch):
+    runs = []
+    validate = PAMap.validate
+    monkeypatch.setattr(PAMap, "validate", lambda f: runs.append(f) or validate(f))
+    shrunk = PAMap(1, [(make_block(AffineCoset.single_point((Fraction(0),))),
+                        AffineMap.make([[1]], [5]))])
+    for _ in range(2):
+        with pytest.raises(WorkbenchError, match="not a bijection of its "
+                           "domain: image-equals-domain$"):
+            shrunk.compose(shrunk)
+    assert runs == [shrunk]
+
+
+def _restricted(f: PAMap, s: DefinableSet) -> PAMap:
+    """f on the pieces of its domain inside s."""
+    return PAMap(f.ambient, [(part, m) for b, m in f.pieces for c in s.blocks
+                             if (part := block_intersect(b, c)) is not None])
+
+
+def _perturbed(rng, f: PAMap) -> dict:
+    """Copies of f that break it: one piece translated so that its image
+    leaves the domain (or moves at random when the domain is everything),
+    one piece dropped, one piece duplicated, and a second piece sent onto
+    a point of the first one's image."""
+    pieces = list(f.pieces)
+    i = rng.randrange(len(pieces))
+    b, m = pieces[i]
+    outside = f.domain().complement()
+    target = (outside.witness() if not outside.is_empty
+              else random_point(rng, f.ambient))
+    shift = AffineMap.translation(
+        [y - x for x, y in zip(m.apply(witness_point(b)), target)])
+    maps = {"translated": pieces[:i] + [(b, shift.compose(m))] + pieces[i + 1:],
+            "dropped": pieces[:i] + pieces[i + 1:],
+            "duplicated": pieces + [pieces[i]]}
+    if len(pieces) > 1:
+        j = rng.choice([j for j in range(len(pieces)) if j != i])
+        c = pieces[j][0]
+        onto = m.compose(AffineMap.translation(
+            [x - y for x, y in zip(witness_point(b), witness_point(c))]))
+        maps["collided"] = [(c, onto) if k == j else p
+                            for k, p in enumerate(pieces)]
+    return {name: PAMap(f.ambient, p) for name, p in maps.items()}
+
+
+def test_one_way_validate_matches_the_two_way_oracle():
+    rng = random.Random(2808)
+    failed = {"domain-pieces-disjoint": 0, "image-pieces-disjoint": 0,
+              "image-equals-domain": 0}
+    for _ in range(12):
+        f = random_pamap(rng, rng.randint(1, 3))
+        # a map sends its support onto itself, so it restricts to it
+        moved = _restricted(f, f.support())
+        maps = [f] + [moved] * bool(moved.pieces)
+        for g in list(maps):
+            maps += _perturbed(rng, g).values()
+        for g in maps:
+            checks = g.validate().checks
+            assert checks == validate_two_way(g).checks
+            for name, ok, detail in checks:
+                if not ok and not detail and name in failed:
+                    failed[name] += 1
+        assert f.validate().passed and moved.validate().passed
+    assert all(failed.values()), failed
 
 
 # --- support and the dimension filtration -----------------------------------

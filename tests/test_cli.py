@@ -168,6 +168,20 @@ def test_aut_invalid_map(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+Q0_MAP = json.dumps({"ambient": 0, "pieces": [
+    {"carrier": {"ambient": 0}, "matrix": [], "offset": []}]})
+
+
+@pytest.mark.parametrize("action, key, value", [
+    ("validate", "passed", True), ("support", "support", {"ambient": 0, "blocks": []}),
+    ("dim", "dim", None), ("decompose", "affine", {"matrix": [], "offset": []})])
+def test_aut_takes_a_map_on_q0(action, key, value):
+    # the identity of the one point of Q^0: its matrix has no rows
+    done = _python("-m", "modelk", "--json", "aut", action, "-", input=Q0_MAP)
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert json.loads(done.stdout)[key] == value
+
+
 def _one_piece_map(**fields):
     """A one-piece map file on Q^1, with some piece fields replaced."""
     piece = {"carrier": {"ambient": 1, "rows": []}, "matrix": [[1]],

@@ -5,13 +5,14 @@ import pytest
 from modelk.catalogue import by_name, cyclic, dihedral, quaternion8
 from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import (FiniteGroup, abelianization, AbInvariants,
-                           element_key, enumerate_group, GroupAction,
+                           enumerate_group, GroupAction,
                            invariants_from_factors)
 from modelk.matrix_groups import gl_group
 from modelk.perms import Perm
 from modelk.rings import GF, Zmod
 from rational_oracles import (commutator, commutator_subgroup, conjugate,
-                              generated_subgroup, is_normal, quotient_group)
+                              element_key, generated_subgroup, is_normal,
+                              quotient_group)
 
 
 def test_enumeration_starts_at_identity_and_is_deterministic():
