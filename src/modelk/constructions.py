@@ -25,12 +25,12 @@ from array import array
 from functools import partial
 from itertools import permutations, product
 from math import factorial
-from operator import attrgetter, mul
+from operator import getitem, mul
+from typing import Callable
 
 from .errors import DEFAULT_CAP, WorkbenchError
-from .groups import (AbInvariants, FiniteGroup, GroupAction, PointAction,
-                     _index_action, _keying, _UnlistedGroup, abelianization,
-                     check_order, stabilizer_chain)
+from .groups import (AbInvariants, FiniteGroup, GroupAction, PointAction, _keying,
+                     _UnlistedGroup, abelianization, check_order, stabilizer_chain)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
@@ -136,6 +136,17 @@ def _on_points(gens, op, identity, order: int, name: str, points: PointAction,
     return G
 
 
+def _perm_and_inverse(images) -> tuple[Perm, Perm]:
+    p = Perm(images)
+    return p, p.inverse()
+
+
+def _index_action(degree: int, form: Callable) -> PointAction:
+    """An action on the points 0, ..., degree - 1, each element held as the
+    Perm of its images, which `form` gives; every point is a base point."""
+    return PointAction(form, tuple(range(degree)), getitem, mul, _perm_and_inverse)
+
+
 def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """Sym(k) on image tuples, adjacent transpositions as generators; Sym(1)
     is the trivial group.  It acts on its k points (see `_on_points`).  The
@@ -148,7 +159,7 @@ def symmetric_group(k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     identity = Perm.identity(k)
     gens = [Perm.transposition(k, i, i + 1) for i in range(k - 1)]
     return _on_points(gens, mul, identity, order, name,
-                      _index_action(k, attrgetter("images")),
+                      _index_action(k, Perm),
                       lambda: FiniteGroup(map(Perm, permutations(range(k))), mul,
                                           identity, generators=gens, name=name))
 
@@ -167,7 +178,7 @@ def index_permutation_action(K: FiniteGroup, k: int, L: FiniteGroup, *,
 def _regular_points(K: FiniteGroup) -> PointAction:
     """K acting on its element indices by left multiplication, read off its
     spanning tree (see `FiniteGroup._left_multiplications`)."""
-    return _index_action(K.order, lambda x: tuple(
+    return _index_action(K.order, lambda x: Perm(
         K._left_multiplications([K.index_of(x)])[0]))
 
 
@@ -198,7 +209,7 @@ def wreath(K: FiniteGroup, k: int, L: FiniteGroup | None = None, *,
 
     def form(pair):
         t, l = pair
-        return tuple([j * d + y for j in l.images for y in slot(t[j])])
+        return Perm([j * d + y for j in l for y in slot(t[j])])
 
     base_identity = (K.identity,) * k
     gens = ([(t, L.identity) for t in _power_generators(K, k)]

@@ -8,11 +8,10 @@ point of F_p^n (1 in the set, 0 outside).  The tree's leaves are
 over F_p), and its mask is listed from the projected echelon form.  The
 tree is then evaluated on the masks, Not, And and Or as bitwise
 operations, and its mask is the raw set.  The good-prime flag certifies
-that the count provably equals the Grothendieck class evaluated at p:
+that the count provably equals the Grothendieck class evaluated at p, by
+two conditions:
 
-  (a) every leaf system keeps its rank pattern mod p (coefficient block,
-      augmented matrix, and bound-variable block), so projections behave;
-  (b) for every block of the normal form and every subset of its holes, the
+  (a) for every block of the normal form and every subset of its holes, the
       stacked integer system keeps rank and consistency mod p, so the
       inclusion-exclusion over F_p matches the one over Q term by term.
       Subsets of at most n + 1 holes (n the ambient dimension) decide it
@@ -26,13 +25,21 @@ that the count provably equals the Grothendieck class evaluated at p:
       child eliminating its parent's rows plus one hole's, and a subtree is
       left out once its ranks agree at the maximum (n, n + 1)
       (`_lattice_ranks_ok` gives the proof);
-  (c) the normal form's blocks, reduced mod p, partition the raw set.  Each
+  (b) the normal form's blocks, reduced mod p, partition the raw set.  Each
       carrier and hole is an F_p point set listed from its mod-p echelon
       form (p^dim points per coset), a block is its carrier's points minus
       its holes', and the blocks must be pairwise disjoint with union the
       raw set.
 
-The conditions are checked in that order and only while the flag holds.
+Together they prove it.  By (b) the count is the sum of the blocks' point
+counts mod p.  A block's points are its carrier's less the union of its
+holes', so by inclusion-exclusion its count is the alternating sum, over
+the subsets of its holes, of the points of the carrier stacked with the
+subset: p^(n - rank) for a consistent system and 0 otherwise.  By (a)
+each such term has the rank and consistency it has over Q, so it is the
+term of the block's class at p, and the sum of the blocks' classes is the
+class of the set.  The conditions are checked in that order and only
+while the flag holds.
 """
 
 from __future__ import annotations
@@ -41,10 +48,9 @@ import itertools
 from dataclasses import dataclass
 from operator import and_, mul, or_
 
-from .cosets import LinearSystem
 from .defsets import DefinableSet, boolean_normalize, expr_leaves, fold, k0_class
 from .errors import WorkbenchError
-from .linalg import _eliminate, project_rows, rank, rank_mod_p
+from .linalg import _eliminate, project_rows
 
 _POINT_LIMIT = 10 ** 6
 
@@ -67,16 +73,6 @@ class CountReport:
         }
 
 
-def _leaf_rank_pattern_ok(system: LinearSystem, p: int) -> bool:
-    n, b = system.ambient, system.bound
-    coeff = [[int(x) for x in row[:-1]] for row in system.rows]
-    aug = [[int(x) for x in row] for row in system.rows]
-    ybl = [[int(x) for x in row[n:n + b]] for row in system.rows]
-    return (rank_mod_p(coeff, p) == rank(coeff)
-            and rank_mod_p(aug, p) == rank(aug)
-            and rank_mod_p(ybl, p) == rank(ybl))
-
-
 def _mod_p(rows, p: int) -> list[list[int]]:
     return [[a % p for a in row] for row in rows]
 
@@ -90,7 +86,7 @@ def _ranks(rows, n: int, p: int | None = None):
 
 
 def _lattice_ranks_ok(d: DefinableSet, p: int) -> bool:
-    """Condition (b) for every block, by a depth-first walk over the hole
+    """Condition (a) for every block, by a depth-first walk over the hole
     subsets of size <= n + 1 (see the module docstring).
 
     A subset grows by one hole of larger index at a time.  A node keeps its
@@ -159,7 +155,7 @@ def _point_mask(rows, n: int, p: int) -> int:
 
 
 def _blocks_partition(d: DefinableSet, raw: int, p: int) -> bool:
-    """Condition (c): the blocks' point sets mod p are pairwise disjoint
+    """Condition (b): the blocks' point sets mod p are pairwise disjoint
     and their union is the raw point set (both as `_point_mask` ints).
     Only a carrier, the union so far and one hole are held at a time."""
     union = 0
@@ -203,8 +199,6 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     normal = boolean_normalize(expr, ambient)
     raw = _tree_mask(expr, ambient, p,
                      int.from_bytes(b"\1" * p ** ambient, "little"))
-    good = (all(_leaf_rank_pattern_ok(s, p) for s in systems)
-            and _lattice_ranks_ok(normal, p)
-            and _blocks_partition(normal, raw, p))
+    good = _lattice_ranks_ok(normal, p) and _blocks_partition(normal, raw, p)
     return CountReport(p, ambient, raw.bit_count(), good,
                        k0_class(normal).evaluate(p))

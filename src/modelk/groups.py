@@ -39,7 +39,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import add, getitem, mul
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .errors import (DEFAULT_CAP, CapExceededError, InvalidActionError,
@@ -324,23 +324,6 @@ class PointAction(NamedTuple):
     element: Callable
 
 
-def _compose(f, g):
-    return tuple([f[y] for y in g])
-
-
-def _with_inverse(images):
-    inverse = [0] * len(images)
-    for x, y in enumerate(images):
-        inverse[y] = x
-    return tuple(images), tuple(inverse)
-
-
-def _index_action(degree: int, form: Callable) -> PointAction:
-    """An action on the points 0, ..., degree - 1, each element held as the
-    tuple of its images, which `form` gives; every point is a base point."""
-    return PointAction(form, tuple(range(degree)), getitem, _compose, _with_inverse)
-
-
 class _Orbit:
     """Level l of a stabilizer chain: the orbit of base[l] under the strong
     generators that fix base[0], ..., base[l-1] (`gens`, indices into the
@@ -369,7 +352,7 @@ def stabilizer_chain(gens, action: PointAction) -> tuple[int, list[tuple[int, ..
     point, so the order is the product of the orbit lengths.  Products and
     images of points come from the action; no element of the group is
     listed.  Matrices act on column vectors with base e_1, ..., e_n (see
-    `matrix_groups`), and permutations on their indices (`_index_action`).
+    `matrix_groups`), and permutations on their indices (see `constructions`).
 
     Level l pairs each orbit point w with each of its generators s.  When
     s w is new, it joins the orbit with u_(s w) = s u_w.  Otherwise the
@@ -600,7 +583,7 @@ def abelianization(G: FiniteGroup, action: GroupAction | None = None) -> AbInvar
     if action is None:
         relators = G._relators()
     else:
-        if action.target is not G and action.target != G:
+        if action.target is not G:
             raise WorkbenchError("action does not target the given group")
         action.check()
         relators = _cayley_relators(G, action)

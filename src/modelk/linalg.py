@@ -158,7 +158,3 @@ def null_space(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         basis.append(v)
     return basis
 
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p (p prime)."""
-    return len(_eliminate([[x % p for x in row] for row in rows], p)[1])

@@ -327,9 +327,5 @@ class Mat:
                              f"vector of length {len(vec)}")
         return self._k.apply(self.rows, vec)
 
-    @property
-    def sort_key(self):
-        return self.rows
-
     def __repr__(self) -> str:
         return f"Mat({self.ring}, {self.rows})"

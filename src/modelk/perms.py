@@ -1,102 +1,96 @@
-"""Permutations of {0, ..., k-1} with composition and parity."""
+"""Permutations of {0, ..., k-1} with composition and parity.
+
+A `Perm` is the tuple of its images, so it hashes, compares and sorts as
+that tuple does; `Perm(images)` checks that the images are ints forming a
+bijection of 0..k-1, and products and inverses, bijections by
+construction, are built without the check.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-_new = object.__new__
+_new = tuple.__new__
 
 
-def _trusted(images: tuple[int, ...]) -> "Perm":
-    """A Perm whose images are known to be a bijection of 0..k-1."""
-    p = _new(Perm)
-    p.__dict__["images"] = images
-    return p
-
-
-@dataclass(frozen=True, order=True)
-class Perm:
-    """A permutation stored by its tuple of images.
+class Perm(tuple):
+    """A permutation, the tuple of its images: p(x) = p[x].
 
     Composition acts on the left: (p * q)(x) = p(q(x)).
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
+    def __new__(cls, images):
+        images = _new(cls, images)
+        if not all(type(x) is int for x in images):
+            raise ValueError(f"images must be ints: {tuple(images)}")
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {tuple(images)}")
+        return images
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return _trusted(tuple(range(degree)))
+        return _new(Perm, range(degree))
 
     @staticmethod
     def transposition(degree: int, i: int, j: int) -> "Perm":
         images = list(range(degree))
         images[i], images[j] = j, i
-        return Perm(tuple(images))
+        return Perm(images)
 
     @staticmethod
     def cycle(degree: int, points: tuple[int, ...]) -> "Perm":
         images = list(range(degree))
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b
-        return Perm(tuple(images))
+        return Perm(images)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Perm") -> "Perm":
-        images = self.images
-        if len(images) != len(other.images):
+        if len(self) != len(other):
             raise ValueError("degree mismatch")
-        return _trusted(tuple([images[y] for y in other.images]))
+        return _new(Perm, [self[y] for y in other])
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
+        inv = [0] * len(self)
+        for x, y in enumerate(self):
             inv[y] = x
-        return _trusted(tuple(inv))
+        return _new(Perm, inv)
 
     def identity_like(self) -> "Perm":
-        return Perm.identity(self.degree)
+        return Perm.identity(len(self))
 
     def cycle_count(self) -> int:
-        seen = [False] * self.degree
+        seen = [False] * len(self)
         count = 0
-        for start in range(self.degree):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             count += 1
             x = start
             while not seen[x]:
                 seen[x] = True
-                x = self.images[x]
+                x = self[x]
         return count
 
     def is_even(self) -> bool:
         # parity of a permutation is (-1)^(degree - #cycles)
-        return (self.degree - self.cycle_count()) % 2 == 0
+        return (len(self) - self.cycle_count()) % 2 == 0
 
     def sign(self) -> int:
         return 1 if self.is_even() else -1
 
-    @property
-    def sort_key(self):
-        return self.images
-
     def __repr__(self) -> str:
-        return f"Perm{self.images}"
+        return f"Perm{tuple.__repr__(self)}"
 
 
 def permute_tuple(p: Perm, values: tuple) -> tuple:
     """Left action of p on an indexed tuple: result[p(x)] = values[x]."""
     result = list(values)
-    for x, y in enumerate(p.images):
+    for x, y in enumerate(p):
         result[y] = values[x]
     return tuple(result)

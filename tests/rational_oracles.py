@@ -10,7 +10,7 @@ points.  The subgroup oracles for the commutator route of abelianization
 first, each level sorted by `element_key`, and hand the result to
 `FiniteGroup` as a list of elements.  `validate_two_way` is the validity
 test of a piecewise-affine map with the image compared to the domain both
-ways."""
+ways.  `rank_mod_p` is the rank over F_p by `linalg`'s own elimination."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -21,6 +21,7 @@ from modelk.constructions import index_permutation_action, semidirect
 from modelk.defsets import Block, DefinableSet, block_intersect
 from modelk.errors import WorkbenchError
 from modelk.groups import FiniteGroup
+from modelk.linalg import _eliminate
 from modelk.matrices import Mat
 from modelk.perms import Perm
 from modelk.report import VerificationReport
@@ -43,6 +44,11 @@ def mat_inv(rows) -> list[list[Fraction]]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over F_p (p prime)."""
+    return len(_eliminate([[x % p for x in row] for row in rows], p)[1])
 
 
 def solvable_mod_p(coeff: list[list[int]], rhs: list[int], p: int) -> bool:
@@ -155,10 +161,10 @@ def listed_wreath(K, k) -> FiniteGroup:
 
 def element_key(x):
     """Total, deterministic sort key over elements, their tuples and
-    frozensets (the cosets of a quotient), bools, ints and strings."""
-    sk = getattr(x, "sort_key", None)
-    if sk is not None:
-        return ("o", element_key(sk))
+    frozensets (the cosets of a quotient), bools, ints and strings; a
+    matrix by its rows, a permutation as the tuple it is."""
+    if isinstance(x, Mat):
+        return ("o", element_key(x.rows))
     if isinstance(x, tuple):
         return ("t", tuple(element_key(y) for y in x))
     if isinstance(x, frozenset):

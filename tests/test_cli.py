@@ -289,7 +289,7 @@ GOLDEN_GROUP_COMMANDS = (
         "gl:3:3", "sl:3:3", "sl:2:5", "aff:2:3", "gl:2:4", "wreath:sym:3:2",
         "sl2:3", "q8", "dihedral:8", "sym:5")]
     + [["verify", "--suite", s]
-       for s in ("gl", "ed", "perm", "wreath", "truncation", "semiab")])
+       for s in ("gl", "ed", "perm", "wreath", "truncation", "semiab", "lift")])
 
 
 @pytest.mark.parametrize("argv", GOLDEN_GROUP_COMMANDS, ids=" ".join)
@@ -305,24 +305,24 @@ def test_group_json_matches_golden_files(capsys, argv):
 GOLDEN_COUNTS = {
     # name: (formula, prime), with the condition that clears the flag
     "count-cross-q2-p5": (CROSS, 5),  # none: a good prime
-    "count-scaled-point-q1-p5": ("ambient 1; pp(5*x1 = 1)", 5),  # (a)
-    "count-concurrent-lines-q2-p5": (  # (b): the three lines meet at 0 mod 5
+    "count-scaled-point-q1-p5": ("ambient 1; pp(5*x1 = 1)", 5),  # (a): no point mod 5
+    "count-concurrent-lines-q2-p5": (  # (a): the three lines meet at 0 mod 5
         "ambient 2; pp(x1 = 0) | pp(x2 = 0) | pp(x1 + x2 = 5)", 5),
-    "count-empty-meet-q2-p3": (  # (c): empty over Q, one point mod 3
+    "count-empty-meet-q2-p3": (  # (b): empty over Q, one point mod 3
         "ambient 2; pp(-x1 + 3*x2 = -1) & pp(-3*x1 + 2*x2 = -1 & -x1 + 2*x2 = -2)",
         3),
-    "count-even-line-q2-p2": (  # (a) and (c): E y1 loses the odd x1 mod 2
+    "count-even-line-q2-p2": (  # (b): E y1 loses the odd x1 mod 2
         "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1)", 2),
     "count-even-line-q2-p3": (
         "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1)", 3),
-    "count-two-points-q1-p3": (  # (a) and (c)
+    "count-two-points-q1-p3": (  # (b)
         "ambient 1; pp(x1 = 0) | pp(x1 = 3) | !pp(E y1 : x1 = 3*y1)", 3),
     "count-two-points-q1-p7": (
         "ambient 1; pp(x1 = 0) | pp(x1 = 3) | !pp(E y1 : x1 = 3*y1)", 7),
     "count-four-planes-q3-p7": (
         "ambient 3; !(pp(x1 = 0) | pp(x2 = 0) | pp(x3 = 0) | pp(x1 + x2 + x3 = 1))",
         7),
-    "count-merging-planes-q3-p5": (  # (b): the planes t = 0 and t = 5 agree mod 5
+    "count-merging-planes-q3-p5": (  # (a): the planes t = 0 and t = 5 agree mod 5
         "ambient 3; !(pp(x1 = 0) | pp(x1 + x2 + x3 = 1) | pp(x1 + 2*x2 + 4*x3 = 8)"
         " | pp(x1 + 5*x2 + 25*x3 = 125))", 5),
 }

@@ -13,9 +13,9 @@ from modelk.defsets import (And, Not, Or, boolean_normalize, expr_leaves,
                             k0_class)
 from modelk.errors import WorkbenchError
 from modelk.formulas import parse_formula
-from modelk.linalg import rank, rank_mod_p
+from modelk.linalg import rank
 from modelk.suites import random_expression
-from rational_oracles import solvable_mod_p
+from rational_oracles import rank_mod_p, solvable_mod_p
 from test_coset_routes import _project_by_fractions
 
 
@@ -70,6 +70,15 @@ def test_existential_parity_anomaly_flagged():
     assert not rep.good_prime
     rep3 = count_points_mod_p(expr, 3)
     assert rep3.count == 3 and rep3.good_prime
+
+
+def test_a_y_block_that_drops_rank_mod_p_leaves_the_prime_good():
+    # E y1 : 2 y1 = 2 is all of Q^1 and all of F_2: the y-block [2] has rank
+    # 0 mod 2, but the blocks' ranks and their partition of the points hold
+    expr = parse_formula("ambient 1; pp(E y1 : 2*y1 = 2)").root
+    rep = count_points_mod_p(expr, 2)
+    assert rep.count == rep.predicted == 2
+    assert rep.good_prime
 
 
 def test_empty_set_counts_zero():
@@ -152,13 +161,11 @@ def _in_rows(coset, point, p):
 
 def _count_point_by_point(expr, p):
     """(count, good) from a walk over the points: the tree walked at each
-    point with every leaf decided, and condition (c) as hits of the reduced
+    point with every leaf decided, and condition (b) as hits of the reduced
     blocks at each point."""
     ambient = expr_leaves(expr)[0].ambient
     normal = boolean_normalize(expr, ambient)
-    good = (all(counting._leaf_rank_pattern_ok(leaf, p)
-                for leaf in expr_leaves(expr))
-            and counting._lattice_ranks_ok(normal, p))
+    good = counting._lattice_ranks_ok(normal, p)
     count = 0
     for point in itertools.product(range(p), repeat=ambient):
         raw = _holds_at(expr, point, p)

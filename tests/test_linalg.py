@@ -19,8 +19,8 @@ from modelk import counting
 from modelk.counting import _lattice_ranks_ok
 from modelk.defsets import DefinableSet, make_block
 from modelk.errors import WorkbenchError
-from modelk.linalg import null_space, rank, rank_mod_p, rref
-from rational_oracles import mat_inv, solvable_mod_p
+from modelk.linalg import null_space, rank, rref
+from rational_oracles import mat_inv, rank_mod_p, solvable_mod_p
 
 PRIMES = (2, 3, 5, 7)
 
@@ -141,7 +141,7 @@ def test_rref_accepts_what_fraction_accepts():
 
 
 def _oracle_lattice_ranks_ok(d, p):
-    """Condition (b) on every hole subset."""
+    """Condition (a) on every hole subset."""
     for block in d.blocks:
         base = list(block.carrier.basis)
         hole_rows = [h.basis for h in block.holes]

@@ -234,10 +234,54 @@ def test_perm_rejects_a_non_bijection():
             Perm(images)
 
 
+def test_perm_refuses_images_that_are_not_ints():
+    # 1.0 == 1, so a float image passed the bijection check and then broke
+    # every product that indexed with it
+    for images in ((1.0, 0), (0, 1, 2.0), (True, False)):
+        with pytest.raises(ValueError, match="ints"):
+            Perm(images)
+
+
+def test_perm_holds_a_list_as_its_image_tuple():
+    p = Perm([1, 0])
+    assert type(p) is Perm and p == (1, 0)
+    assert repr(p) == "Perm(1, 0)"
+    assert hash(p) == hash(Perm((1, 0)))
+    assert len({p, Perm((1, 0)), Perm.transposition(2, 0, 1)}) == 1
+    assert repr(Perm([0])) == "Perm(0,)"
+
+
 def test_perm_products_and_inverses():
     p = Perm.cycle(4, (0, 1, 2))
     assert p * p.inverse() == Perm.identity(4) == p.identity_like()
-    assert (p * p).images == (2, 0, 1, 3)
+    assert p * p == (2, 0, 1, 3)
     assert hash(p * p) == hash(Perm((2, 0, 1, 3)))
     with pytest.raises(ValueError, match="degree"):
         p * Perm.identity(3)
+
+
+def _images(degree):
+    return st.permutations(range(degree)).map(tuple)
+
+
+_DEGREES = st.integers(0, 6)
+
+
+@given(_DEGREES.flatmap(lambda n: st.tuples(_images(n), _images(n))),
+       _DEGREES.flatmap(_images))
+def test_perms_act_and_compare_as_their_image_tuples(pair, other):
+    # a Perm is its image tuple: ==, hash and order are the tuple's, and the
+    # product and inverse match a reference on plain tuples
+    a, b = pair
+    p, q = Perm(a), Perm(b)
+    assert (p == q) == (a == b) and (p < q) == (a < b)
+    assert hash(p) == hash(a)
+    assert sorted([q, p, Perm(other)]) == sorted([b, a, other])
+    product = tuple(a[y] for y in b)
+    inverse = tuple(sorted(range(len(a)), key=a.__getitem__))
+    assert type(p * q) is Perm and p * q == product
+    assert type(p.inverse()) is Perm and p.inverse() == inverse
+    assert all(p(x) == a[x] for x in range(len(a)))
+    if len(other) != len(a):
+        with pytest.raises(ValueError, match="degree"):
+            p * Perm(other)

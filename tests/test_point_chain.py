@@ -2,7 +2,7 @@
 
 `constructions.symmetric_group` and `constructions.wreath` make a group
 that acts on points, and abelianize it from the chain of that action
-(`groups.stabilizer_chain` with `groups._index_action`), listing no
+(`groups.stabilizer_chain` with `constructions._index_action`), listing no
 element until one is asked for.  The oracles are `enumerate_group`, the
 Cayley route (a listed group's Cayley-edge relators) and the element by
 element constructions in `rational_oracles`, whose element order, generators
@@ -11,21 +11,19 @@ and tables the lazily listed groups must keep.
 
 import time
 from math import factorial
-from operator import attrgetter, mul
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelk.catalogue import by_name, cyclic, dihedral
-from modelk.constructions import _on_points, symmetric_group, wreath
+from modelk.constructions import _index_action, _on_points, symmetric_group, wreath
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import (FiniteGroup, _index_action, _UnlistedGroup, abelianization,
-                           enumerate_group, stabilizer_chain)
+from modelk.groups import (FiniteGroup, _UnlistedGroup, abelianization, enumerate_group,
+                           stabilizer_chain)
 from modelk.perms import Perm
 from rational_oracles import listed_symmetric_group, listed_wreath
-
-IMAGES = attrgetter("images")
 
 
 def _listed(G):
@@ -58,7 +56,7 @@ def _permutation_sets(draw):
 @given(_permutation_sets())
 def test_point_chains_of_seeded_permutations(gens):
     listed = enumerate_group(gens, cap=None)
-    points = _index_action(gens[0].degree, IMAGES)
+    points = _index_action(gens[0].degree, Perm)
     assert _chain_ab(listed, points) == (listed.order, _cayley_ab(listed))
 
 
@@ -82,14 +80,14 @@ STRUCTURED = {
 @pytest.mark.parametrize("name", sorted(STRUCTURED))
 def test_point_chains_whose_lower_levels_carry_the_relators(name):
     listed = enumerate_group(STRUCTURED[name], cap=None)
-    points = _index_action(listed.generators[0].degree, IMAGES)
+    points = _index_action(listed.generators[0].degree, Perm)
     assert _chain_ab(listed, points) == (listed.order, _cayley_ab(listed))
 
 
 @pytest.mark.parametrize("order", [8, 10, 12, 16])
 def test_point_chains_of_dihedral_groups(order):
     D = dihedral(order)
-    points = _index_action(order // 2, IMAGES)
+    points = _index_action(order // 2, Perm)
     assert _chain_ab(D, points) == (order, _cayley_ab(D))
 
 
@@ -150,7 +148,7 @@ def test_large_permutation_groups_abelianize_without_listing():
 
 def test_a_lazy_chain_checks_its_order():
     G = _on_points([Perm.transposition(4, 0, 1)], mul, Perm.identity(4), 24, "Sym(4)",
-                   _index_action(4, IMAGES), None)
+                   _index_action(4, Perm), None)
     assert not _listed(G)
     for _ in range(2):
         with pytest.raises(WorkbenchError,
