@@ -18,8 +18,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .cosets import AffineCoset
-from .defsets import (Block, DefinableSet, block_intersect, block_subtract,
-                      k0_class, make_block)
+from .defsets import Block, DefinableSet, block_intersect, block_subtract, make_block
 from .errors import WorkbenchError
 from .linalg import _eliminate, integer_row, rank
 from .report import VerificationReport
@@ -243,7 +242,9 @@ class PAMap:
         return DefinableSet.from_blocks(self.ambient, moved)
 
     def support_dim(self):
-        return k0_class(self.support()).degree
+        """The degree of the support's class, which is its largest block
+        dimension (see `defsets.definable_dim`)."""
+        return self.support().dim
 
     def in_omega(self, m: int) -> bool:
         return self.support_dim() <= m

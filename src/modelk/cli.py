@@ -39,7 +39,9 @@ def _common_flags(seed, cap, emit_json) -> argparse.ArgumentParser:
     flags.add_argument("--seed", type=int, default=seed,
                        help="seed for randomized suites (default 0)")
     flags.add_argument("--cap", type=_positive_int, default=cap,
-                       help=f"group enumeration cap (default {DEFAULT_CAP})")
+                       help="the most group elements (closed-form order or "
+                            "closure) and ring table entries (q^2) to build "
+                            f"(default {DEFAULT_CAP})")
     flags.add_argument("--json", action="store_true", default=emit_json,
                        help="emit machine-readable JSON")
     return flags
@@ -237,7 +239,7 @@ def _cmd_aut(args) -> int:
     f.require_valid()
     if args.action == "support":
         supp = f.support()
-        value = f.support_dim()
+        value = supp.dim
         _emit(args,
               {"support": jsonio.defset_to_json(supp),
                "dim": _dim_json(value)},
@@ -252,13 +254,13 @@ def _cmd_aut(args) -> int:
     g, h = decompose_affine(f)
     matrix = [[jsonio.rat_to_json(x) for x in row] for row in g.matrix]
     offset = [jsonio.rat_to_json(x) for x in g.offset]
+    value = h.support_dim()
     _emit(args,
           {"affine": {"matrix": matrix, "offset": offset},
            "rest": jsonio.pamap_to_json(h),
-           "rest_support_dim": _dim_json(h.support_dim())},
+           "rest_support_dim": _dim_json(value)},
           f"affine part: matrix {matrix}, offset {offset}\n"
-          f"small-support part has support dimension "
-          f"{_dim_text(h.support_dim())}")
+          f"small-support part has support dimension {_dim_text(value)}")
     return 0
 
 

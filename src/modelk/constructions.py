@@ -14,15 +14,14 @@ products of pairs, and `semidirect` builds them with the group.
 
 Sym(k) and wreath products act faithfully on points (`_on_points`), and
 past a small order they take their relators from the stabilizer chain of
-that action (`groups.stabilizer_chain`), checked against their order, and
-list their elements, in the same order as a listing made at once, only on
-first use.
+that action (`groups.stabilizer_chain`), run and checked against their
+order when they are made, and list their elements, in the same order as a
+listing made at once, only on first use.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial
 from itertools import permutations, product
 from math import factorial
 from operator import getitem, mul
@@ -30,7 +29,7 @@ from typing import Callable
 
 from .errors import DEFAULT_CAP, WorkbenchError
 from .groups import (AbInvariants, FiniteGroup, GroupAction, PointAction, _keying,
-                     _UnlistedGroup, abelianization, check_order, stabilizer_chain)
+                     _UnlistedGroup, abelianization, check_order)
 from .perms import Perm, permute_tuple
 from .report import VerificationReport
 
@@ -120,16 +119,16 @@ def _on_points(gens, op, identity, order: int, name: str, points: PointAction,
     through `points` (an `_index_action` on d points), which it keeps as
     `_points`.  `listing` lists it.
 
-    When d^2 < order it is an `_UnlistedGroup` whose relators come, on first
-    use, from its stabilizer chain on the points, checked to reach `order`.
+    When d^2 < order it is an `_UnlistedGroup` whose relators come from its
+    stabilizer chain on the points, run and checked to reach `order` now.
     Otherwise it is listed now: a chain's first level alone can hold d
     transversal elements of d images each, more than the group has
     elements, and the listed group's Cayley-edge relators are the one-level
     chain of its regular action."""
     degree = len(points.base)
     if degree * degree < order:
-        G = _UnlistedGroup(gens, order, partial(stabilizer_chain, gens, points), name,
-                           op=op, identity=identity, listing=listing)
+        G = _UnlistedGroup(gens, order, points, name, op=op, identity=identity,
+                           listing=listing)
     else:
         G = listing()
     G._points = points

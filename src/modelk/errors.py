@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the default enumeration cap,
+"""Exception types shared across the package, the default cap,
 and the integer check that command-line tokens go through."""
 
-# the most elements a group is listed with unless a caller passes cap=
+# unless a caller passes cap=, the largest closed-form group order, closure
+# and ring table (q^2 entries) that a constructor builds
 DEFAULT_CAP = 20000
 
 

@@ -28,9 +28,9 @@ stabilizer chain for that action (`stabilizer_chain`, one Schreier-Sims
 routine for any `PointAction`): GL_n, SL_n and Aff_n act on column
 vectors (see `matrix_groups`), and Sym(k) and wreath products on
 0, ..., d - 1 by index lookup (see `constructions`).  Such a group is an
-`_UnlistedGroup`, made from its order and a chain that runs on first use,
-and it lists itself, and runs `_setup`, only when something first needs
-its elements.
+`_UnlistedGroup`, made from its order and its action, whose chain runs,
+checked against that order, when the group is made; it lists itself, and
+runs `_setup`, only when something first needs its elements.
 """
 
 from __future__ import annotations
@@ -440,32 +440,33 @@ def stabilizer_chain(gens, action: PointAction) -> tuple[int, list[tuple[int, ..
 
 
 class _UnlistedGroup(FiniteGroup):
-    """A group made from its generators, its order and a complete set of
-    relators on those generators before any element is listed.
+    """A group made from its generators, its order and a faithful action on
+    points before any element is listed.
 
-    `relators` holds their exponent-sum rows, or is a chain: a thunk that
-    gives the order its generators reach and those rows (a
-    `stabilizer_chain`).  The first `_relators` call runs the chain and
-    raises WorkbenchError when it reaches another order, so a constructor
-    that must prove generation at once calls `_relators` when it makes the
-    group.  `listing` returns the same group listed, with the same
-    generators, by default `enumerate_group`'s closure of them under
-    `mul`.  The first read of an attribute that `_setup` sets, which
-    `elements`, `index_of`, `in`, `_tables` and `_tree` all make, calls it
-    once and takes those attributes from its result, so the elements come
-    in the listing's order."""
+    It runs the `stabilizer_chain` of its generators on `points` when it is
+    made, and raises WorkbenchError when the chain reaches another order;
+    `_relators` returns the chain's rows.  `listing` returns the same group
+    listed, with the same generators, by default `enumerate_group`'s closure
+    of them under `mul`.  The first read of an attribute that `_setup` sets,
+    which `elements`, `index_of`, `in`, `_tables` and `_tree` all make,
+    calls it once and takes those attributes from its result, so the
+    elements come in the listing's order."""
 
     # what FiniteGroup._setup sets from the keys
     _LISTING = ("_keys", "_keying", "_key_index", "_start", "_tables", "_tree")
 
-    def __init__(self, generators, order, relators, name, *, op=mul, identity=None,
-                 listing=None):
+    def __init__(self, generators, order, points: PointAction, name, *, op=mul,
+                 identity=None, listing=None):
         if identity is None:
             identity = generators[0].identity_like()
         self.generators = gens = tuple(generators) or (identity,)
         self.op, self.identity = op, identity
         self.name = name
-        self._order, self._relator_rows = order, relators
+        reached, self._relator_rows = stabilizer_chain(gens, points)
+        if reached != order:
+            raise WorkbenchError(f"{name}'s generators reach {reached} of "
+                                 f"{order} elements")
+        self._order = order
         self._listing = listing or (lambda: enumerate_group(gens, cap=None, name=name))
 
     @property
@@ -476,12 +477,6 @@ class _UnlistedGroup(FiniteGroup):
         return self._order
 
     def _relators(self):
-        if callable(self._relator_rows):
-            reached, rows = self._relator_rows()
-            if reached != self._order:
-                raise WorkbenchError(f"{self.name}'s generators reach {reached} of "
-                                     f"{self._order} elements")
-            self._relator_rows = rows
         return self._relator_rows
 
     def __getattr__(self, attr):

@@ -6,10 +6,11 @@ of the ring, one signed n-cycle, and for GL one diagonal per generator of
 the unit group.  E_n is listed as their closure (`groups.enumerate_group`)
 when it is made.  GL_n, SL_n and Aff_n refuse an order over the cap from a
 closed form in n and the ring's size before they build any generator, so
-before the ring fills a table (see `rings`): this one check guards every
+before the ring fills a table (see `rings`), and so do they and E_n when
+those tables would hold more than cap entries: these checks guard every
 caller, `catalogue.by_name` included.  They then build a stabilizer
 chain of the generators for their action on column vectors
-(`_stabilizer_chain`, through `groups.stabilizer_chain`, the routine that
+(`_column_action`, read by `groups.stabilizer_chain`, the routine that
 permutation groups share) instead of listing them.  The product of its
 orbit lengths, checked against the closed form when the group is made,
 proves that the generators generate the whole group, and its Schreier
@@ -21,14 +22,13 @@ first asks for them (see `groups._UnlistedGroup`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import prod
 from operator import attrgetter
 
-from .errors import DEFAULT_CAP, WorkbenchError
+from .errors import DEFAULT_CAP, CapExceededError, WorkbenchError
 from .groups import (AbInvariants, FiniteGroup, PointAction, _UnlistedGroup,
                      abelianization, check_order, enumerate_group,
-                     invariants_from_factors, stabilizer_chain)
+                     invariants_from_factors)
 from .matrices import Mat, _trusted
 from .rings import MatRing, UnitSumWitness, _prime_powers, unit_sum_witness
 
@@ -159,39 +159,47 @@ def gl_order(n: int, ring: MatRing) -> int:
                 for p, k in _prime_powers(ring.size))
 
 
-def _stabilizer_chain(gens: list[Mat]) -> tuple[int, list[tuple[int, ...]]]:
-    """`groups.stabilizer_chain` of n x n matrices acting on column vectors:
-    a matrix is held as its rows, images come from the `apply` kernel and
-    products from `mul`, and the base is e_1, ..., e_n, whose images are a
-    matrix's columns."""
-    first = gens[0]
+def _column_action(first: Mat) -> PointAction:
+    """How n x n matrices like `first` act on column vectors, as
+    `groups.stabilizer_chain` reads it: a matrix is held as its rows,
+    images come from the `apply` kernel and products from `mul`, and the
+    base is e_1, ..., e_n, whose images are a matrix's columns."""
     ring, kernels = first.ring, first._k
 
     def element(columns):
         rows = tuple(zip(*columns))
         return rows, _trusted(ring, rows, kernels).inverse().rows
     basis = Mat.identity(ring, first.n).rows  # row c is e_c
-    return stabilizer_chain(gens, PointAction(attrgetter("rows"), basis, kernels.apply,
-                                              kernels.mul, element))
+    return PointAction(attrgetter("rows"), basis, kernels.apply, kernels.mul, element)
+
+
+def _check_tables(ring: MatRing, cap, name: str) -> None:
+    """CapExceededError when the ring's q x q add and mul tables would hold
+    more entries than the cap (None for no cap), before any is filled."""
+    entries = ring.size ** 2
+    if cap is not None and entries > cap:
+        raise CapExceededError(
+            f"{name} needs the {entries} entries of {ring}'s q^2 tables, cap is "
+            f"{cap}; pass a larger cap= (--cap on the command line) to raise it")
 
 
 def _closed_form_group(n: int, ring: MatRing, generators, dets, order: int, *,
                        name: str, cap) -> FiniteGroup:
     """The group that generators(), n x n matrices checked to have dets in
     dets(), generate inside a group of `order` matrices that holds them;
-    its stabilizer chain's order, checked equal, proves that it is that
-    group.  CapExceededError before any generator is built or any table of
-    the ring is read when `order` is over the cap; WorkbenchError when a
-    check fails.  The group lists its elements on first use (see
+    its stabilizer chain's order, checked equal when the group is made,
+    proves that it is that group.  CapExceededError before any generator is
+    built or any table of the ring is read when `order`, or the q^2 entries
+    of the ring's tables, are over the cap; WorkbenchError when a check
+    fails.  The group lists its elements on first use (see
     `groups._UnlistedGroup`)."""
     check_order(order, cap, name)
+    _check_tables(ring, cap, name)
     gens = generators() or [Mat.identity(ring, n)]
     dets = set(dets())
     if any(g.det() not in dets for g in gens):
         raise WorkbenchError(f"a generator of {name} has its det outside {sorted(dets)}")
-    G = _UnlistedGroup(gens, order, partial(_stabilizer_chain, gens), name)
-    G._relators()  # runs the chain, which checks its order
-    return G
+    return _UnlistedGroup(gens, order, _column_action(gens[0]), name)
 
 
 def gl_group(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
@@ -214,9 +222,13 @@ def special_linear(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
 
 def elementary_closure(n: int, ring: MatRing, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """The group generated by the transvections I + c*e_ij (i != j), closed
-    from `_sl_generators`, which generate the same group."""
+    from `_sl_generators`, which generate the same group.  CapExceededError
+    before any generator is built when the ring's q^2 table entries are
+    over the cap."""
+    name = f"E_{n}({ring})"
+    _check_tables(ring, cap, name)
     return enumerate_group(_sl_generators(n, ring) or [Mat.identity(ring, n)],
-                           cap=cap, name=f"E_{n}({ring})")
+                           cap=cap, name=name)
 
 
 def _unit_group_invariants(ring: MatRing) -> AbInvariants:

@@ -3,7 +3,9 @@
 A `Perm` is the tuple of its images, so it hashes, compares and sorts as
 that tuple does; `Perm(images)` checks that the images are ints forming a
 bijection of 0..k-1, and products and inverses, bijections by
-construction, are built without the check.
+construction, are built without the check.  A Perm multiplies only by a
+Perm of its degree, and it neither concatenates nor repeats as a tuple
+does.
 """
 
 from __future__ import annotations
@@ -51,9 +53,21 @@ class Perm(tuple):
     __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Perm") -> "Perm":
+        if not isinstance(other, Perm):
+            raise _operand_error("*", self, other)
         if len(self) != len(other):
             raise ValueError("degree mismatch")
         return _new(Perm, [self[y] for y in other])
+
+    # a tuple's concatenation and repetition would return a plain tuple
+    def __rmul__(self, other):
+        raise _operand_error("*", other, self)
+
+    def __add__(self, other):
+        raise _operand_error("+", self, other)
+
+    def __radd__(self, other):
+        raise _operand_error("+", other, self)
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self)
@@ -86,6 +100,11 @@ class Perm(tuple):
 
     def __repr__(self) -> str:
         return f"Perm{tuple.__repr__(self)}"
+
+
+def _operand_error(op: str, left, right) -> TypeError:
+    return TypeError(f"unsupported operand types for {op}: "
+                     f"{type(left).__name__!r} and {type(right).__name__!r}")
 
 
 def permute_tuple(p: Perm, values: tuple) -> tuple:

@@ -5,9 +5,10 @@ import pytest
 
 from modelk.automorphisms import AffineMap, PAMap, conjugate, decompose_affine
 from modelk.cosets import NEG_INF, AffineCoset
-from modelk.defsets import DefinableSet, block_intersect, make_block, witness_point
+from modelk.defsets import (DefinableSet, block_intersect, boolean_normalize, definable_dim,
+                            k0_class, make_block, witness_point)
 from modelk.errors import WorkbenchError
-from modelk.suites import random_affine_map, random_pamap, random_point
+from modelk.suites import random_affine_map, random_expression, random_pamap, random_point
 from rational_oracles import mat_inv, validate_two_way
 
 
@@ -264,6 +265,19 @@ def test_linear_map_support_excludes_fixed_line():
     assert s.contains((Fraction(0), Fraction(1)))
 
 
+def test_dimensions_read_off_the_blocks_are_the_class_degrees():
+    # the class route stays as the oracle: a normalized set and a support
+    # in each of Q^1..Q^3 per seed, 900 sets in all, 79 of them empty (both
+    # routes give NEG_INF there)
+    for seed in range(150):
+        rng = random.Random(seed)
+        for ambient in (1, 2, 3):
+            d = boolean_normalize(random_expression(rng, ambient), ambient)
+            assert definable_dim(d) == k0_class(d).degree, (seed, ambient)
+            f = random_pamap(rng, ambient)
+            assert f.support_dim() == k0_class(f.support()).degree, (seed, ambient)
+
+
 # --- group laws -------------------------------------------------------------
 
 def test_compose_invert_same_map():
@@ -276,6 +290,22 @@ def test_compose_invert_same_map():
     assert f.invert().compose(f).same_map(ident)
     assert fg.invert().same_map(g.invert().compose(f.invert()))
     assert not f.same_map(g)
+
+
+def test_same_map_is_false_on_other_domains_and_other_values():
+    point = AffineCoset.single_point((Fraction(0),))
+    on_point = PAMap(1, [(make_block(point), AffineMap.identity(1))])
+    assert not PAMap.identity(1).same_map(on_point)
+    shift = PAMap.from_affine(AffineMap.translation([1]))
+    assert not PAMap.identity(1).same_map(shift)
+    assert shift.same_map(PAMap.from_affine(AffineMap.translation([1])))
+
+
+def test_compose_needs_equal_domains():
+    point = AffineCoset.single_point((Fraction(0),))
+    on_point = PAMap(1, [(make_block(point), AffineMap.identity(1))])
+    with pytest.raises(WorkbenchError, match="^composition needs equal domains$"):
+        PAMap.identity(1).compose(on_point)
 
 
 def test_same_map_ignores_piece_shape():

@@ -338,6 +338,55 @@ def test_count_json_matches_golden_files(capsys, name):
     assert out == (GOLDEN / f"{name}.json").read_text(), name
 
 
+GOLDEN_DIMS = {
+    "dim-plane-arrangement-q3": "ambient 3; pp(x1 = 0) | pp(x2 = 0) | pp(x1 + x2 + x3 = 1)",
+    "dim-projection-q2": "ambient 2; pp(E y1 : x1 = 2*y1 & x2 = y1 + 1)",
+    "dim-empty-q2": "ambient 2; pp(x1 = 0) & pp(x1 = 1)",
+    "dim-plane-and-line-q3": "ambient 3; pp(x3 = 0) | pp(x1 = 1 & x2 = 1)",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DIMS)
+def test_dim_json_matches_golden_files(capsys, name):
+    # `dim --json`, written before the dimension was read off the blocks
+    code, out, _ = run(capsys, "--json", "dim", GOLDEN_DIMS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text(), name
+
+
+def test_dimension_queries_build_no_class(capsys, monkeypatch):
+    # every class goes through `block_class`, and every support through
+    # `PAMap.support`; count the calls of each
+    from modelk import defsets
+    from modelk.defsets import boolean_normalize, definable_dim, k0_class
+    from modelk.formulas import elaborate, parse_formula
+
+    calls = {"class": 0, "support": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(defsets, "block_class", counted("class", defsets.block_class))
+    monkeypatch.setattr(PAMap, "support", counted("support", PAMap.support))
+    formula = parse_formula(GOLDEN_DIMS["dim-plane-and-line-q3"])
+    d = boolean_normalize(elaborate(formula), formula.ambient)
+    k0_class(d)
+    assert calls["class"] == 2  # the counter sees the class route
+    calls["class"] = 0
+    assert definable_dim(d) == 2 and doubling_with_patch().support_dim() == 1
+    assert calls == {"class": 0, "support": 1}
+    for argv, supports in [(["dim", GOLDEN_DIMS["dim-plane-arrangement-q3"]], 0),
+                           (["aut", "dim"], 1), (["aut", "support"], 1),
+                           (["aut", "decompose"], 2)]:
+        if argv[0] == "aut":
+            argv.append(str(GOLDEN / "maps" / "doubling-with-patch.json"))
+        calls.update({"class": 0, "support": 0})
+        assert run(capsys, *argv)[0] == 0
+        assert calls == {"class": 0, "support": supports}, argv
+
+
 GOLDEN_MAPS = ["doubling-with-patch", "random-q1-seed0", "random-q1-seed5",
                "random-q2-seed2", "random-q2-seed5", "random-q3-seed0",
                "random-q3-seed7"]

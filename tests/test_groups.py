@@ -185,6 +185,9 @@ def test_coinvariants_of_trivial_action():
     K = cyclic(3)
     action = GroupAction(K, H, lambda k, h: h)
     assert abelianization(H, action).factors == (6,)
+    assert repr(action) == "<action: <Z_3 of order 3> on <Z_6 of order 6>>"
+    named = GroupAction(K, H, lambda k, h: h, name="trivial")
+    assert repr(named) == "<trivial: <Z_3 of order 3> on <Z_6 of order 6>>"
 
 
 def test_abelianization_under_an_action_checks_its_target():

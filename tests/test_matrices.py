@@ -3,6 +3,7 @@ generated arithmetic kernels against an entrywise reference and, past the
 reference's reach, against the laws of det and inverse."""
 
 import random
+import re
 import time
 from functools import reduce
 
@@ -258,6 +259,20 @@ def test_perm_products_and_inverses():
     assert hash(p * p) == hash(Perm((2, 0, 1, 3)))
     with pytest.raises(ValueError, match="degree"):
         p * Perm.identity(3)
+
+
+def test_perm_refuses_tuple_concatenation_and_repetition():
+    # as a tuple subclass it inherited + and integer repetition, which
+    # returned the plain tuple (1, 0, 1, 0)
+    p = Perm((1, 0))
+    for apply, types in [(lambda: p + p, "+: 'Perm' and 'Perm'"),
+                         (lambda: (1, 0) + p, "+: 'tuple' and 'Perm'"),
+                         (lambda: 2 * p, "*: 'int' and 'Perm'"),
+                         (lambda: p * 2, "*: 'Perm' and 'int'"),
+                         (lambda: p * (1, 0), "*: 'Perm' and 'tuple'")]:
+        message = f"^unsupported operand types for {re.escape(types)}$"
+        with pytest.raises(TypeError, match=message):
+            apply()
 
 
 def _images(degree):

@@ -78,6 +78,15 @@ def test_check_gl_ab_exception_case():
     assert rep.passed
 
 
+def test_check_gl_ab_outside_the_hypotheses_claims_nothing():
+    # no two units of Z_4 sum to 1, and (2, 4) is no recorded exception: the
+    # report measures GL_2(Z_4)^ab = Z_2 + Z_2 against R^x = Z_2 and passes
+    rep = check_gl_ab(2, Zmod(4))
+    assert not rep.hypotheses_hold and not rep.known_exception
+    assert rep.ab.factors == (2, 2) and not rep.matches_units
+    assert rep.passed
+
+
 def test_gl_over_zmod_composite():
     # Z_4 is not a field; the unit group has order 2 and GL_1 = units
     G = gl_group(1, Zmod(4))

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from modelk.catalogue import by_name, cyclic, dihedral
 from modelk.constructions import _index_action, _on_points, symmetric_group, wreath
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import (FiniteGroup, _UnlistedGroup, abelianization, enumerate_group,
-                           stabilizer_chain)
+from modelk.groups import FiniteGroup, _UnlistedGroup, abelianization, enumerate_group
 from modelk.perms import Perm
 from rational_oracles import listed_symmetric_group, listed_wreath
 
@@ -37,11 +36,10 @@ def _cayley_ab(G):
 
 def _chain_ab(G, points):
     """The order and abelianization from the chain of G's generators on
-    `points`."""
-    order, relators = stabilizer_chain(G.generators, points)
-    H = _UnlistedGroup(G.generators, order, relators, G.name, op=G.op,
+    `points`, which the group checks to reach G's order when it is made."""
+    H = _UnlistedGroup(G.generators, G.order, points, G.name, op=G.op,
                        identity=G.identity)
-    return order, abelianization(H).factors
+    return H.order, abelianization(H).factors
 
 
 @st.composite
@@ -111,6 +109,8 @@ def test_point_chains_of_wreath_products(spec, factors):
 def test_symmetric_groups_list_as_before(k):
     S, oracle = symmetric_group(k), listed_symmetric_group(k)
     assert isinstance(S, _UnlistedGroup) == (k * k < factorial(k))
+    # a chain group holds its proved relator rows from the moment it is made
+    assert ("_relator_rows" in vars(S)) == isinstance(S, _UnlistedGroup)
     assert abelianization(S).factors == ((2,) if k > 1 else ())
     assert S.generators == oracle.generators and S.order == oracle.order
     assert S.elements == oracle.elements
@@ -147,13 +147,11 @@ def test_large_permutation_groups_abelianize_without_listing():
 
 
 def test_a_lazy_chain_checks_its_order():
-    G = _on_points([Perm.transposition(4, 0, 1)], mul, Perm.identity(4), 24, "Sym(4)",
+    # the chain runs when the group is made, so the group is never made
+    with pytest.raises(WorkbenchError,
+                       match=r"^Sym\(4\)'s generators reach 2 of 24 elements$"):
+        _on_points([Perm.transposition(4, 0, 1)], mul, Perm.identity(4), 24, "Sym(4)",
                    _index_action(4, Perm), None)
-    assert not _listed(G)
-    for _ in range(2):
-        with pytest.raises(WorkbenchError,
-                           match=r"^Sym\(4\)'s generators reach 2 of 24 elements$"):
-            abelianization(G)
 
 
 def test_a_small_permutation_group_is_listed_when_made():

@@ -22,8 +22,8 @@ from modelk.errors import CapExceededError, WorkbenchError
 from modelk.groups import (DEFAULT_CAP, FiniteGroup, _UnlistedGroup, abelianization,
                            enumerate_group)
 from modelk.matrices import Mat
-from modelk.matrix_groups import (_stabilizer_chain, affine_group, gl_group, gl_order,
-                                  gl_order_field, special_linear)
+from modelk.matrix_groups import (_column_action, affine_group, elementary_closure,
+                                  gl_group, gl_order, gl_order_field, special_linear)
 from modelk.rings import GF, Zmod
 from test_group_tables import MATRIX_CASES, RINGS
 
@@ -57,8 +57,9 @@ def test_chain_groups_match_the_cayley_route(make, n, ring):
     G = make(n, ring)
     assert isinstance(G, _UnlistedGroup) and not _listed(G)
     ab = abelianization(G).factors
-    order, _ = _stabilizer_chain(list(G.generators))
-    assert order == G.order == _closed_form(make, n, ring)
+    # the chain reaches G's order, or the group would not be made
+    _UnlistedGroup(G.generators, G.order, _column_action(G.generators[0]), "G")
+    assert G.order == _closed_form(make, n, ring)
     assert not _listed(G)
     assert G.elements == enumerate_group(G.generators, cap=None).elements
     assert ab == _cayley_ab(G)
@@ -83,9 +84,8 @@ def test_chains_of_seeded_generating_sets(gens):
         listed = enumerate_group(gens, cap=2000)
     except CapExceededError:
         return
-    order, relators = _stabilizer_chain(gens)
-    assert order == listed.order
-    G = _UnlistedGroup(gens, order, relators, "G")
+    # the chain, run when the group is made, must reach the closure's order
+    G = _UnlistedGroup(gens, listed.order, _column_action(gens[0]), "G")
     assert abelianization(G) == abelianization(listed)
     assert G.elements == listed.elements
 
@@ -111,10 +111,8 @@ STRUCTURED = [
 @pytest.mark.parametrize("gens", STRUCTURED, ids=lambda gens: str(gens[0].ring))
 def test_chains_whose_lower_levels_carry_the_relators(gens):
     listed = enumerate_group(gens, cap=None)
-    order, relators = _stabilizer_chain(gens)
-    assert order == listed.order
-    assert abelianization(_UnlistedGroup(gens, order, relators, "G")) == \
-        abelianization(listed)
+    G = _UnlistedGroup(gens, listed.order, _column_action(gens[0]), "G")
+    assert abelianization(G) == abelianization(listed)
 
 
 def test_groups_past_the_default_cap_abelianize_without_listing():
@@ -189,3 +187,17 @@ def test_each_linear_constructor_refuses_before_its_field_fills_a_table(head, ma
             build()
         assert time.process_time() - start < 0.1
     assert not _tables_built(GF(q))
+
+
+@pytest.mark.parametrize("make, n", [(gl_group, 1), (special_linear, 1),
+                                     (elementary_closure, 2)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_a_ring_whose_tables_pass_the_cap_is_refused_before_it_fills_them(make, n):
+    # GL_1(F_10007) has order 10,006, inside the cap, but its ring's add and
+    # mul tables would hold 10007^2 entries each
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match=r"needs the 100140049 entries of "
+                       rf"F_10007's q\^2 tables, cap is {DEFAULT_CAP}; pass a larger cap="):
+        make(n, GF(10007))
+    assert time.process_time() - start < 0.1
+    assert not _tables_built(GF(10007))

@@ -171,6 +171,15 @@ def test_formal_equality_ignores_display():
     assert FormalAbGroup.from_atoms([zmod(2)]).pretty() == "Z_2"
 
 
+@pytest.mark.parametrize("group, text", [
+    (FormalAbGroup.make([(zmod(2), 3)]), "Z_2^3"),
+    (FormalAbGroup.make([(zmod(2), COUNTABLE)]), "Z_2^(oo)"),
+    (FormalAbGroup.trivial(), "0"),
+])
+def test_formal_pretty_writes_multiplicities(group, text):
+    assert group.pretty() == text
+
+
 def test_containment_with_countable_absorption():
     fin = FormalAbGroup.make([(zmod(2), 3)])
     inf = FormalAbGroup.make([(zmod(2), COUNTABLE)])
