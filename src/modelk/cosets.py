@@ -28,8 +28,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import WorkbenchError
-from .linalg import (_eliminate, frac_rows, integer_row, null_space, primitive,
-                     project_rows, rational_row, reduce_row)
+from .linalg import (_eliminate, cleared_row, integer_row, null_space,
+                     primitive, project_rows, rational_row, reduce_row)
 
 NEG_INF = float("-inf")
 
@@ -268,27 +268,26 @@ class LinearSystem:
     """A raw (not canonicalized) system over x- and existential y-variables.
 
     Rows hold ambient x-coefficients, then `bound` y-coefficients, then the
-    right-hand side.  The denoted subset of Q^ambient is the projection of
-    the joint solution set.
+    right-hand side, as Python ints: a rational row is stored times the lcm
+    of its denominators (`linalg.cleared_row`), and an integer row as it
+    is, since its content matters mod p.  The denoted subset of Q^ambient
+    is the projection of the joint solution set.
     """
 
     ambient: int
     bound: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def make(ambient: int, bound: int, rows) -> "LinearSystem":
-        rows = frac_rows(rows)
+        rows = tuple(tuple(cleared_row(row)) for row in rows)
         for row in rows:
             if len(row) != ambient + bound + 1:
                 raise WorkbenchError("system row has wrong width")
-        return LinearSystem(ambient, bound, tuple(tuple(r) for r in rows))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return LinearSystem(ambient, bound, rows)
 
     def joint_coset(self) -> AffineCoset:
-        return AffineCoset.from_rows(self.ambient + self.bound, [list(r) for r in self.rows])
+        return AffineCoset.from_rows(self.ambient + self.bound, self.rows)
 
     def coset(self) -> AffineCoset:
         """The denoted subset of Q^ambient (projecting out the y block)."""

@@ -1,9 +1,11 @@
-"""Finite-field point counts for boolean combinations with integer data.
+"""Finite-field point counts for boolean combinations of linear systems.
 
 The count is an oracle that is independent of the rational block calculus.
 Every F_p point set is held in one form, a mask: an int with one byte per
 point of F_p^n (1 in the set, 0 outside).  The tree's leaves are
-`LinearSystem`s; each is projected mod p onto its n free coordinates
+`LinearSystem`s, whose rows are integer rows (a fractional row cleared by
+the lcm of its denominators), so formulas with fractional coefficients
+count too; each leaf is projected mod p onto its n free coordinates
 (`linalg.project_rows`, so existential variables are eliminated exactly
 over F_p), and its mask is listed from the projected echelon form.  The
 tree is then evaluated on the masks, Not, And and Or as bitwise
@@ -40,6 +42,11 @@ each such term has the rank and consistency it has over Q, so it is the
 term of the block's class at p, and the sum of the blocks' classes is the
 class of the set.  The conditions are checked in that order and only
 while the flag holds.
+
+The proof needs only that the leaf rows are integer rows, so the flag stays
+sound when p divides a denominator.  `x1 = 1/5` is the leaf row 5*x1 = 1,
+which has no point mod 5; the class predicts 1, and (a) clears the flag,
+since the point's row loses its coefficient rank mod 5.
 """
 
 from __future__ import annotations
@@ -173,8 +180,7 @@ def _tree_mask(expr, n: int, p: int, full: int) -> int:
     """The raw set of the boolean tree as a `_point_mask` int; `full` is the
     mask of all of F_p^n."""
     def leaf(system):
-        rows = [[int(a) % p for a in row] for row in system.rows]
-        return _point_mask(project_rows(rows, n, p), n, p)
+        return _point_mask(project_rows(_mod_p(system.rows, p), n, p), n, p)
 
     return fold(expr, leaf, full.__xor__, and_, or_)
 
@@ -183,8 +189,6 @@ def count_points_mod_p(expr, p: int) -> CountReport:
     """Count F_p points of the combination; flag when the count is certified
     to equal the class polynomial at p."""
     systems = expr_leaves(expr)  # a tree has at least one leaf
-    if not all(s.is_integral() for s in systems):
-        raise WorkbenchError("leaf coefficients must be integers")
     ambient = systems[0].ambient
     if any(s.ambient != ambient for s in systems):
         raise WorkbenchError("leaf ambient mismatch")

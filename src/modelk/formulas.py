@@ -5,17 +5,20 @@ A formula looks like
     ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1/3)
 
 `ambient <n>;` fixes the free variables x1 .. xn.  A pp atom is a
-conjunction of rational linear equations, optionally prefixed by an
-existential block `E y1 .. ym :` binding auxiliary variables.  Atoms
-combine with ! & | and parentheses, with the usual precedence
-(! binds tightest, then &, then |).
+conjunction of linear equations, whose coefficients are integers or
+fractions such as 1/3, optionally prefixed by an existential block
+`E y1 .. ym :` binding auxiliary variables.  Atoms combine with ! & | and
+parentheses, with the usual precedence (! binds tightest, then &, then |).
 
 Numbers and variable indices are ASCII digits.  Parsing builds the
 `defsets` boolean tree that normalization and counting take: a pp atom
-becomes a `LinearSystem` (rows of x coefficients, then y coefficients,
-then the right side), `!` a `Not`, and chains of `&` or `|` fold from
-the left into binary `And` or `Or`.  `format_formula` prints a tree back
-in the same syntax, so that `parse_formula(format_formula(f)) == f`.
+becomes a `LinearSystem`, `!` a `Not`, and chains of `&` or `|` fold from
+the left into binary `And` or `Or`.  Each equation becomes one integer
+row of x coefficients, then y coefficients, then the right side: its
+rational coefficients times the lcm of their denominators, so `x2 = 1/3`
+is the row of `3*x2 = 1`, and an integer row stays as written.  No
+Fraction is built.  `format_formula` prints a tree back in the same
+syntax, so that `parse_formula(format_formula(f)) == f`.
 Trees and parentheses nest at most `MAX_DEPTH` deep: the parser recurses
 on parentheses, and a tree's dataclass equality, hash and repr recurse on
 its nodes.  The walks over a tree are `defsets.fold`s, which do not.
@@ -24,7 +27,8 @@ its nodes.  The walks over a tree are `defsets.fold`s, which do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .cosets import LinearSystem
 from .defsets import And, Not, Or, fold
@@ -38,8 +42,7 @@ _DIGITS = "0123456789"
 MAX_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # int | var | keyword | symbol | eof
     text: str
     line: int
@@ -217,55 +220,68 @@ class _Parser:
         self.expect("symbol", ")")
         return LinearSystem(self.ambient, bound, tuple(rows))
 
-    def equation(self, bound: int) -> tuple:
-        lhs_coeffs, lhs_const = self.linear_sum(bound)
+    def equation(self, bound: int) -> tuple[int, ...]:
+        """One row of ints: the equation's rational coefficients, right side
+        last, times the lcm of their reduced denominators.  The row is
+        summed as numerators over one common denominator D, and that lcm is
+        D / gcd(D, every numerator); an integer row stays as written."""
+        row = [0] * (self.ambient + bound + 1)
+        den = self.linear_sum(bound, row, 1, 1)
         self.expect("symbol", "=")
-        rhs_coeffs, rhs_const = self.linear_sum(bound)
-        width = self.ambient + bound
-        coeffs = [lhs_coeffs[i] - rhs_coeffs[i] for i in range(width)]
-        return tuple(coeffs + [rhs_const - lhs_const])
+        den = self.linear_sum(bound, row, -1, den)
+        g = gcd(den, *row)
+        return tuple(row) if g == 1 else tuple(v // g for v in row)
 
-    def linear_sum(self, bound: int):
-        coeffs = [Fraction(0)] * (self.ambient + bound)
-        const = Fraction(0)
-        sign = Fraction(1)
+    def linear_sum(self, bound: int, row: list[int], side: int, den: int) -> int:
+        """Add one side of an equation into `row`, numerators over the
+        common denominator `den`, and return the common denominator, which
+        a term's denominator may enlarge.  The left side (side 1) adds its
+        coefficients and subtracts its constants from the right side; the
+        right side (side -1) does the opposite."""
+        sign = side
         if self.at_symbol("-"):
             self.next()
-            sign = Fraction(-1)
+            sign = -side
         while True:
-            c, var_slot = self.term(bound)
+            num, d, var_slot = self.term(bound)
+            if den % d:
+                scale = d // gcd(den, d)
+                row[:] = [v * scale for v in row]
+                den *= scale
+            num *= sign * (den // d)
             if var_slot is None:
-                const += sign * c
+                row[-1] -= num
             else:
-                coeffs[var_slot] += sign * c
+                row[var_slot] += num
             if self.at_symbol("+"):
                 self.next()
-                sign = Fraction(1)
+                sign = side
             elif self.at_symbol("-"):
                 self.next()
-                sign = Fraction(-1)
+                sign = -side
             else:
-                return coeffs, const
+                return den
 
     def term(self, bound: int):
-        """One summand: returns (coefficient, variable slot or None)."""
+        """One summand: returns (numerator, denominator, variable slot or
+        None)."""
         tok = self.peek()
         if tok.kind == "var":
-            return Fraction(1), self.var_slot(bound)
+            return 1, 1, self.var_slot(bound)
         if tok.kind != "int":
             _fail(f"expected a number or variable, found "
                   f"{tok.text or 'end of input'!r}", tok)
-        value = Fraction(int(self.next().text))
+        num, den = int(self.next().text), 1
         if self.at_symbol("/"):
             self.next()
             den_tok = self.expect("int")
-            if int(den_tok.text) == 0:
+            den = int(den_tok.text)
+            if den == 0:
                 _fail("zero denominator", den_tok)
-            value /= int(den_tok.text)
         if self.at_symbol("*"):
             self.next()
-            return value, self.var_slot(bound)
-        return value, None
+            return num, den, self.var_slot(bound)
+        return num, den, None
 
     def var_slot(self, bound: int) -> int:
         tok = self.expect("var")

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and over prime fields.
 
 Matrices are lists of row lists.  Everything here is small and dense.  One
-elimination loop serves every routine that eliminates: rational rows are
-scaled to primitive integer rows once, Gauss-Jordan runs on integers by
+elimination loop serves every routine that eliminates: a rational row is
+cleared once, multiplied by the lcm of its denominators (`cleared_row`)
+and divided by its content, Gauss-Jordan runs on integers by
 cross-multiplication, and each updated row is divided by its content (over
 Q) or reduced mod p (over F_p).  Fractions are built only for the final
 reduced rows, so the cost is integer arithmetic rather than a gcd per
@@ -20,27 +21,28 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def frac_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def primitive(ints: list[int]) -> list[int]:
     """An integer row divided by its content (a zero row stays zero)."""
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
 
-def integer_row(row) -> list[int]:
-    """A rational row scaled by the lcm of its denominators, then divided by
-    its content: the primitive integer row on the same line."""
+def cleared_row(row) -> list[int]:
+    """A rational row times the lcm of its reduced denominators: the
+    smallest integer multiple, so an integer row stays as it is."""
     try:
         dens = [x.denominator for x in row]
     except AttributeError:  # floats, strings: anything else Fraction accepts
-        return integer_row([Fraction(x) for x in row])
+        return cleared_row([Fraction(x) for x in row])
     den = lcm(*dens)
     if den == 1:
-        return primitive([x.numerator for x in row])
-    return primitive([x.numerator * (den // d) for x, d in zip(row, dens)])
+        return [x.numerator for x in row]
+    return [x.numerator * (den // d) for x, d in zip(row, dens)]
+
+
+def integer_row(row) -> list[int]:
+    """The primitive integer row on the same line as a rational row."""
+    return primitive(cleared_row(row))
 
 
 def _eliminate(rows: list[list[int]], p: int | None = None):

@@ -306,6 +306,10 @@ GOLDEN_COUNTS = {
     # name: (formula, prime), with the condition that clears the flag
     "count-cross-q2-p5": (CROSS, 5),  # none: a good prime
     "count-scaled-point-q1-p5": ("ambient 1; pp(5*x1 = 1)", 5),  # (a): no point mod 5
+    # fractional formulas count as their rows cleared of denominators; both
+    # files were written from the integer formulas 2*x1 = 1 and 5*x1 = 1
+    "count-half-point-q1-p5": ("ambient 1; pp(x1 = 1/2)", 5),  # none
+    "count-fifth-point-q1-p5": ("ambient 1; pp(x1 = 1/5)", 5),  # (a)
     "count-concurrent-lines-q2-p5": (  # (a): the three lines meet at 0 mod 5
         "ambient 2; pp(x1 = 0) | pp(x2 = 0) | pp(x1 + x2 = 5)", 5),
     "count-empty-meet-q2-p3": (  # (b): empty over Q, one point mod 3

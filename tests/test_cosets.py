@@ -172,8 +172,11 @@ def test_linear_system_projection_dim():
     # x1 = 2 y and x1 = y forces x1 = 0
     s2 = LinearSystem.make(1, 1, [[1, -2, 0], [1, -1, 0]])
     assert s2.coset() == AffineCoset.single_point((F(0),))
-    assert s.is_integral()
-    assert not LinearSystem.make(1, 0, [[F(1, 2), 1]]).is_integral()
+    assert all(type(x) is int for row in s.rows for x in row)
+    # a fractional row is stored times the lcm of its denominators
+    half = LinearSystem.make(1, 0, [[F(1, 2), 1]])
+    assert half.rows == ((1, 2),)
+    assert all(type(x) is int for row in half.rows for x in row)
 
 
 def test_linear_system_width_check():

@@ -87,12 +87,17 @@ def test_empty_set_counts_zero():
     assert rep.count == 0 and rep.predicted == 0 and rep.good_prime
 
 
-def test_rational_leaf_rejected():
+def test_rational_leaf_counts_its_cleared_row():
     from fractions import Fraction
 
-    expr = leaf(1, 0, [[Fraction(1, 2), 1]])
-    with pytest.raises(WorkbenchError):
-        count_points_mod_p(expr, 5)
+    # x1 = 1/2 is the row 2*x1 = 1, one point mod 5 and a good prime
+    half = count_points_mod_p(leaf(1, 0, [[1, Fraction(1, 2)]]), 5)
+    assert half == count_points_mod_p(leaf(1, 0, [[2, 1]]), 5)
+    assert (half.count, half.predicted, half.good_prime) == (1, 1, True)
+    # x1 = 1/5 is the row 5*x1 = 1: no point mod 5, and the flag is cleared
+    fifth = count_points_mod_p(leaf(1, 0, [[1, Fraction(1, 5)]]), 5)
+    assert (fifth.count, fifth.predicted, fifth.good_prime) == (0, 1, False)
+    assert count_points_mod_p(leaf(1, 0, [[1, Fraction(1, 5)]]), 7).good_prime
 
 
 def test_non_system_leaf_rejected():

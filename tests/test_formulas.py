@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modelk.cosets import LinearSystem
-from modelk.defsets import And, Not, Or, boolean_normalize, k0_class
+from modelk import formulas, linalg
+from modelk.cosets import AffineCoset, LinearSystem
+from modelk.defsets import (And, DefinableSet, Not, Or, boolean_normalize,
+                            k0_class)
 from modelk.errors import FormulaError
 from modelk.formulas import (MAX_DEPTH, Formula, elaborate, format_formula,
                              parse_formula, tokenize)
+from modelk.suites import random_expression
 
 
 def atom(ambient, bound, rows):
@@ -23,6 +29,15 @@ def test_token_positions():
     pp = toks[3]
     assert (pp.line, pp.col) == (2, 2)
     assert toks[-1].kind == "eof"
+
+
+def test_tokens_keep_their_fields():
+    toks = tokenize("ambient 2;\n pp(x1 = 1/2)")
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("keyword", "ambient", 1, 1), ("int", "2", 1, 9), ("symbol", ";", 1, 10),
+        ("keyword", "pp", 2, 2), ("symbol", "(", 2, 4), ("var", "x1", 2, 5),
+        ("symbol", "=", 2, 8), ("int", "1", 2, 10), ("symbol", "/", 2, 11),
+        ("int", "2", 2, 12), ("symbol", ")", 2, 13), ("eof", "", 2, 14)]
 
 
 def test_unknown_name_position():
@@ -166,19 +181,129 @@ def test_deep_trees_built_in_python_format():
     assert format_formula(Formula(1, chain)) == "ambient 1; " + DEEP["chain"]
 
 
+def test_one_integer_route_from_text_to_rows():
+    # the parser builds no Fraction, and no second form of a row is kept
+    assert not hasattr(formulas, "Fraction")
+    assert not hasattr(linalg, "frac_rows")
+    assert not hasattr(LinearSystem, "is_integral")
+
+
+@pytest.mark.parametrize("text, row", [
+    ("pp(1/2*x1 + 1/2*x1 = 1)", (1, 1)),
+    ("pp(x1 = 1)", (1, 1)),
+    ("pp(x1 = 1/2)", (2, 1)),
+    ("pp(2*x1 = 4)", (2, 4)),  # an integer row keeps its content
+    ("pp(4/2*x1 = 8/2)", (2, 4)),
+    ("pp(2/3*x1 = 4/3)", (2, 4)),
+    ("pp(0 = 0)", (0, 0)),
+    ("pp(0 = 1/2)", (0, 1)),
+])
+def test_equations_are_cleared_of_denominators(text, row):
+    (parsed,) = parse_formula("ambient 1; " + text).root.rows
+    assert parsed == row and all(type(x) is int for x in parsed)
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _sum_text(terms) -> str:
+    """A sum of (value, variable name or None, k) terms, each magnitude
+    written as the fraction (k * numerator)/(k * denominator); "0" when
+    there is no term."""
+    parts = []
+    for value, name, k in terms:
+        num, den = abs(value.numerator) * k, value.denominator * k
+        number = str(num) if den == 1 else f"{num}/{den}"
+        parts.append(("-" if value < 0 else "+",
+                      number if name is None else f"{number}*{name}"))
+    if not parts:
+        return "0"
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _spellings(draw, row, names):
+    """Equivalent texts of the equation row . (names, -1) = 0: as written,
+    with reducible fractions, with one coefficient split into two terms,
+    and with terms moved across `=`."""
+    *coeffs, rhs = row
+    terms = [(c, name) for c, name in zip(coeffs, names) if c]
+    plain = [(c, name, 1) for c, name in terms]
+    texts = [f"{_sum_text(plain)} = {_sum_text([(rhs, None, 1)])}"]
+    scaled = [(c, name, draw(st.integers(2, 4))) for c, name in terms]
+    texts.append(f"{_sum_text(scaled)} = "
+                 f"{_sum_text([(rhs, None, draw(st.integers(2, 4)))])}")
+    j = draw(st.integers(0, len(coeffs) - 1))
+    part = draw(FRACTIONS.filter(bool))
+    split = []
+    for i, (c, name) in enumerate(zip(coeffs, names)):
+        if i == j:
+            split += [(part, name, 1), (c - part, name, 1)]
+        elif c:
+            split.append((c, name, 1))
+    texts.append(f"{_sum_text(split)} = {_sum_text([(rhs, None, 1)])}")
+    left, right = [], []
+    for c, name in terms:
+        if draw(st.booleans()):
+            right.append((-c, name, 1))
+        else:
+            left.append((c, name, 1))
+    if draw(st.booleans()):
+        left.append((-rhs, None, 1))
+    else:
+        right.append((rhs, None, 1))
+    texts.append(f"{_sum_text(left)} = {_sum_text(right)}")
+    return texts
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_parser_agrees_with_a_fraction_oracle(data):
+    draw = data.draw
+    n = draw(st.integers(1, 3))
+    bound = draw(st.sampled_from([0, 0, 1, 2]))
+    rows = draw(st.lists(st.lists(FRACTIONS, min_size=n + bound + 1,
+                                  max_size=n + bound + 1),
+                         min_size=1, max_size=3))
+    names = [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(bound)]
+    prefix = f"E {' '.join(names[n:])} : " if bound else ""
+    spelt = [_spellings(draw, row, names) for row in rows]
+    expected = LinearSystem.make(n, bound, rows)
+    # each row times the lcm of its denominators, in Fraction arithmetic
+    cleared = tuple(tuple(int(x * lcm(*(y.denominator for y in row))) for x in row)
+                    for row in rows)
+    assert expected.rows == cleared
+    for k in range(len(spelt[0])):
+        text = f"ambient {n}; pp({prefix}{' & '.join(s[k] for s in spelt)})"
+        system = parse_formula(text).root
+        assert system == expected, text
+        assert all(type(x) is int for row in system.rows for x in row), text
+    coset = AffineCoset.from_rows(n + bound, rows).project(n)
+    assert (k0_class(boolean_normalize(system, n))
+            == k0_class(DefinableSet.from_coset(coset)))
+
+
+def test_random_expressions_round_trip():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        f = Formula(n, random_expression(rng, n, depth=3))
+        assert parse_formula(format_formula(f)) == f, format_formula(f)
+
+
 # --- printing ------------------------------------------------------------------
 
 def test_format_canonical_sample():
     f = parse_formula(
         "ambient 2;  pp( E y1 :  x1  - 2*y1 = 0 )  &  !pp( x2 = 1/3 )")
     assert format_formula(f) == (
-        "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(x2 = 1/3)")
+        "ambient 2; pp(E y1 : x1 - 2*y1 = 0) & !pp(3*x2 = 1)")
 
 
 def test_format_handles_signs_and_zero_rows():
     f = parse_formula("ambient 2; pp(0 = 1/2 & -x1 - 3/2*x2 = -7)")
     out = format_formula(f)
-    assert "0 = 1/2" in out and "-x1 - 3/2*x2 = -7" in out
+    assert "0 = 1" in out and "-2*x1 - 3*x2 = -14" in out
     assert parse_formula(out) == f
 
 
