@@ -181,28 +181,21 @@ def _regular_points(K: FiniteGroup) -> PointAction:
         K._left_multiplications([K.index_of(x)])[0]))
 
 
-def wreath(K: FiniteGroup, k: int, L: FiniteGroup | None = None, *,
-           name="", cap=DEFAULT_CAP) -> FiniteGroup:
-    """Restricted wreath product K wr L with L <= Sym(k) (default Sym(k)),
-    listed as the index-permutation semidirect product.
+def wreath(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
+    """Restricted wreath product K wr Sym(k), listed as the
+    index-permutation semidirect product.
 
     It acts on d k points, block i of the d points of slot i, where K acts
     on d points: through its own `_points` when it has them (Sym(k) and
     wreath products) and by its regular action otherwise.  (h, l) takes
     point x of block i to point h_(l(i)) x of block l(i); see `_on_points`.
-    L's generators must be permutations of degree k, and they generate it.
     """
     if k < 1:
         raise WorkbenchError(f"need a degree of at least 1, not {k}")
-    top = f"Sym({k})" if L is None else L.name
-    name = name or f"{K.name or 'K'} wr {top}"
-    order = K.order ** k * (factorial(k) if L is None else L.order)
+    name = name or f"{K.name or 'K'} wr Sym({k})"
+    order = K.order ** k * factorial(k)
     check_order(order, cap, name)
-    if L is None:
-        L = symmetric_group(k, cap=cap)
-    for l in L.generators:
-        if not isinstance(l, Perm) or l.degree != k:
-            raise WorkbenchError("top group must consist of degree-k permutations")
+    L = symmetric_group(k, cap=cap)
     points = K._points or _regular_points(K)
     d, slot = len(points.base), points.form
 

@@ -11,9 +11,9 @@ elimination (`linalg._eliminate`) whose rows get their signs fixed.
 Intersection and the subset test reduce one coset's rows against the
 other's stored basis (`linalg.reduce_row`), and `pullback` takes the
 preimage under an affine map on integer rows, so none of them builds a
-Fraction.  An image is the preimage under the inverse map
-(`AffineMap.image_coset`), and a projection keeps the rows that
-`linalg.project_rows` leaves once the dropped coordinates are eliminated.
+Fraction.  An image is the pullback under the inverse map, and a
+projection keeps the rows that `linalg.project_rows` leaves once the
+dropped coordinates are eliminated.
 The rational RREF rows (`rows`) are derived when asked for, for printing
 and JSON, and are not stored.  Sorting uses `sort_key`, which holds them:
 it is built on a coset's first sort and kept in a slot that equality,
@@ -152,9 +152,6 @@ class AffineCoset:
         return all(reduce_row(row, self.basis, self.pivots) is None
                    for row in other.basis)
 
-    def is_proper_subset(self, other: "AffineCoset") -> bool:
-        return self != other and self.is_subset(other)
-
     def particular_point(self) -> Point:
         """The canonical point with all free coordinates set to zero."""
         if self.empty:
@@ -213,12 +210,11 @@ class AffineCoset:
         return AffineCoset(n + m, tuple(basis), False,
                            self.pivots + tuple(n + c for c in other.pivots))
 
-    def embed(self, ambient: int, tail=None) -> "AffineCoset":
-        """Include into a larger space by pinning the new coordinates.
-
-        With tail omitted the new coordinates are pinned to zero, matching
-        the standard inclusion a -> (a, 0).  The pinning rows have their
-        pivots in the new columns, so the result is already canonical.
+    def embed(self, ambient: int) -> "AffineCoset":
+        """Include into a larger space by the standard inclusion
+        a -> (a, 0), pinning the new coordinates to zero.  The pinning rows
+        have their pivots in the new columns, so the result is already
+        canonical.
         """
         extra = ambient - self.ambient
         if extra < 0:
@@ -227,13 +223,10 @@ class AffineCoset:
             return self
         if self.empty:
             return AffineCoset.empty_set(ambient)
-        tail = _as_fraction_tuple(tail if tail is not None else [0] * extra)
-        if len(tail) != extra:
-            raise WorkbenchError("tail length mismatch")
         basis = [row[:-1] + (0,) * extra + row[-1:] for row in self.basis]
-        for i, v in enumerate(tail):
+        for i in range(self.ambient, ambient):
             row = [0] * (ambient + 1)
-            row[self.ambient + i], row[-1] = v.denominator, v.numerator
+            row[i] = 1
             basis.append(tuple(row))
         return AffineCoset(ambient, tuple(basis), False,
                            self.pivots + tuple(range(self.ambient, ambient)))
@@ -270,21 +263,26 @@ class LinearSystem:
     Rows hold ambient x-coefficients, then `bound` y-coefficients, then the
     right-hand side, as Python ints: a rational row is stored times the lcm
     of its denominators (`linalg.cleared_row`), and an integer row as it
-    is, since its content matters mod p.  The denoted subset of Q^ambient
-    is the projection of the joint solution set.
+    is, since its content matters mod p.  The constructor clears any
+    rational rows it is given and checks their width.  The denoted subset of
+    Q^ambient is the projection of the joint solution set.
     """
 
     ambient: int
     bound: int
     rows: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def make(ambient: int, bound: int, rows) -> "LinearSystem":
-        rows = tuple(tuple(cleared_row(row)) for row in rows)
-        for row in rows:
-            if len(row) != ambient + bound + 1:
-                raise WorkbenchError("system row has wrong width")
-        return LinearSystem(ambient, bound, rows)
+    def __post_init__(self):
+        rows = self.rows
+        # the parser's rows are already tuples of ints, and are kept as given
+        if type(rows) is not tuple or not all(
+                type(row) is tuple and all(type(x) is int for x in row)
+                for row in rows):
+            rows = tuple(tuple(cleared_row(row)) for row in rows)
+            object.__setattr__(self, "rows", rows)
+        width = self.ambient + self.bound + 1
+        if any(len(row) != width for row in rows):
+            raise WorkbenchError("system row has wrong width")
 
     def joint_coset(self) -> AffineCoset:
         return AffineCoset.from_rows(self.ambient + self.bound, self.rows)

@@ -253,10 +253,6 @@ class K0Class:
     def zero() -> "K0Class":
         return K0Class(())
 
-    @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> "K0Class":
-        return K0Class.make([0] * degree + [coeff])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -370,6 +366,7 @@ def k0_class(d: DefinableSet) -> K0Class:
     return total
 
 
+# kept as a function because the benchmark's sets workload times it
 def definable_dim(d: DefinableSet):
     """The degree of d's class, read off its blocks: a block from
     `make_block` has class X^dim(carrier) plus terms of lower degree, as its

@@ -357,6 +357,7 @@ def format_formula(formula: Formula) -> str:
     return f"ambient {formula.ambient}; " + text
 
 
+# kept because the benchmark's sets workload calls it
 def elaborate(formula: Formula):
     """The boolean tree that normalization and counting take, which the
     parser has already built."""

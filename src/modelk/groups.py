@@ -668,8 +668,6 @@ class GroupAction:
         self.target = target
         self.act = act
         self.name = name
-        self._checked = False
-        self._table = None
 
     def check(self) -> None:
         """Raise InvalidActionError unless the mapping is an action by
@@ -699,8 +697,12 @@ class GroupAction:
         come from its spanning tree (see `FiniteGroup._left_tables`), so the
         check multiplies no elements.
         """
-        if self._checked:
-            return
+        self._table  # built, and so checked, once
+
+    @cached_property
+    def _table(self) -> list[list[int]]:
+        """act(k, h) as element indices of H, one row per element k of G;
+        built only for an action that passes the tests `check` lists."""
         G, H, act = self.acting, self.target, self.act
         index, targets = H._index, H.elements
         table = []
@@ -730,8 +732,7 @@ class GroupAction:
                 if table[right[k]] != [row_k[j] for j in row]:
                     raise InvalidActionError(
                         "action map is not a homomorphism into Aut(H)")
-        self._table = table
-        self._checked = True
+        return table
 
     def __repr__(self) -> str:
         label = self.name or "action"

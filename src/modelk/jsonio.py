@@ -72,10 +72,11 @@ def _field(d, key: str, what: str):
     return d[key]
 
 
-def _ambient(d, what: str) -> int:
-    n = _field(d, "ambient", what)
+def _natural(d, key: str, what: str) -> int:
+    """d[key], which must be an int >= 0 (a bool or float is refused)."""
+    n = _field(d, key, what)
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise WorkbenchError(f"{what}'s 'ambient' must be a natural number, "
+        raise WorkbenchError(f"{what}'s {key!r} must be a natural number, "
                              f"got {n!r}")
     return n
 
@@ -90,7 +91,7 @@ def coset_to_json(c: AffineCoset) -> dict:
 
 
 def coset_from_json(d: dict) -> AffineCoset:
-    ambient = _ambient(d, "a coset")
+    ambient = _natural(d, "ambient", "a coset")
     if d.get("empty"):
         return AffineCoset.empty_set(ambient)
     return AffineCoset.from_rows(
@@ -117,7 +118,7 @@ def defset_to_json(s: DefinableSet) -> dict:
 
 def defset_from_json(d: dict) -> DefinableSet:
     return DefinableSet.from_blocks(
-        _ambient(d, "a definable set"),
+        _natural(d, "ambient", "a definable set"),
         [block_from_json(b) for b in
          _list(d.get("blocks", []), "a definable set's 'blocks'")])
 
@@ -134,7 +135,7 @@ def pamap_to_json(f: PAMap) -> dict:
 
 
 def pamap_from_json(d: dict) -> PAMap:
-    ambient = _ambient(d, "a map")
+    ambient = _natural(d, "ambient", "a map")
     out = []
     for p in _list(_field(d, "pieces", "a map"), "a map's 'pieces'"):
         block = block_from_json({"carrier": _field(p, "carrier", "a piece"),
@@ -154,34 +155,35 @@ def k0_to_json(c: K0Class) -> dict:
 
 
 def k0_from_json(d: dict) -> K0Class:
-    return K0Class.make([int(x) for x in d.get("coeffs", [])])
+    coeffs = _list(_field(d, "coeffs", "a class"), "a class's 'coeffs'")
+    for c in coeffs:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise WorkbenchError(f"a class's 'coeffs' must be integers, got {c!r}")
+    return K0Class.make(coeffs)
 
 
 def _atom_from_json(d: dict) -> Atom:
     from .symbolic import UNDETERMINED, glab, units_of, zmod
 
-    kind = d["atom"]
+    kind = _field(d, "atom", "a summand")
     if kind == "Zmod":
-        return zmod(d["k"])
+        return zmod(_natural(d, "k", "a Zmod atom"))
     if kind == "UnitsOf":
-        return units_of(d["ring"])
+        return units_of(_field(d, "ring", "a UnitsOf atom"))
     if kind == "GLab":
-        return glab(d["n"], d["ring"])
+        return glab(_natural(d, "n", "a GLab atom"), _field(d, "ring", "a GLab atom"))
     if kind == "UndeterminedZ2":
         return UNDETERMINED
     raise WorkbenchError(f"unknown atom kind {kind!r}")
 
 
 def abgroup_from_json(d: dict) -> FormalAbGroup:
-    from .symbolic import COUNTABLE, FormalAbGroup
+    """A multiplicity is a positive int or "countable", and 1 when omitted."""
+    from .symbolic import FormalAbGroup
 
-    pairs = []
-    for s in d.get("summands", []):
-        mult = s.get("mult", 1)
-        if mult != COUNTABLE:
-            mult = int(mult)
-        pairs.append((_atom_from_json(s), mult))
-    return FormalAbGroup.make(pairs)
+    return FormalAbGroup.make(
+        [(_atom_from_json(s), s.get("mult", 1)) for s in
+         _list(_field(d, "summands", "a formal group"), "a formal group's 'summands'")])
 
 
 def dumps(obj) -> str:

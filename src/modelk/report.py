@@ -19,6 +19,10 @@ class VerificationReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))
 
+    def add_report(self, name: str, sub: "VerificationReport") -> None:
+        """One check for a whole sub-report; its failures are the detail."""
+        self.add(name, sub.passed, "; ".join(sub.failures))
+
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)

@@ -120,7 +120,7 @@ def _random_system(rng: random.Random, ambient: int) -> LinearSystem:
         row = [rng.randint(-3, 3) for _ in range(width)]
         row.append(rng.randint(-3, 3))
         rows.append(row)
-    return LinearSystem.make(ambient, bound, rows)
+    return LinearSystem(ambient, bound, rows)
 
 
 def random_expression(rng: random.Random, ambient: int, depth: int = 2):
@@ -242,10 +242,9 @@ def _suite_semiab(seed: int, cases: int, cap: int) -> VerificationReport:
     report = VerificationReport(f"semidirect abelianization suite (seed {seed})")
     for i in range(cases):
         action = random_semidirect_action(rng)
-        sub = check_semidirect_ab(action, cap=cap)
         size = action.target.order * action.acting.order
-        report.add(f"case {i + 1}: {action.name} (order {size})", sub.passed,
-                   "; ".join(sub.failures) if not sub.passed else "")
+        report.add_report(f"case {i + 1}: {action.name} (order {size})",
+                          check_semidirect_ab(action, cap=cap))
     return report
 
 
@@ -255,9 +254,8 @@ def _suite_wreath(seed: int, cases: int, cap: int) -> VerificationReport:
              ("cyclic:4", "Z_4"), ("sym:3", "Sym(3)")]
     for spec, label in bases:
         for k in (2, 3):
-            sub = check_wreath_ab(by_name(spec, cap), k, cap=cap)
-            report.add(f"{label} wr Sym({k})", sub.passed,
-                       "; ".join(sub.failures) if not sub.passed else "")
+            report.add_report(f"{label} wr Sym({k})",
+                              check_wreath_ab(by_name(spec, cap), k, cap=cap))
     return report
 
 
@@ -345,10 +343,8 @@ def _suite_lift(seed: int, cases: int, cap: int) -> VerificationReport:
 def _suite_truncation(seed: int, cases: int, cap: int) -> VerificationReport:
     report = VerificationReport("truncation consistency suite")
     for q, n in ((3, 1), (3, 2), (4, 2), (5, 2)):
-        sub = truncation_consistency(RingDescriptor.finite_field(q), n,
-                                     cap=cap)
-        report.add(f"F_{q} levels up to {n}", sub.passed,
-                   "; ".join(sub.failures) if not sub.passed else "")
+        report.add_report(f"F_{q} levels up to {n}", truncation_consistency(
+            RingDescriptor.finite_field(q), n, cap=cap))
     flagged = truncation_consistency(RingDescriptor.finite_field(2), 1,
                                      cap=cap)
     report.add("F_2 inconsistency is flagged", not flagged.passed,

@@ -199,7 +199,9 @@ class Atom:
 
 
 def zmod(k: int) -> Atom:
-    return Atom("zmod", k=int(k))
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise WorkbenchError(f"Z_k needs an integer k >= 1, got {k!r}")
+    return Atom("zmod", k=k)
 
 
 def _as_ring(ring) -> RingDescriptor:
@@ -266,17 +268,14 @@ class FormalAbGroup:
     def make(pairs, display: str | None = None) -> "FormalAbGroup":
         merged: dict[Atom, object] = {}
         for atom, mult in pairs:
-            if mult != COUNTABLE and (not isinstance(mult, int) or mult < 1):
+            if mult != COUNTABLE and (isinstance(mult, bool)
+                                      or not isinstance(mult, int) or mult < 1):
                 raise WorkbenchError(f"bad multiplicity {mult!r}")
             for piece in normalize_atom(atom):
                 merged[piece] = _add_mult(merged.get(piece, 0), mult) \
                     if piece in merged else mult
         items = sorted(merged.items(), key=lambda am: am[0].sort_key())
         return FormalAbGroup(tuple(items), display)
-
-    @staticmethod
-    def trivial() -> "FormalAbGroup":
-        return FormalAbGroup.make([])
 
     @staticmethod
     def from_atoms(atoms, display: str | None = None) -> "FormalAbGroup":
@@ -289,10 +288,6 @@ class FormalAbGroup:
     def direct_sum(self, other: "FormalAbGroup",
                    display: str | None = None) -> "FormalAbGroup":
         return FormalAbGroup.make(self.summands + other.summands, display)
-
-    def countable_copies(self, display: str | None = None) -> "FormalAbGroup":
-        return FormalAbGroup.make(
-            [(a, COUNTABLE) for a, _ in self.summands], display)
 
     def multiplicity(self, atom: Atom):
         for a, m in self.summands:
@@ -381,11 +376,10 @@ def k1_free_module(ring: RingDescriptor, flags: TheoryFlags | None = None,
     _require_supported(ring)
     if flags is None:
         flags = derive_flags(ring)
-    body = FormalAbGroup.from_atoms(_branch_body(ring, flags))
-    display = "Z_2 (+) (+)_{n>=1} (" + _pretty_atoms(
-        _branch_body(ring, flags)) + ")"
+    body = _branch_body(ring, flags)
+    display = "Z_2 (+) (+)_{n>=1} (" + _pretty_atoms(body) + ")"
     return FormalAbGroup.make(
-        [(zmod(2), 1)] + list(body.countable_copies().summands), display)
+        [(zmod(2), 1)] + [(a, COUNTABLE) for a in body], display)
 
 
 def _pretty_atoms(atoms) -> str:

@@ -20,7 +20,7 @@ from test_coset_routes import _project_by_fractions
 
 
 def leaf(ambient, bound, rows):
-    return LinearSystem.make(ambient, bound, rows)
+    return LinearSystem(ambient, bound, rows)
 
 
 def test_crossing_lines_count():
@@ -98,6 +98,10 @@ def test_rational_leaf_counts_its_cleared_row():
     fifth = count_points_mod_p(leaf(1, 0, [[1, Fraction(1, 5)]]), 5)
     assert (fifth.count, fifth.predicted, fifth.good_prime) == (0, 1, False)
     assert count_points_mod_p(leaf(1, 0, [[1, Fraction(1, 5)]]), 7).good_prime
+    # tuples of Fractions are cleared too: the constructor is the one way in
+    system = LinearSystem(1, 0, ((Fraction(1), Fraction(1, 2)),))
+    assert system.rows == ((2, 1),)
+    assert count_points_mod_p(system, 5).count == 1
 
 
 def test_non_system_leaf_rejected():
@@ -242,7 +246,7 @@ def _systems_with_several_bound_variables(rng):
             rows.append([rng.randint(-2, 2) for _ in range(n)]
                         + [scale * rng.choice((0, 1, -1, 2)) for _ in range(b)]
                         + [rng.randint(-3, 3)])
-        yield LinearSystem.make(n, b, rows)
+        yield LinearSystem(n, b, rows)
 
 
 def test_leaves_with_several_bound_variables_project_exactly():
@@ -338,9 +342,9 @@ def _arrangement_formula(draw):
                 a = draw(normal)
             rhs = sum(x * c for x, c in zip(a, point))
         if any(a):
-            leaves.append(LinearSystem.make(n, 0, [a + [rhs]]))
+            leaves.append(LinearSystem(n, 0, [a + [rhs]]))
     if not leaves:
-        leaves.append(LinearSystem.make(n, 0, [w + [0]]))
+        leaves.append(LinearSystem(n, 0, [w + [0]]))
     if draw(st.booleans()):
         return n, reduce(Or, leaves)
     return n, reduce(And, map(Not, leaves))

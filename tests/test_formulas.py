@@ -17,7 +17,7 @@ from modelk.suites import random_expression
 
 
 def atom(ambient, bound, rows):
-    return LinearSystem.make(ambient, bound, rows)
+    return LinearSystem(ambient, bound, rows)
 
 
 # --- tokenizing and positions -------------------------------------------------
@@ -268,7 +268,7 @@ def test_parser_agrees_with_a_fraction_oracle(data):
     names = [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(bound)]
     prefix = f"E {' '.join(names[n:])} : " if bound else ""
     spelt = [_spellings(draw, row, names) for row in rows]
-    expected = LinearSystem.make(n, bound, rows)
+    expected = LinearSystem(n, bound, rows)
     # each row times the lcm of its denominators, in Fraction arithmetic
     cleared = tuple(tuple(int(x * lcm(*(y.denominator for y in row))) for x in row)
                     for row in rows)

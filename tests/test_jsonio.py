@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,29 @@ def test_abgroup_round_trip():
     assert mixed.multiplicity(units_of("field:K")) == COUNTABLE
     with pytest.raises(WorkbenchError):
         abgroup_from_json({"summands": [{"atom": "Mystery"}]})
+
+
+@pytest.mark.parametrize("summand, message", [
+    ({"atom": "Zmod", "k": -3}, "'k' must be a natural number, got -3"),
+    ({"atom": "Zmod", "k": 0}, "Z_k needs an integer k >= 1, got 0"),
+    ({"atom": "Zmod", "k": 2.7}, "'k' must be a natural number, got 2.7"),
+    ({"atom": "Zmod"}, "with the field 'k'"),
+    ({"atom": "GLab", "ring": "fq:3"}, "with the field 'n'"),
+    ({"atom": "UnitsOf"}, "with the field 'ring'"),
+    ({"k": 2}, "with the field 'atom'"),
+    ({"atom": "Zmod", "k": 2, "mult": 1.5}, "bad multiplicity 1.5"),
+    ({"atom": "Zmod", "k": 2, "mult": True}, "bad multiplicity True"),
+])
+def test_abgroup_decoding_refuses_bad_summands(summand, message):
+    with pytest.raises(WorkbenchError, match=re.escape(message)):
+        abgroup_from_json({"summands": [summand]})
+
+
+@pytest.mark.parametrize("payload", [
+    {"coeffs": [1.5, 2]}, {"coeffs": [True]}, {"coeffs": "12"}, {}, [1, 2]])
+def test_k0_decoding_refuses_what_is_not_a_list_of_ints(payload):
+    with pytest.raises(WorkbenchError):
+        k0_from_json(payload)
 
 
 def test_abgroup_ring_keys_are_read_when_decoded():

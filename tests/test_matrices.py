@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from modelk.errors import WorkbenchError
 from modelk.matrices import Mat, _compile, _sum, _tuple
 from modelk.perms import Perm
-from modelk.rings import GF, Zmod
+from modelk.rings import _MODULUS, GF, Zmod
 
 RINGS = [Zmod(4), Zmod(6), Zmod(8), Zmod(9),
          GF(2), GF(3), GF(5), GF(4), GF(8), GF(9)]
@@ -227,6 +227,23 @@ def test_a_long_generated_sum_compiles_and_adds_in_the_ring(ring):
     total = _compile("total", "xs", [f"{_tuple(names)} = xs", f"return {_sum(names)}"],
                      ring)
     assert total(xs) == reduce(ring.add, xs)
+
+
+@pytest.mark.parametrize("q", sorted(_MODULUS))
+def test_each_fixed_modulus_gives_a_field(q):
+    # the rings build GF(p^e) from these moduli and check no axiom at run time
+    F = GF(q)
+    els = F.elements
+    assert len(els) == q
+    for a in els:
+        assert F.add(a, F.zero) == a and F.mul(a, F.one) == a
+        assert a == F.zero or F.mul(a, F.inv(a)) == F.one
+        for b in els:
+            assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+            for c in els:
+                assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+                assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
 def test_perm_rejects_a_non_bijection():

@@ -162,13 +162,3 @@ def test_a_small_permutation_group_is_listed_when_made():
     S = symmetric_group(3)
     assert _listed(S) and S._points.base == (0, 1, 2)
 
-
-def test_the_top_group_is_checked_on_its_generators():
-    message = "^top group must consist of degree-k permutations$"
-    with pytest.raises(WorkbenchError, match=message):
-        wreath(cyclic(2), 2, symmetric_group(3))
-    with pytest.raises(WorkbenchError, match=message):
-        wreath(cyclic(2), 2, cyclic(2))
-    swap = FiniteGroup([Perm.identity(2), Perm((1, 0))], mul, Perm.identity(2),
-                       generators=[Perm((1, 0))], name="swap")
-    assert abelianization(wreath(cyclic(3), 2, swap)).factors == (6,)

@@ -152,15 +152,21 @@ def test_formal_group_merging_and_saturation():
     assert g.multiplicity(zmod(2)) == 5
     assert g.multiplicity(zmod(4)) == 1
     assert g.multiplicity(zmod(8)) == 0
-    inf = g.countable_copies()
+    inf = FormalAbGroup.make([(zmod(2), COUNTABLE), (zmod(4), COUNTABLE)])
     assert inf.multiplicity(zmod(2)) == COUNTABLE
     assert inf.direct_sum(g).multiplicity(zmod(2)) == COUNTABLE
-    assert FormalAbGroup.trivial().is_trivial
+    assert FormalAbGroup.make([]).is_trivial
     assert FormalAbGroup.make([(zmod(1), 7)]).is_trivial
     with pytest.raises(WorkbenchError):
         FormalAbGroup.make([(zmod(2), 0)])
     with pytest.raises(WorkbenchError):
         FormalAbGroup.make([(zmod(2), -1)])
+
+
+@pytest.mark.parametrize("k", [0, -3, 2.5, True])
+def test_zmod_refuses_an_order_that_is_not_an_integer_from_one(k):
+    with pytest.raises(WorkbenchError, match=f"Z_k needs an integer k >= 1, got {k!r}"):
+        zmod(k)
 
 
 def test_formal_equality_ignores_display():
@@ -174,7 +180,7 @@ def test_formal_equality_ignores_display():
 @pytest.mark.parametrize("group, text", [
     (FormalAbGroup.make([(zmod(2), 3)]), "Z_2^3"),
     (FormalAbGroup.make([(zmod(2), COUNTABLE)]), "Z_2^(oo)"),
-    (FormalAbGroup.trivial(), "0"),
+    (FormalAbGroup.make([]), "0"),
 ])
 def test_formal_pretty_writes_multiplicities(group, text):
     assert group.pretty() == text
