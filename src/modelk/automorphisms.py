@@ -6,6 +6,10 @@ domain and the image blocks partition it again.  `validate` tests a tiling:
 no two pieces meet, no two images meet, and the images lie inside the
 domain, which they then fill, since their classes in K_0 add up to the
 domain's.  All checks are exact coset algebra; nothing is sampled.
+
+Results that a theorem makes valid are not checked again: a composite of
+valid maps on one domain (so a conjugate), and the lower-dimensional rest
+of `decompose_affine`.
 """
 
 from __future__ import annotations
@@ -285,7 +289,9 @@ def decompose_affine(f: PAMap) -> tuple[AffineMap, PAMap]:
 
     Over the rationals exactly one piece has a full carrier (two full
     carriers cannot hold disjoint blocks), so g is read off that piece, and
-    h = g^-1 o f fixes the full piece pointwise.
+    h = g^-1 o f fixes the full piece pointwise.  The support of h then
+    lies in the other pieces, whose carriers are proper cosets, so it has
+    dimension below n; nothing here recomputes it.
     """
     f.require_valid()
     if not f.domain().complement().is_empty:
@@ -293,16 +299,13 @@ def decompose_affine(f: PAMap) -> tuple[AffineMap, PAMap]:
     tops = [(b, m) for b, m in f.pieces if b.carrier.is_full]
     assert len(tops) == 1, "exactly one full-carrier piece must exist"
     g = tops[0][1]
-    h = PAMap.from_affine(g.inverse()).compose(f)
-    if not h.support_dim() < f.ambient:
-        raise WorkbenchError("residual map is not lower-dimensional")
-    return g, h
+    return g, PAMap.from_affine(g.inverse()).compose(f)
 
 
 def conjugate(g, h: PAMap) -> PAMap:
-    """g . h . g^-1; g may be an affine map of the ambient space."""
+    """g . h . g^-1; g may be an affine map of the ambient space.  Each
+    `compose` checks its two factors, and a composite of valid maps on one
+    domain is valid, so the result is not checked again."""
     if isinstance(g, AffineMap):
         g = PAMap(h.ambient, [(b, g) for b, _ in h.pieces])
-    result = g.compose(h).compose(g.invert())
-    result.require_valid()
-    return result
+    return g.compose(h).compose(g.invert())

@@ -1,11 +1,11 @@
 """The concrete groups that tests, suites and `--group` specs name.
 
-`by_name` is the one grammar for group specs.  It passes `cap` to every
-constructor, and each refuses a group of more elements before it lists an
-element: from its known order (see `groups.check_order`), or, for the
-dihedral groups and Q_8, as their closure grows.  A gl, sl or aff spec
-calls its constructor over GF(q), which refuses before the field fills a
-table (see `rings`).
+`by_name` is the one grammar for group specs; Q_8's spec is `q8`, and it
+has no alias.  It passes `cap` to every constructor, and each refuses a
+group of more elements before it lists an element: from its known order
+(see `groups.check_order`), or, for the dihedral groups and Q_8, as their
+closure grows.  A gl, sl or aff spec calls its constructor over GF(q),
+which refuses before the field fills a table (see `rings`).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def quaternion8(cap=DEFAULT_CAP) -> FiniteGroup:
 
 _SIZED = {"sym": symmetric_group, "cyclic": cyclic, "dihedral": dihedral}
 _LINEAR = {"gl": gl_group, "sl": special_linear, "aff": affine_group}
-_NAMED = {"klein": klein_four, "q8": quaternion8, "quaternion": quaternion8}
+_NAMED = {"klein": klein_four, "q8": quaternion8}
 
 
 def by_name(spec: str, cap=DEFAULT_CAP) -> FiniteGroup:

@@ -236,7 +236,7 @@ def _cmd_aut(args) -> int:
         rep = f.validate()
         _emit(args, rep.to_json(), str(rep))
         return 0
-    f.require_valid()
+    # each action below checks f through the call it makes
     if args.action == "support":
         supp = f.support()
         value = supp.dim

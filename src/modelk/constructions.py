@@ -181,7 +181,7 @@ def _regular_points(K: FiniteGroup) -> PointAction:
         K._left_multiplications([K.index_of(x)])[0]))
 
 
-def wreath(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
+def wreath(K: FiniteGroup, k: int, *, cap=DEFAULT_CAP) -> FiniteGroup:
     """Restricted wreath product K wr Sym(k), listed as the
     index-permutation semidirect product.
 
@@ -192,7 +192,7 @@ def wreath(K: FiniteGroup, k: int, *, name="", cap=DEFAULT_CAP) -> FiniteGroup:
     """
     if k < 1:
         raise WorkbenchError(f"need a degree of at least 1, not {k}")
-    name = name or f"{K.name or 'K'} wr Sym({k})"
+    name = f"{K.name or 'K'} wr Sym({k})"
     order = K.order ** k * factorial(k)
     check_order(order, cap, name)
     L = symmetric_group(k, cap=cap)

@@ -244,10 +244,14 @@ class K0Class:
 
     @staticmethod
     def make(coeffs) -> "K0Class":
+        """The class with these coefficients, trailing zeros dropped;
+        WorkbenchError unless each is an int (not a bool)."""
         coeffs = list(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise WorkbenchError(f"class coefficients must be integers, got {coeffs}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        return K0Class(tuple(int(c) for c in coeffs))
+        return K0Class(tuple(coeffs))
 
     @staticmethod
     def zero() -> "K0Class":
@@ -271,8 +275,6 @@ class K0Class:
         return self + K0Class.make(-c for c in other.coeffs)
 
     def __mul__(self, other: "K0Class") -> "K0Class":
-        if self.is_zero or other.is_zero:
-            return K0Class.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):

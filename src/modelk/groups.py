@@ -30,7 +30,9 @@ vectors (see `matrix_groups`), and Sym(k) and wreath products on
 0, ..., d - 1 by index lookup (see `constructions`).  Such a group is an
 `_UnlistedGroup`, made from its order and its action, whose chain runs,
 checked against that order, when the group is made; it lists itself, and
-runs `_setup`, only when something first needs its elements.
+runs `_setup`, only when something first needs its elements, and refuses
+a listing with another order or other generators.  Every group sets its
+`order` attribute when it is made.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class FiniteGroup:
     def _setup(self, keys, keying, op, identity, generators, name, images=None,
                tables=None):
         keys = tuple(keys)
-        n = len(keys)
+        self.order = n = len(keys)
         self._keys = keys
         self._keying = keying
         self._key_index = index = dict(zip(keys, range(n)))
@@ -173,12 +175,8 @@ class FiniteGroup:
             return self._key_index
         return dict(zip(elements, range(len(elements))))
 
-    @property
-    def order(self) -> int:
-        return len(self._keys)
-
     def __len__(self) -> int:
-        return len(self._keys)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
@@ -450,7 +448,8 @@ class _UnlistedGroup(FiniteGroup):
     of them under `mul`.  The first read of an attribute that `_setup` sets,
     which `elements`, `index_of`, `in`, `_tables` and `_tree` all make,
     calls it once and takes those attributes from its result, so the
-    elements come in the listing's order."""
+    elements come in the listing's order; a listing whose order or
+    generators differ from the group's raises WorkbenchError."""
 
     # what FiniteGroup._setup sets from the keys
     _LISTING = ("_keys", "_keying", "_key_index", "_start", "_tables", "_tree")
@@ -466,15 +465,8 @@ class _UnlistedGroup(FiniteGroup):
         if reached != order:
             raise WorkbenchError(f"{name}'s generators reach {reached} of "
                                  f"{order} elements")
-        self._order = order
+        self.order = order
         self._listing = listing or (lambda: enumerate_group(gens, cap=None, name=name))
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    def __len__(self) -> int:
-        return self._order
 
     def _relators(self):
         return self._relator_rows
@@ -483,6 +475,9 @@ class _UnlistedGroup(FiniteGroup):
         if attr not in self._LISTING:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
         listed = vars(self._listing())
+        if (listed["generators"], listed["order"]) != (self.generators, self.order):
+            raise WorkbenchError(f"the listing of {self.name} is not the group of "
+                                 f"order {self.order} on its generators")
         for name in self._LISTING:
             setattr(self, name, listed[name])
         return getattr(self, attr)

@@ -151,15 +151,11 @@ def pamap_from_json(d: dict) -> PAMap:
 
 
 def k0_to_json(c: K0Class) -> dict:
-    return {"coeffs": [int(x) for x in c.coeffs]}
+    return {"coeffs": list(c.coeffs)}
 
 
 def k0_from_json(d: dict) -> K0Class:
-    coeffs = _list(_field(d, "coeffs", "a class"), "a class's 'coeffs'")
-    for c in coeffs:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise WorkbenchError(f"a class's 'coeffs' must be integers, got {c!r}")
-    return K0Class.make(coeffs)
+    return K0Class.make(_list(_field(d, "coeffs", "a class"), "a class's 'coeffs'"))
 
 
 def _atom_from_json(d: dict) -> Atom:

@@ -41,6 +41,8 @@ class Perm(tuple):
 
     @staticmethod
     def cycle(degree: int, points: tuple[int, ...]) -> "Perm":
+        if len(set(points)) != len(points) or not set(points) <= set(range(degree)):
+            raise ValueError(f"a cycle needs distinct points of 0..{degree - 1}: {points}")
         images = list(range(degree))
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b

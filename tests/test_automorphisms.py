@@ -335,6 +335,30 @@ def test_decompose_needs_full_domain():
         decompose_affine(shrunk)
 
 
+def test_seeded_decompositions_leave_a_lower_dimensional_rest():
+    # `decompose_affine` proves this rather than checking it
+    rng = random.Random(3307)
+    for ambient in (1, 2, 3):
+        for _ in range(6):
+            f = random_pamap(rng, ambient)
+            g, h = decompose_affine(f)
+            assert h.support_dim() < ambient
+            assert PAMap.from_affine(g).compose(h).same_map(f)
+
+
+def test_seeded_conjugates_are_valid():
+    # `conjugate` does not check its result, since each compose checks
+    # its factors
+    rng = random.Random(3308)
+    for ambient in (1, 2, 3):
+        for _ in range(4):
+            h = random_pamap(rng, ambient)
+            for g in (random_pamap(rng, ambient), random_affine_map(rng, ambient)):
+                k = conjugate(g, h)
+                assert k.validate().passed
+                assert k.support_dim() == h.support_dim()
+
+
 def test_conjugation_preserves_support_dim():
     h = swap_map(2, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     g = AffineMap.make([[2, 1], [1, 1]], [3, -1])

@@ -383,7 +383,7 @@ def test_dimension_queries_build_no_class(capsys, monkeypatch):
     assert calls == {"class": 0, "support": 1}
     for argv, supports in [(["dim", GOLDEN_DIMS["dim-plane-arrangement-q3"]], 0),
                            (["aut", "dim"], 1), (["aut", "support"], 1),
-                           (["aut", "decompose"], 2)]:
+                           (["aut", "decompose"], 1)]:
         if argv[0] == "aut":
             argv.append(str(GOLDEN / "maps" / "doubling-with-patch.json"))
         calls.update({"class": 0, "support": 0})

@@ -4,13 +4,14 @@ from math import factorial
 
 import pytest
 
+from modelk import suites
 from modelk.catalogue import by_name, cyclic, klein_four
 from modelk.constructions import (check_semidirect_ab, check_wreath_ab,
                                   direct_power, index_permutation_action,
                                   semidirect, symmetric_group, wreath)
 from modelk.errors import CapExceededError, WorkbenchError
-from modelk.groups import GroupAction, abelianization
-from modelk.suites import random_semidirect_action
+from modelk.groups import FiniteGroup, GroupAction, abelianization
+from modelk.suites import _ACTION_FAMILIES, random_semidirect_action
 from rational_oracles import direct_product
 
 
@@ -127,6 +128,38 @@ def test_semidirect_formula_on_seeded_catalogue():
         action = random_semidirect_action(rng)
         rep = check_semidirect_ab(action)
         assert rep.passed, (action.name, rep.failures)
+
+
+def test_no_action_family_draws_a_product_of_more_than_384_elements():
+    # the largest is Z_4^3 )x( Sym(3), from `_coordinate_perm_action`
+    sizes = set()
+    for family in _ACTION_FAMILIES:
+        rng = random.Random(5)
+        for _ in range(60):
+            action = family(rng)
+            sizes.add(action.target.order * action.acting.order)
+    assert max(sizes) == 384
+
+
+def test_a_conjugation_case_does_not_depend_on_the_listing_order(monkeypatch):
+    def reversed_listing(spec):
+        H = by_name(spec)
+        return FiniteGroup(reversed(H.elements), H.op, H.identity,
+                           generators=H.generators, name=H.name)
+
+    for seed in range(12):
+        rng = random.Random(seed)
+        listed = suites._conjugation_action(rng)
+        with monkeypatch.context() as m:
+            m.setattr(suites, "by_name", reversed_listing)
+            other_rng = random.Random(seed)
+            reversed_case = suites._conjugation_action(other_rng)
+        assert rng.random() == other_rng.random()  # the same draws
+        assert reversed_case.target.elements[0] != listed.target.elements[0]
+        assert (reversed_case.name, reversed_case.acting.order) == \
+            (listed.name, listed.acting.order)
+        assert check_semidirect_ab(reversed_case).to_json() == \
+            check_semidirect_ab(listed).to_json()
 
 
 def test_index_permutation_action_is_checked():

@@ -127,6 +127,16 @@ def test_k0_class_ring_ops():
     assert (2 * x - one).evaluate(5) == 9 if hasattr(K0Class, "__rmul__") \
         else (x + x - one).evaluate(5) == 9
     assert K0Class.zero().degree == NEG_INF
+    assert x * K0Class.zero() == K0Class.zero() * x == K0Class.zero()
+    assert (K0Class.zero() * K0Class.zero()).is_zero
+
+
+def test_k0_class_refuses_a_coefficient_that_is_not_an_integer():
+    # int() truncated 1.5 to 1, so [1.5, 2] read as 2X + 1
+    for coeffs in ([1.5, 2], [F(1, 2)], [F(2)], ["1"], [True]):
+        with pytest.raises(WorkbenchError, match="^class coefficients must be integers"):
+            K0Class.make(coeffs)
+    assert K0Class.make([1, 2, 0]) == K0Class((1, 2))
 
 
 def test_crossing_lines_class():

@@ -260,6 +260,16 @@ def test_perm_refuses_images_that_are_not_ints():
             Perm(images)
 
 
+def test_a_cycle_that_repeats_a_point_is_refused():
+    # (0, 1, 1) wrote images 0 -> 1, 1 -> 1, 1 -> 0 and returned Perm(1, 0, 2);
+    # -1 indexed point 2, so (2, -1) returned the identity
+    for points in ((0, 1, 1), (2, -1), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a cycle needs distinct points of 0..2: {points}")):
+            Perm.cycle(3, points)
+    assert Perm.cycle(3, (0, 1)) == (1, 0, 2)
+
+
 def test_perm_holds_a_list_as_its_image_tuple():
     p = Perm([1, 0])
     assert type(p) is Perm and p == (1, 0)

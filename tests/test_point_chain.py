@@ -154,6 +154,21 @@ def test_a_lazy_chain_checks_its_order():
                    _index_action(4, Perm), None)
 
 
+def test_a_chain_group_checks_the_listing_it_adopts(monkeypatch):
+    S = symmetric_group(5)
+    assert isinstance(S, _UnlistedGroup) and not _listed(S)
+    gens = S.generators
+    for other in (lambda: enumerate_group(gens[:-1], cap=None),   # order 24
+                  lambda: enumerate_group(gens[::-1], cap=None)):  # other generators
+        monkeypatch.setattr(S, "_listing", other)
+        with pytest.raises(WorkbenchError, match=r"^the listing of Sym\(5\) is not "
+                                                 r"the group of order 120 on its generators$"):
+            S.elements
+        assert not _listed(S)
+    monkeypatch.setattr(S, "_listing", lambda: enumerate_group(gens, cap=None))
+    assert len(S.elements) == 120 and _listed(S)
+
+
 def test_a_small_permutation_group_is_listed_when_made():
     # Z_20000 wr Sym(1) acts on 20000 points: a chain would hold far more
     # images than the group has elements
