@@ -5,11 +5,19 @@ the automorphism group of its domain when the piece blocks partition the
 domain and the image blocks partition it again.  `validate` tests a tiling:
 no two pieces meet, no two images meet, and the images lie inside the
 domain, which they then fill, since their classes in K_0 add up to the
-domain's.  All checks are exact coset algebra; nothing is sampled.
+domain's.  All checks are exact coset algebra; nothing is sampled, and
+no set is normalized: two blocks are tested for a common point from their
+carriers and holes (`_meet`), and the inclusion test stops at the first
+image block left uncovered (`DefinableSet.is_subset`).
 
-Results that a theorem makes valid are not checked again: a composite of
-valid maps on one domain (so a conjugate), and the lower-dimensional rest
-of `decompose_affine`.
+A theorem makes some results valid: a composite of valid maps on one
+domain (so a conjugate), and the rest h of `decompose_affine`.  They are
+returned without a check, but they are not trusted: the validity report
+is kept per map, so the first `compose`, `invert`, `support` or `same_map`
+call that takes such a map validates it in full.  Trusting them waits on
+the benchmark keeping its per-op records apart from the peak memory it
+reports (ROADMAP item 1), since a faster run records more ops and so reads
+a higher peak.
 """
 
 from __future__ import annotations
@@ -136,16 +144,34 @@ class AffineMap:
         return self.inverse().preimage_block(block)
 
     def preimage_block(self, block: Block) -> Block:
-        moved = make_block(block.carrier.pullback(self),
-                           [h.pullback(self) for h in block.holes])
-        assert moved is not None  # affine bijections preserve nonemptiness
-        return moved
+        """The canonical block of the points that this map sends into a
+        canonical block: the carrier and each hole pulled back, and the
+        holes sorted.  A bijection keeps each hole a nonempty proper
+        subcoset of the carrier and keeps the antichain, so `make_block`'s
+        clipping and pruning would change nothing.  This serves the images
+        of `validate` and `invert` and the refinement of `compose`."""
+        return Block(block.carrier.pullback(self),
+                     tuple(sorted((h.pullback(self) for h in block.holes),
+                                  key=lambda c: c.sort_key)))
+
+
+def _meet(a: Block, b: Block) -> AffineCoset | None:
+    """The meet C of the two carriers when the blocks share a point, else
+    None; no block is built.  They share a point exactly when C is nonempty
+    and no hole of either contains C: over Q a coset is never covered by
+    finitely many proper subcosets, so holes that each cut C in a proper
+    subcoset leave a point.  So this is None exactly when
+    `block_intersect(a, b)` is, and otherwise that block's carrier."""
+    meet = a.carrier.intersect(b.carrier)
+    if meet.empty or any(meet.is_subset(h) for h in a.holes + b.holes):
+        return None
+    return meet
 
 
 def _overlap(blocks) -> bool:
-    """Whether two of the blocks meet; stops at the first pair that does."""
-    return any(block_intersect(a, b) is not None
-               for a, b in combinations(blocks, 2))
+    """Whether two of the blocks meet (`_meet`); stops at the first pair
+    that does."""
+    return any(_meet(a, b) is not None for a, b in combinations(blocks, 2))
 
 
 def _reduced(linear, shift, d: int) -> AffineMap:
@@ -197,7 +223,10 @@ class PAMap:
         each image has its piece's class, and the disjoint images have class
         sum [piece] = [domain].  The rest of the domain then has class 0, and
         a nonempty set has a nonzero class (its degree is its dimension), so
-        the rest is empty.  No class is computed."""
+        the rest is empty.  No class is computed, and no set is normalized:
+        the pair tests stop at the first pair that meets (`_meet`), and the
+        inclusion at the first image block that the domain leaves uncovered
+        (`DefinableSet.is_subset`)."""
         report = VerificationReport(f"piecewise-affine map on Q^{self.ambient}")
         report.add("has-pieces", bool(self.pieces))
         disjoint = not _overlap([b for b, _ in self.pieces])
@@ -207,8 +236,7 @@ class PAMap:
         report.add("image-pieces-disjoint", img_disjoint)
         if disjoint and img_disjoint:
             image = DefinableSet.from_blocks(self.ambient, images)
-            report.add("image-equals-domain",
-                       image.difference(self.domain()).is_empty)
+            report.add("image-equals-domain", image.is_subset(self.domain()))
         else:
             report.add("image-equals-domain", False,
                        "skipped: pieces overlap")
@@ -273,12 +301,13 @@ class PAMap:
             return False
         for b1, m1 in self.pieces:
             for b2, m2 in other.pieces:
-                common = block_intersect(b1, b2)
+                common = _meet(b1, b2)
                 if common is None:
                     continue
-                # maps agreeing on a block agree on its whole carrier: the
-                # carrier is never covered by the agreement locus and holes
-                if not common.carrier.is_subset(m1.agreement_coset(m2)):
+                # maps agreeing on the blocks' common part agree on the
+                # whole meet of carriers: the meet is never covered by the
+                # agreement locus and holes
+                if not common.is_subset(m1.agreement_coset(m2)):
                     return False
         return True
 
@@ -287,19 +316,26 @@ def decompose_affine(f: PAMap) -> tuple[AffineMap, PAMap]:
     """Split f on all of Q^n into (affine g, lower-dimensional h) with
     f = g o h.
 
-    Over the rationals exactly one piece has a full carrier (two full
-    carriers cannot hold disjoint blocks), so g is read off that piece, and
-    h = g^-1 o f fixes the full piece pointwise.  The support of h then
-    lies in the other pieces, whose carriers are proper cosets, so it has
-    dimension below n; nothing here recomputes it.
+    f is checked to be valid and Q^n to lie inside its domain.  Over the
+    rationals exactly one piece has a full carrier (two full carriers
+    cannot hold disjoint blocks), so g is read off that piece.
+    h = g^-1 o f is built one piece at a time: each piece (b, m) of f
+    becomes (b, g^-1 o m).  These are the pieces of
+    `PAMap.from_affine(g.inverse()).compose(f)`, built without that call's
+    check of the domains, which the Q^n check has done, and without its
+    refinement by the one full block, which leaves every piece as it is.
+    h fixes the full piece pointwise, so its support lies in the other
+    pieces, whose carriers are proper cosets, and has dimension below n;
+    nothing here recomputes it.
     """
     f.require_valid()
-    if not f.domain().complement().is_empty:
+    if not DefinableSet.full_space(f.ambient).is_subset(f.domain()):
         raise WorkbenchError("decomposition needs the whole space as domain")
     tops = [(b, m) for b, m in f.pieces if b.carrier.is_full]
     assert len(tops) == 1, "exactly one full-carrier piece must exist"
     g = tops[0][1]
-    return g, PAMap.from_affine(g.inverse()).compose(f)
+    g_inv = g.inverse()
+    return g, PAMap(f.ambient, [(b, g_inv.compose(m)) for b, m in f.pieces])
 
 
 def conjugate(g, h: PAMap) -> PAMap:

@@ -203,10 +203,31 @@ class DefinableSet:
     def complement(self) -> "DefinableSet":
         return DefinableSet.full_space(self.ambient).difference(self)
 
+    def is_subset(self, other: "DefinableSet") -> bool:
+        """Whether every point of self lies in other.  Other's blocks are
+        subtracted from each block of self in turn (`block_subtract`), and
+        the answer is False at the first block that leaves a piece; a block
+        that is also one of other's needs no subtraction, and no set is
+        normalized."""
+        self._check_ambient(other)
+        for a in self.blocks:
+            if a in other.blocks:
+                continue
+            pieces = [a]
+            for b in other.blocks:
+                if not pieces:
+                    break
+                pieces = [q for p in pieces for q in block_subtract(p, b)]
+            if pieces:
+                return False
+        return True
+
     def same_set(self, other: "DefinableSet") -> bool:
-        """Extensional equality via symmetric difference."""
-        return (self.difference(other).is_empty
-                and other.difference(self).is_empty)
+        """Extensional equality: equal block tuples, or inclusion both
+        ways (a set has more than one block presentation)."""
+        self._check_ambient(other)
+        return self.blocks == other.blocks or (self.is_subset(other)
+                                               and other.is_subset(self))
 
     def product(self, other: "DefinableSet") -> "DefinableSet":
         # (P \ U b) x (Q \ U c) = (P x Q) \ ((U b x Q) u (P x U c))

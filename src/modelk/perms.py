@@ -35,6 +35,9 @@ class Perm(tuple):
 
     @staticmethod
     def transposition(degree: int, i: int, j: int) -> "Perm":
+        if i == j or not {i, j} <= set(range(degree)):
+            raise ValueError(f"a transposition needs two distinct points of "
+                             f"0..{degree - 1}: ({i}, {j})")
         images = list(range(degree))
         images[i], images[j] = j, i
         return Perm(images)

@@ -270,6 +270,16 @@ def test_a_cycle_that_repeats_a_point_is_refused():
     assert Perm.cycle(3, (0, 1)) == (1, 0, 2)
 
 
+def test_a_transposition_of_one_point_is_refused():
+    # (1, 1) returned the identity, as did (2, -1), where -1 indexed point 2,
+    # and (0, 3) raised a bare IndexError
+    for i, j in ((1, 1), (2, -1), (0, 3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a transposition needs two distinct points of 0..2: ({i}, {j})")):
+            Perm.transposition(3, i, j)
+    assert Perm.transposition(3, 2, 0) == (2, 1, 0)
+
+
 def test_perm_holds_a_list_as_its_image_tuple():
     p = Perm([1, 0])
     assert type(p) is Perm and p == (1, 0)

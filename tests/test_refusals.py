@@ -1,8 +1,9 @@
 """Refusals and edge outputs across the layers, each pinned to its message.
 
 Each case here is an input that the rest of the suite never sends: a
-mismatched ambient dimension, an empty object printed, an index out of
-range, a size of zero, a non-unit.  Every refusal is a `WorkbenchError`
+mismatched ambient dimension, a map that is not a bijection of its domain,
+an empty object printed, an index out of range, a size of zero, a
+non-unit.  Every refusal is a `WorkbenchError`
 (or the `ValueError` of the matrix and permutation constructors) with the
 message shown, never a bare Python error.
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from modelk.automorphisms import AffineMap, PAMap
+from modelk.automorphisms import AffineMap, PAMap, decompose_affine
 from modelk.catalogue import cyclic
 from modelk.cli import main
 from modelk.constructions import direct_power, lift_permutation, wreath
@@ -54,12 +55,16 @@ def _raises(call, error, message):
     (lambda: DefinableSet.from_blocks(2, [make_block(POINT)]), "block ambient mismatch"),
     (lambda: DefinableSet.full_space(1).union(DefinableSet.full_space(2)),
      "ambient mismatch"),
+    (lambda: DefinableSet.full_space(1).is_subset(DefinableSet.full_space(2)),
+     "ambient mismatch"),
+    (lambda: DefinableSet.empty(1).same_set(DefinableSet.empty(2)), "ambient mismatch"),
     (lambda: count_points_mod_p(And(LinearSystem(1, 0, [[1, 0]]),
                                     LinearSystem(2, 0, [[1, 0, 0]])), 5),
      "leaf ambient mismatch"),
 ], ids=["AffineMap.compose", "PAMap-block", "PAMap-map", "PAMap.compose",
         "AffineCoset.intersect", "AffineCoset.is_subset", "AffineCoset.contains",
-        "DefinableSet.from_blocks", "DefinableSet.union", "count_points_mod_p"])
+        "DefinableSet.from_blocks", "DefinableSet.union", "DefinableSet.is_subset",
+        "DefinableSet.same_set", "count_points_mod_p"])
 def test_ambient_mismatches_are_refused(call, message):
     _raises(call, WorkbenchError, message)
 
@@ -79,6 +84,52 @@ def test_a_map_refuses_a_point_off_its_domain():
     on_point = PAMap(1, [(make_block(POINT), AffineMap.identity(1))])
     assert on_point.apply((F(0),)) == (F(0),)
     _raises(lambda: on_point.apply((F(1),)), WorkbenchError, "point outside the domain")
+
+
+# --- maps that are not bijections of their domain ---------------------------
+
+LINE, ONE = AffineCoset.full(1), AffineCoset.single_point((F(1),))
+IDENTITY, DOWN = AffineMap.identity(1), AffineMap.translation([-1])
+SKIPPED = "image-equals-domain: skipped: pieces overlap"
+
+
+@pytest.mark.parametrize("pieces, report, failures", [
+    # Q^1 by the identity, and 0 again by x -> x + 1
+    ([(make_block(LINE), IDENTITY), (make_block(POINT), AffineMap.translation([1]))],
+     ["- domain-pieces-disjoint", "- image-pieces-disjoint",
+      "- image-equals-domain (skipped: pieces overlap)"],
+     f"domain-pieces-disjoint; image-pieces-disjoint; {SKIPPED}"),
+    # 0 and 1 both sent to 0
+    ([(make_block(POINT), IDENTITY), (make_block(ONE), DOWN)],
+     ["+ domain-pieces-disjoint", "- image-pieces-disjoint",
+      "- image-equals-domain (skipped: pieces overlap)"],
+     f"image-pieces-disjoint; {SKIPPED}"),
+    # on Q^1 minus {0}, 1 is sent to 0, which is off the domain
+    ([(make_block(LINE, [POINT, ONE]), IDENTITY), (make_block(ONE), DOWN)],
+     ["+ domain-pieces-disjoint", "+ image-pieces-disjoint", "- image-equals-domain"],
+     "image-equals-domain"),
+], ids=["pieces-overlap", "images-overlap", "image-leaves-domain"])
+def test_a_map_that_is_not_a_bijection_is_refused_by_name(pieces, report, failures):
+    f = PAMap(1, pieces)
+    assert str(f.validate()).splitlines() == [
+        "[FAIL] piecewise-affine map on Q^1", "  + has-pieces", *("  " + r for r in report)]
+    message = "map is not a bijection of its domain: " + failures
+    for call in (lambda: f.compose(f), f.invert, f.support, lambda: f.same_map(f),
+                 lambda: decompose_affine(f)):
+        _raises(call, WorkbenchError, message)
+
+
+def test_maps_on_different_domains_neither_compose_nor_agree():
+    # Q^1 holds Q^1 minus {0}, and Q^1 minus {0} and Q^1 minus {1} hold
+    # neither the other
+    off_zero = PAMap(1, [(make_block(LINE, [POINT]), IDENTITY)])
+    off_one = PAMap(1, [(make_block(LINE, [ONE]), IDENTITY)])
+    for f, g in ((PAMap.identity(1), off_zero), (off_zero, PAMap.identity(1)),
+                 (off_zero, off_one)):
+        _raises(lambda: f.compose(g), WorkbenchError, "composition needs equal domains")
+        assert not f.same_map(g)
+    _raises(lambda: decompose_affine(off_zero), WorkbenchError,
+            "decomposition needs the whole space as domain")
 
 
 # --- empty objects ------------------------------------------------------------
